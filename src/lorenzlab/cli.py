@@ -35,7 +35,7 @@ from .map_core import (
 from .orbits import iterate_orbit, lyapunov
 from .periodic import find_periodic_points
 from .renorm import find_renormalizations
-from .return_maps import first_return_map, is_nice
+from .return_maps import ReturnMapRec, first_return_map, is_nice
 from .spectral import (
     Budgets,
     classify_attractor,
@@ -178,17 +178,22 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_branches(buf: io.StringIO, rec: ReturnMapRec) -> None:
+    """The return-map branch CSV of `returnmap` and `plotdata --kind returnmap`."""
+    buf.write("branch_lo,branch_hi,return_time,image_lo,image_hi,is_full\n")
+    for b in rec.branches:
+        buf.write(
+            f"{b.domain[0]!r},{b.domain[1]!r},{b.return_time},{b.image[0]!r},{b.image[1]!r},{int(b.is_full)}\n"
+        )
+
+
 def cmd_returnmap(args: argparse.Namespace) -> int:
     spec = load_map(args.map)
     lo, hi = (float(v) for v in args.interval.split(","))
     nice = is_nice(spec, (lo, hi), args.horizon)
     rec = first_return_map(spec, (lo, hi), args.horizon, args.resolution)
     buf = io.StringIO()
-    buf.write("branch_lo,branch_hi,return_time,image_lo,image_hi,is_full\n")
-    for b in rec.branches:
-        buf.write(
-            f"{b.domain[0]!r},{b.domain[1]!r},{b.return_time},{b.image[0]!r},{b.image[1]!r},{int(b.is_full)}\n"
-        )
+    _write_branches(buf, rec)
     if not nice.is_nice:
         buf.write(f"# warning: interval failed the niceness probe at horizon {args.horizon}\n")
     _emit(buf.getvalue(), args.out)
@@ -278,12 +283,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         if not args.interval:
             raise MapValidationError("returnmap needs --interval lo,hi")
         lo, hi = (float(v) for v in args.interval.split(","))
-        rec = first_return_map(spec, (lo, hi), args.horizon, args.resolution)
-        buf.write("branch_lo,branch_hi,return_time,image_lo,image_hi,is_full\n")
-        for b in rec.branches:
-            buf.write(
-                f"{b.domain[0]!r},{b.domain[1]!r},{b.return_time},{b.image[0]!r},{b.image[1]!r},{int(b.is_full)}\n"
-            )
+        _write_branches(buf, first_return_map(spec, (lo, hi), args.horizon, args.resolution))
     elif args.kind == "strata":
         budgets = _load_budgets(args.budgets)
         rec = decompose(spec, budgets)
@@ -340,7 +340,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--budgets", default=None, help="budgets JSON (inline or path)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", default=None, help="accepted for compatibility; inferred per command")
 
     p = sub.add_parser("analyze", help="full report")
     add_common(p)

@@ -319,9 +319,8 @@ def deriv_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:
     return np.where(x < spec.c, dl, dr)
 
 
-def derivative(spec: LorenzMapSpec, x: float, order: int = 1, fd_step: float = 1e-7) -> float:
-    """Branch derivative away from c. Analytic for the builtin kinds; the
-    fd_step parameter is kept for parity with finite-difference fallbacks."""
+def derivative(spec: LorenzMapSpec, x: float, order: int = 1) -> float:
+    """Analytic branch derivative away from c."""
     c, tol = spec.c, spec.tolerance
     if abs(x - c) <= tol:
         raise CriticalPointError(f"derivative requested at the discontinuity x={x}")

@@ -78,10 +78,6 @@ class LyapunovEstimate:
         return self.value
 
 
-def _step(spec: LorenzMapSpec, x: float, side: Side) -> float:
-    return apply_raw(spec, x, side)
-
-
 def iterate_orbit(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int = 100) -> OrbitSegment:
     """Forward orbit of up to n steps starting at (x0, side).
 
@@ -105,7 +101,7 @@ def iterate_orbit(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int
             break
         if not at_c:
             logsum += math.log(abs(derivative(spec, x)))
-        x = _step(spec, x, s)
+        x = apply_raw(spec, x, s)
         s = Side.NONE
         pts.append(DirectedPoint(x, s))
     return OrbitSegment(pts, logsum, hit_critical_at=hit)

@@ -27,6 +27,8 @@ from .map_core import (
 from .periodic import PeriodicOrbitRecord, find_periodic_points
 
 FULL_TOLERANCE = 1e-6
+MAX_HORIZON = 10**6
+MAX_RESOLUTION = 1 << 22
 
 
 @dataclass
@@ -145,7 +147,7 @@ def is_nice(spec: LorenzMapSpec, J: tuple[float, float], horizon: int = 10_000) 
     lo, hi = J
     if not (lo < spec.c < hi):
         raise ValueError("nice-interval test needs c inside J")
-    if horizon > 10**6:
+    if horizon > MAX_HORIZON:
         raise ValueError("horizon capped at 1e6")
     ok_a, per_a, hit_a = _boundary_orbit_avoids(spec, lo, J, horizon)
     ok_b, per_b, hit_b = _boundary_orbit_avoids(spec, hi, J, horizon)
@@ -239,6 +241,9 @@ def _apply_path(spec: LorenzMapSpec, x: float, path: list[str]) -> float:
 
 
 def _first_return_time(spec: LorenzMapSpec, x: float, J: tuple[float, float], horizon: int) -> int:
+    """First return time of x to J: -1 when the orbit meets c first, 0 when
+    it has not returned within the horizon. Scalar reference of
+    `_return_times`."""
     lo, hi = J
     tol = spec.tolerance
     y = x
@@ -251,6 +256,34 @@ def _first_return_time(spec: LorenzMapSpec, x: float, J: tuple[float, float], ho
     return 0
 
 
+def _return_times(spec: LorenzMapSpec, xs: np.ndarray, J: tuple[float, float], limits) -> np.ndarray:
+    """`_first_return_time` of each point of the 1-d array xs, with horizon
+    limits: one int for all points, or one per point.
+
+    Each point is iterated only up to its own limit, so
+    `_return_times(spec, xs, J, ts) == ts` asks whether each point first
+    returns at exactly its own t without walking on to a common horizon.
+    """
+    lo, hi = J
+    tol = spec.tolerance
+    xs = np.asarray(xs, dtype=float)
+    lim = np.broadcast_to(np.asarray(limits, dtype=np.int64), xs.shape)
+    out = np.zeros(xs.shape, dtype=np.int64)
+    idx = np.flatnonzero(lim >= 1)
+    y, lim = xs[idx], lim[idx]
+    k = 0
+    while idx.size:
+        k += 1
+        y = eval_array(spec, y)  # NaN where the orbit met c
+        back = (y > lo + tol) & (y < hi - tol)
+        dead = np.isnan(y)
+        out[idx[back]] = k
+        out[idx[dead]] = -1
+        keep = ~(back | dead) & (lim > k)
+        idx, y, lim = idx[keep], y[keep], lim[keep]
+    return out
+
+
 def first_return_map(
     spec: LorenzMapSpec,
     J: tuple[float, float],
@@ -259,27 +292,21 @@ def first_return_map(
 ) -> ReturnMapRec:
     """Branch decomposition of the first-return map to J.
 
-    Branch domains are grid runs of constant return time with boundaries
-    refined by bisection; runs thinner than the grid are dropped into
-    uncovered_measure rather than guessed at.
+    Branch domains are grid runs of constant return time. Runs thinner than
+    the grid can resolve are dropped into uncovered_measure rather than
+    guessed at; a run is dropped before refinement when its grid neighbours
+    already bound it below that width. The edges of the other runs are
+    refined by bisection, all edges in lockstep on arrays. Raises ValueError
+    for a resolution outside [2, 2**22] or a horizon outside [1, 10**6].
     """
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
     lo, hi = J
     tol = spec.tolerance
     xs = np.linspace(lo, hi, resolution + 2)[1:-1]
-    times = np.zeros(xs.shape, dtype=np.int64)
-    alive = np.ones(xs.shape, dtype=bool)
-    y = xs.copy()
-    for k in range(1, horizon + 1):
-        if not alive.any():
-            break
-        y[alive] = eval_array(spec, y[alive])
-        dead = alive & np.isnan(y)
-        if dead.any():
-            times[dead] = -1
-            alive &= ~dead
-        back = alive & (y > lo + tol) & (y < hi - tol)
-        times[back] = k
-        alive &= ~back
+    times = _return_times(spec, xs, J, horizon)
     if not (times > 0).any():
         raise ValueError("no returns observed within the horizon")
 
@@ -298,16 +325,71 @@ def first_return_map(
             runs.append((i, j, int(t)))
         i = j + 1
 
-    def refine(x_in: float, x_out: float, t_in: int) -> tuple[float, float]:
-        # boundary between return-time regimes located by bisection;
-        # x_in returns at time t_in, x_out does not
-        for _ in range(60):
-            m = 0.5 * (x_in + x_out)
-            if _first_return_time(spec, m, J, horizon) == t_in:
-                x_in = m
-            else:
-                x_out = m
-        return float(x_in), float(x_out)
+    # drop unresolvably thin runs: within a branch of width w the tolerance
+    # ball around c smears images by about |J|/w * tolerance, so image
+    # claims at FULL_TOLERANCE are only decidable above this width; the
+    # remainder is measured, not guessed at. A run's edges lie between its
+    # outer grid neighbours, so a run they already bound below the width is
+    # dropped without refining it.
+    thin = max(2 * tol, (hi - lo) * 10 * tol / FULL_TOLERANCE)
+    n = len(xs)
+    runs = [
+        (i, j, t)
+        for (i, j, t) in runs
+        if (xs[j + 1] if j + 1 < n else hi) - (xs[i - 1] if i > 0 else lo) > thin
+    ]
+
+    # each edge is the break point, an end of J claimed by a probe just
+    # inside it, or the x_in of a bisection bracket (x_in, x_out) whose x_in
+    # returns at the run's time and whose x_out does not
+    eps = (xs[1] - xs[0]) * 1e-6
+    edges: list[list] = [[None, None] for _ in runs]
+    outs: list[list] = [[None, None] for _ in runs]
+    probes: list[tuple[int, int, float, float, float]] = []  # (run, side, probe, end, x_in)
+    brackets: list[tuple[int, int, float, float]] = []  # (run, side, x_in, x_out)
+    for r, (i, j, _) in enumerate(runs):
+        if i == 0:
+            probes.append((r, 0, lo + eps, lo, xs[0]))
+        elif xs[i - 1] < spec.c <= xs[i]:
+            edges[r][0] = spec.c  # run begins at the break point
+        else:
+            brackets.append((r, 0, xs[i], xs[i - 1]))
+        if j == n - 1:
+            probes.append((r, 1, hi - eps, hi, xs[j]))
+        elif xs[j] < spec.c <= xs[j + 1]:
+            edges[r][1] = spec.c  # run ends at the break point
+        else:
+            brackets.append((r, 1, xs[j], xs[j + 1]))
+    pt = np.array([runs[p[0]][2] for p in probes], dtype=np.int64)
+    hit = _return_times(spec, np.array([p[2] for p in probes], dtype=float), J, pt) == pt
+    for (r, e, _, end, x_in), ok in zip(probes, hit):
+        if ok:
+            edges[r][e] = end
+        else:
+            brackets.append((r, e, x_in, end))
+
+    # the boundaries between return-time regimes, bisected all at once
+    x_in = np.array([b[2] for b in brackets], dtype=float)
+    x_out = np.array([b[3] for b in brackets], dtype=float)
+    bt = np.array([runs[b[0]][2] for b in brackets], dtype=np.int64)
+    for _ in range(60):
+        m = 0.5 * (x_in + x_out)
+        ok = _return_times(spec, m, J, bt) == bt
+        x_in = np.where(ok, m, x_in)
+        x_out = np.where(ok, x_out, m)
+    for (r, e, _, _), a, b in zip(brackets, x_in.tolist(), x_out.tolist()):
+        edges[r][e], outs[r][e] = a, b
+
+    # constant-return-time audit on interior samples; a failure means the
+    # run still holds branch structure below grid resolution (plateaus
+    # accumulating at c), which is dropped into uncovered_measure
+    live = [r for r, (left, right) in enumerate(edges) if right - left > thin]
+    left = np.array([edges[r][0] for r in live], dtype=float)
+    right = np.array([edges[r][1] for r in live], dtype=float)
+    samples = left[:, None] + np.array([0.25, 0.5, 0.75]) * (right - left)[:, None]
+    st = np.repeat(np.array([runs[r][2] for r in live], dtype=np.int64), 3)
+    audit = (_return_times(spec, samples.ravel(), J, st) == st).reshape(-1, 3).all(axis=1)
+    live = [r for r, ok in zip(live, audit) if ok]
 
     def polish_edge(x_in: float, x_out: float, path: list[str], target: float) -> float:
         # the return-time bisection stops at the numerical dead zone around
@@ -328,44 +410,9 @@ def first_return_map(
                 b = m
         return 0.5 * (a + b)
 
-    step = xs[1] - xs[0]
     covered = 0.0
-    for (i, j, t) in runs:
-        eps = step * 1e-6
-        left_out = None
-        right_out = None
-        if i == 0:
-            if _first_return_time(spec, lo + eps, J, horizon) == t:
-                left = lo
-            else:
-                left, left_out = refine(xs[0], lo, t)
-        elif xs[i - 1] < spec.c <= xs[i]:
-            left = spec.c  # run begins at the break point
-        else:
-            left, left_out = refine(xs[i], xs[i - 1], t)
-        if j == len(xs) - 1:
-            if _first_return_time(spec, hi - eps, J, horizon) == t:
-                right = hi
-            else:
-                right, right_out = refine(xs[j], hi, t)
-        elif xs[j] < spec.c <= xs[j + 1]:
-            right = spec.c  # run ends at the break point
-        else:
-            right, right_out = refine(xs[j], xs[j + 1], t)
-        # drop unresolvably thin runs: within a branch of width w the
-        # tolerance ball around c smears images by about |J|/w * tolerance,
-        # so image claims at FULL_TOLERANCE are only decidable above this
-        # width; the remainder is measured, not guessed at
-        if right - left <= max(2 * tol, (hi - lo) * 10 * tol / FULL_TOLERANCE):
-            continue
-        # constant-return-time audit on interior samples; a failure means the
-        # run still holds branch structure below grid resolution (plateaus
-        # accumulating at c), which is dropped into uncovered_measure
-        if any(
-            _first_return_time(spec, left + frac * (right - left), J, horizon) != t
-            for frac in (0.25, 0.5, 0.75)
-        ):
-            continue
+    for r in live:
+        (left, right), (left_out, right_out), t = edges[r], outs[r], runs[r][2]
         # a branch is a single monotone composition: all of the run must
         # share one branch path, else it is a conglomerate of equal-time
         # pieces with sub-resolution gaps and is dropped as uncovered

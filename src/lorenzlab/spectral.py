@@ -76,7 +76,9 @@ class Budgets:
         for k, v in d.items():
             if not hasattr(b, k):
                 raise KeyError(f"unknown budget field {k!r}")
-            setattr(b, k, int(v))
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"budget {k} must be an integer, got {v!r}")
+            setattr(b, k, v)
         for k, v in vars(b).items():
             if k != "seed" and v <= 0:
                 raise ValueError(f"budget {k} must be positive")

@@ -91,6 +91,38 @@ def test_returnmap_csv(tmp_path):
         assert row.split(",")[2] == "2"
 
 
+def test_plotdata_returnmap_matches_returnmap(tmp_path):
+    a, b = tmp_path / "rm.csv", tmp_path / "pd.csv"
+    common = ["--map", "paper-example", "--interval", "0.3,0.6", "--resolution", "512"]
+    assert main(["returnmap", *common, "--out", str(a)]) == EXIT_OK
+    assert main(["plotdata", "--kind", "returnmap", *common, "--out", str(b)]) == EXIT_OK
+    branch_rows = [l for l in a.read_text().splitlines() if not l.startswith("#")]
+    assert len(branch_rows) > 1
+    assert b.read_text().splitlines() == branch_rows
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--resolution", "1"],
+        ["--resolution", "0"],
+        ["--resolution", str((1 << 22) + 1)],
+        ["--horizon", "0"],
+        ["--horizon", "-5"],
+        ["--horizon", str(10**6 + 1)],
+    ],
+)
+def test_returnmap_rejects_bad_grid_or_horizon(extra):
+    for cmd in (["returnmap"], ["plotdata", "--kind", "returnmap"]):
+        argv = [*cmd, "--map", "logistic4-embed", "--interval", "0.25,0.8", *extra]
+        assert main(argv) == EXIT_BAD_CONFIG
+
+
+def test_non_integer_budgets_rejected():
+    for budgets in ('{"max_period": 8.9}', '{"max_depth": true}', '{"horizon": "1000"}'):
+        assert main(["classify", "--map", "paper-example", "--budgets", budgets]) == EXIT_BAD_CONFIG
+
+
 def test_orbit_csv(tmp_path):
     out = tmp_path / "orb.csv"
     rc = main(["orbit", "--map", "paper-example", "--x0", "0.3", "--steps", "10", "--out", str(out)])

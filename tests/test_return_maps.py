@@ -12,9 +12,20 @@ from lorenzlab import (
     phobic_measure,
     root_interval,
 )
-from lorenzlab.map_core import Side, apply_raw
-from lorenzlab.return_maps import _first_return_time
+from lorenzlab import builtin_map
+from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, validate_map
+from lorenzlab.return_maps import _first_return_time, _return_times
 from conftest import A3, B3, P_CYCLE
+
+# alpha = 2 on both sides: numpy's power and libm's pow then both round x*x
+# correctly, so the vector and the scalar step agree bit for bit; for other
+# exponents they can differ in the last bit and long orbits part
+POWER_FORM = LorenzMapSpec(
+    c=0.45,
+    left=BranchSpec(kind="power_form", domain_side="left", a=0.9, alpha=2.0),
+    right=BranchSpec(kind="power_form", domain_side="right", a=0.85, alpha=2.0),
+    name="power-form",
+)
 
 
 def test_is_nice_renormalization_interval(ex3):
@@ -210,3 +221,50 @@ def test_root_interval_nested(ex3, cat3, seq3):
     res = root_interval(ex3, J_inner, 8, catalog=cat3)
     assert res.interval[0] <= seq3.intervals[0].J[0] + 1e-9
     assert res.interval[1] >= seq3.intervals[0].J[1] - 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, J",
+    [
+        ("paper-example", (0.3, 0.6)),
+        ("logistic4-embed", (0.25, 0.75)),
+        ("logistic3.4-embed", (A3, B3)),
+        ("power-form", (0.35, 0.55)),
+    ],
+)
+def test_return_times_match_scalar_reference(name, J, rng):
+    spec = POWER_FORM if name == "power-form" else builtin_map(name)
+    assert validate_map(spec).ok
+    h = 1000
+    lo, hi = J
+    # random points in J and in [0, 1], the break point and its tolerance
+    # ball, and both sides of every grid-run edge first_return_map refines
+    grid = np.linspace(lo, hi, 1024 + 2)[1:-1]
+    run_edge = np.flatnonzero(np.diff(_return_times(spec, grid, J, h)))
+    branch_ends = [x for b in first_return_map(spec, J, h, 1024).branches for x in b.domain]
+    xs = np.concatenate(
+        [
+            rng.uniform(lo, hi, 300),
+            rng.uniform(0.0, 1.0, 100),
+            spec.c + spec.tolerance * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+            grid[run_edge],
+            grid[run_edge + 1],
+            branch_ends,
+            np.nextafter(branch_ends, lo),
+            np.nextafter(branch_ends, hi),
+        ]
+    )
+    ref = np.array([_first_return_time(spec, float(x), J, h) for x in xs])
+    assert (ref > 0).any() and (ref != 1).any()
+    assert np.array_equal(_return_times(spec, xs, J, h), ref)
+    for short in (0, 1, 2, 3, 5):
+        ref_short = np.array([_first_return_time(spec, float(x), J, short) for x in xs])
+        assert np.array_equal(_return_times(spec, xs, J, short), ref_short)
+    # each point stops at its own t: a common t from 1 to beyond the largest
+    # return time, then one random t per point
+    t_max = int(ref.max())
+    assert t_max + 2 <= h
+    for t in sorted({*range(1, 9), *ref[ref > 0].tolist(), t_max + 1, t_max + 2}):
+        assert np.array_equal(_return_times(spec, xs, J, t) == t, ref == t), t
+    ts = rng.integers(1, t_max + 3, xs.size)
+    assert np.array_equal(_return_times(spec, xs, J, ts) == ts, ref == ts)

@@ -107,6 +107,14 @@ def test_stratum_blocks_overlap_at_most_point(ex3, cat3, seq3):
             assert hi - lo <= 1e-9
 
 
+def test_budgets_from_dict_integers_only():
+    b = Budgets.from_dict({"max_period": 8, "horizon": 2000, "seed": 0})
+    assert (b.max_period, b.horizon, b.seed) == (8, 2000, 0)
+    for bad in ({"max_period": 8.9}, {"max_depth": True}, {"samples": 1e4}, {"seed": "3"}, {"horizon": None}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Budgets.from_dict(bad)
+
+
 def test_classify_examples(ex1, ex2, ex3):
     assert classify_attractor(ex1).kind == "periodic_attractor"
     assert classify_attractor(ex2).kind == "interval_cycle"
