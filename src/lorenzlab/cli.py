@@ -3,14 +3,12 @@ scan, plotdata, embed-unimodal.
 
 Reports are JSON (schema in schemas/map_report.schema.json, versioned);
 orbit/return-map/scan outputs are CSV. Runs are deterministic for a fixed
-config and seed. The sweep command fans out on a thread pool bounded by
-LORENZLAB_THREADS and reassembles rows in input order.
+config and seed. The sweep command runs its cells in input order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import math
@@ -49,13 +47,6 @@ EXIT_BAD_CONFIG = 2
 EXIT_INVALID_MAP = 3
 
 SCHEMA_VERSION = "1"
-
-
-def _worker_count() -> int:
-    env = os.environ.get("LORENZLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _load_budgets(arg: str | None) -> Budgets:
@@ -97,7 +88,7 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
         spec, budgets.max_period, budgets.max_depth, budgets.horizon, catalog
     )
     report["renorm"] = seq.to_dict()
-    dec = decompose(spec, budgets)
+    dec = decompose(spec, budgets, catalog, seq)
     report["decomposition"] = dec.to_dict()
 
     rng = np.random.default_rng(budgets.seed)
@@ -237,7 +228,7 @@ def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
             "final_class": "",
             "n_f": "",
             "lyapunov": "",
-            "status": f"error: {e}",
+            "status": f"error: {type(e).__name__}: {e}",
         }
 
 
@@ -253,11 +244,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     lefts = np.linspace(lo_l, hi_l, args.steps)
     rights = np.linspace(lo_r, hi_r, args.steps)
     cells = [(float(al), float(ar)) for al in lefts for ar in rights]
-    rows: list[dict] = [None] * len(cells)  # type: ignore[list-item]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        futs = {pool.submit(_scan_cell, al, ar, budgets): i for i, (al, ar) in enumerate(cells)}
-        for fut in concurrent.futures.as_completed(futs):
-            rows[futs[fut]] = fut.result()
+    # one cell is GIL-bound Python and numpy on small arrays: a thread pool
+    # made the sweep slower, so the cells run in order in this thread
+    rows = [_scan_cell(al, ar, budgets) for al, ar in cells]
     buf = io.StringIO()
     buf.write("a_left,a_right,final_class,n_f,lyapunov,status\n")
     for r in rows:

@@ -8,7 +8,6 @@ the dynamics, so points within tolerance of c must carry an approach side.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -118,6 +117,12 @@ class LorenzMapSpec:
         if self.left.domain_side != "left" or self.right.domain_side != "right":
             raise MapValidationError("branch domain sides must be (left, right)")
 
+    def __getstate__(self) -> dict:
+        # the kernel cache (see _kernels) holds closures, which do not pickle
+        state = self.__dict__.copy()
+        state.pop("_kernels", None)
+        return state
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -197,8 +202,22 @@ def _poly_funcs(coefs: tuple[float, ...]):
                 acc = acc * x + coef
             return acc
 
-        def fa(x: np.ndarray) -> np.ndarray:
-            return np.polynomial.polynomial.polyval(x, c)
+        if len(rev) == 1:
+
+            def fa(x: np.ndarray) -> np.ndarray:
+                return rev[0] + x * 0.0
+
+        else:
+
+            def fa(x: np.ndarray) -> np.ndarray:
+                # the scalar Horner order, in place (x * c_n is c_n * x bit
+                # for bit): NaN in gives NaN out
+                acc = x * rev[0]
+                acc += rev[1]
+                for coef in rev[2:]:
+                    acc *= x
+                    acc += coef
+                return acc
 
         return f, fa
 
@@ -246,19 +265,35 @@ def _power_funcs(a: float, alpha: float, c: float, side: str):
     def f3(x):
         return s3 * k3 * u(x) ** (alpha - 3.0)
 
-    return (f0, f1, f2, f3), (f0, f1, f2, f3)
+    def quiet(fn):
+        # array callers evaluate both branches everywhere and keep one; the
+        # other branch's negative radicand gives a NaN that is thrown away
+        def g(x):
+            with np.errstate(invalid="ignore"):
+                return fn(x)
+
+        return g
+
+    return (f0, f1, f2, f3), tuple(quiet(fn) for fn in (f0, f1, f2, f3))
 
 
-@functools.lru_cache(maxsize=128)
 def _kernels(spec: LorenzMapSpec):
-    """Per-spec callables: (left, right) x (f, f', f'', f''') scalar and array."""
-    out = {}
-    for name, br in (("left", spec.left), ("right", spec.right)):
-        coefs = br.poly_coefficients()
-        if coefs is not None:
-            out[name] = _poly_funcs(coefs)
-        else:
-            out[name] = _power_funcs(br.a, br.alpha, spec.c, name)
+    """Per-spec callables: (left, right) x (f, f', f'', f''') scalar and array.
+
+    Built once per spec instance and kept in its __dict__, so a call costs a
+    dict lookup instead of hashing the frozen dataclass. The entry is not a
+    field: ==, hash, repr and to_dict do not see it, and __getstate__ keeps
+    it out of pickles."""
+    out = spec.__dict__.get("_kernels")
+    if out is None:
+        out = {}
+        for name, br in (("left", spec.left), ("right", spec.right)):
+            coefs = br.poly_coefficients()
+            if coefs is not None:
+                out[name] = _poly_funcs(coefs)
+            else:
+                out[name] = _power_funcs(br.a, br.alpha, spec.c, name)
+        spec.__dict__["_kernels"] = out
     return out
 
 
@@ -273,17 +308,18 @@ def branch_derivative(spec: LorenzMapSpec, side: str, x: float, order: int = 1) 
 def apply_raw(spec: LorenzMapSpec, x: float, side: Side = Side.NONE) -> float:
     """One step of the map, resolving the branch at c by the given side."""
     c, tol = spec.c, spec.tolerance
+    ker = _kernels(spec)
     if abs(x - c) <= tol:
         if side == Side.MINUS:
-            return branch_value(spec, "left", c)
+            return ker["left"][0][0](c)
         if side == Side.PLUS:
-            return branch_value(spec, "right", c)
+            return ker["right"][0][0](c)
         raise UndirectedCriticalEvaluation(
             f"undirected critical evaluation at x={x!r} (c={c!r})"
         )
     if x < c:
-        return min(max(branch_value(spec, "left", x), 0.0), 1.0)
-    return min(max(branch_value(spec, "right", x), 0.0), 1.0)
+        return min(max(ker["left"][0][0](x), 0.0), 1.0)
+    return min(max(ker["right"][0][0](x), 0.0), 1.0)
 
 
 def evaluate(spec: LorenzMapSpec, p: DirectedPoint) -> DirectedPoint:
@@ -301,13 +337,12 @@ def eval_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:
     ker = _kernels(spec)
     c, tol = spec.c, spec.tolerance
     x = np.asarray(x, dtype=float)
-    yl = ker["left"][1][0](x)
-    yr = ker["right"][1][0](x)
-    y = np.where(x < c, yl, yr)
-    y = np.clip(y, 0.0, 1.0)
+    y = np.where(x < c, ker["left"][1][0](x), ker["right"][1][0](x))
+    np.maximum(y, 0.0, out=y)
+    np.minimum(y, 1.0, out=y)
     dead = np.abs(x - c) <= tol
-    if dead.any():
-        y = np.where(dead, np.nan, y)
+    if np.count_nonzero(dead):
+        y[dead] = np.nan
     return y
 
 

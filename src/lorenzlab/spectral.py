@@ -530,15 +530,24 @@ def stratum_blocks(
 # decomposition
 
 
-def decompose(spec: LorenzMapSpec, budgets: Budgets | None = None) -> DecompositionRecord:
+def decompose(
+    spec: LorenzMapSpec,
+    budgets: Budgets | None = None,
+    catalog: list[PeriodicOrbitRecord] | None = None,
+    seq: NestedSequence | None = None,
+) -> DecompositionRecord:
     """Full stratification: trapping chain, per-stratum recurrence cells,
-    transitivity probes, middle-stratum blocks and final classification."""
+    transitivity probes, middle-stratum blocks and final classification.
+    The catalog and the renormalization sequence are computed here unless
+    the caller already has them for the same budgets."""
     if budgets is None:
         budgets = Budgets()
-    catalog = find_periodic_points(spec, budgets.max_period, budgets.grid_resolution)
-    seq = find_renormalizations(
-        spec, budgets.max_period, budgets.max_depth, budgets.horizon, catalog
-    )
+    if catalog is None:
+        catalog = find_periodic_points(spec, budgets.max_period, budgets.grid_resolution)
+    if seq is None:
+        seq = find_renormalizations(
+            spec, budgets.max_period, budgets.max_depth, budgets.horizon, catalog
+        )
     chain = seq.chain()
     om0 = omega0(spec)
     notes = list(seq.notes)
@@ -553,6 +562,22 @@ def decompose(spec: LorenzMapSpec, budgets: Budgets | None = None) -> Decomposit
 
     n_f = 0 if om0 == OMEGA0_FULL else len(chain) + 1
     res = budgets.recurrence_resolution
+
+    # the blocks loop and the annuli loop both need the blocks of a level;
+    # each level's result, or the exception it raised, is kept for the other
+    blocks_of: dict[int, StratumBlocks | Exception] = {}
+
+    def level_blocks(s: int) -> StratumBlocks:
+        if s not in blocks_of:
+            try:
+                blocks_of[s] = stratum_blocks(spec, s, chain, catalog, budgets)
+            except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError) as e:
+                blocks_of[s] = e
+        found = blocks_of[s]
+        if isinstance(found, Exception):
+            raise found
+        return found
+
     tol = spec.tolerance
     strata: list[Stratum] = []
     count = max(n_f, 1)
@@ -598,7 +623,7 @@ def decompose(spec: LorenzMapSpec, budgets: Budgets | None = None) -> Decomposit
                 outer_regular = chain[s - 2].regular
             if outer_regular:
                 try:
-                    sb = stratum_blocks(spec, s, chain, catalog, budgets)
+                    sb = level_blocks(s)
                     stratum.block_decomposition = sb.blocks
                     stratum.block_return_steps = sb.return_steps
                     if not sb.overlaps_ok:
@@ -635,7 +660,7 @@ def decompose(spec: LorenzMapSpec, budgets: Budgets | None = None) -> Decomposit
         if not rec.regular:
             continue
         try:
-            sb = stratum_blocks(spec, s, chain, catalog, budgets) if s < n_f else None
+            sb = level_blocks(s) if s < n_f else None
         except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError):
             sb = None
         if sb is None:
@@ -706,13 +731,21 @@ def entropy_estimate(
     code = np.zeros(bits.shape[0], dtype=np.uint64)
     for j in range(n):
         code = (code << np.uint64(1)) | bits[:, j].astype(np.uint64)
-    words = [code.copy()]
+    words = np.empty((windows_per_orbit, bits.shape[0]), dtype=np.uint64)
+    words[0] = code
     mask = np.uint64((1 << n) - 1)
     for k in range(1, windows_per_orbit):
         code = ((code << np.uint64(1)) | bits[:, n + k - 1].astype(np.uint64)) & mask
-        words.append(code.copy())
-    distinct = np.unique(np.concatenate(words)).size
-    return math.log(distinct) / n
+        words[k] = code
+    return math.log(_distinct_count(words.ravel())) / n
+
+
+def _distinct_count(codes: np.ndarray) -> int:
+    """Number of distinct values, by sorting in place and counting the
+    neighbours that differ (np.unique hashes large integer arrays, which is
+    slower and holds a table the size of the input)."""
+    codes.sort()
+    return int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1]))
 
 
 def solenoid_entropy_bound(chain: list[RenormalizationRecord]) -> float | None:

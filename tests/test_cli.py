@@ -198,3 +198,24 @@ def test_embed_unimodal_command(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["left"]["coefficients"] == [0.0, 3.4, -3.4]
     assert rep["right"]["coefficients"] == [1.0, -3.4, 3.4]
+
+
+def test_scan_cell_records_exception_type(monkeypatch):
+    from lorenzlab import cli
+    from lorenzlab.spectral import Budgets
+
+    def broken(*args, **kwargs):
+        raise ValueError("probe failed")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    row = cli._scan_cell(3.5, 4.0, Budgets())
+    assert row["status"] == "error: ValueError: probe failed"
+    assert (row["a_left"], row["a_right"], row["final_class"]) == (3.5, 4.0, "")
+
+
+def test_scan_rows_in_input_order(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--a-left", "3.5:4.0", "--a-right", "3.5:4.0", "--steps", "2"]
+    assert main(argv + ["--budgets", FAST_BUDGETS, "--out", str(out)]) == EXIT_OK
+    cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert cells == [["3.5", "3.5"], ["3.5", "4.0"], ["4.0", "3.5"], ["4.0", "4.0"]]

@@ -1,0 +1,35 @@
+"""Golden reports: `lorenzlab analyze` on the three builtin maps at default
+budgets with --seed 0 must stay byte-identical.
+
+The digests are SHA-256 of the report files. A change that alters a report
+on purpose explains each changed byte (as a correctness fix) and then
+regenerates the digests from the repository root with
+
+    PYTHONPATH=src python -c "import hashlib; from lorenzlab import builtin_map; \
+from lorenzlab.cli import _dump_json, build_report; from lorenzlab.spectral import Budgets; \
+[print(m, hashlib.sha256(_dump_json(build_report(builtin_map(m), Budgets(seed=0))).encode()).hexdigest()) \
+for m in ('paper-example', 'logistic4-embed', 'logistic3.4-embed')]"
+
+The reports print floats with repr, so the digests hold for IEEE double
+arithmetic on the numpy and libm of the platform that generated them
+(x86-64, CPython 3.11, numpy 2.4).
+"""
+
+import hashlib
+
+import pytest
+
+from lorenzlab.cli import EXIT_OK, main
+
+GOLDEN_SHA256 = {
+    "paper-example": "86280ca3343ce7ccc5660412ac82fdc7f1acbfaad0d05df4ec6bbfc1839086cd",
+    "logistic4-embed": "62a1eb0dca0d14abbfcd367a720934e18365096faa7de93868d1dddbcd6da6cb",
+    "logistic3.4-embed": "7fb070962d7fcce5d6a4049b72bf57b1ad154f73da92c02e2214001569e57cdf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_report_bytes(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--map", name, "--seed", "0", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]

@@ -207,3 +207,71 @@ def test_builtin_names():
         assert validate_map(spec).is_lorenz
     with pytest.raises(KeyError):
         mc.builtin_map("no-such-map")
+
+
+def _power_pair(c=0.4, a=(0.85, 0.8), alpha=(3.0, 2.2)):
+    return mc.LorenzMapSpec(
+        c=c,
+        left=mc.BranchSpec("power_form", "left", a=a[0], alpha=alpha[0]),
+        right=mc.BranchSpec("power_form", "right", a=a[1], alpha=alpha[1]),
+        name="power-pair",
+    )
+
+
+def test_kernel_cache_keeps_spec_identity():
+    import pickle
+
+    cached = mc.builtin_map("paper-example")
+    y = mc.eval_array(cached, np.linspace(0.0, 1.0, 11))
+    assert "_kernels" in cached.__dict__
+    fresh = mc.builtin_map("paper-example")
+    assert "_kernels" not in fresh.__dict__
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) and cached.to_dict() == fresh.to_dict()
+    back = pickle.loads(pickle.dumps(cached))
+    assert back == cached and hash(back) == hash(cached)
+    assert _same_bits(mc.eval_array(back, np.linspace(0.0, 1.0, 11)), y)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+def test_eval_array_matches_apply_raw(ex1, ex2, ex3, rng):
+    for spec in (ex1, ex2, ex3):
+        c, tol = spec.c, spec.tolerance
+        ball = c + tol * np.linspace(-1.0, 1.0, 41)
+        edge = [np.nextafter(c - tol, 0.0), np.nextafter(c + tol, 1.0), c - 2 * tol, c + 2 * tol]
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 2000), ball, edge, [0.0, 1.0, np.nan]])
+        ys = mc.eval_array(spec, xs)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            if abs(x - c) <= tol:
+                assert math.isnan(y)
+                with pytest.raises(mc.UndirectedCriticalEvaluation):
+                    mc.apply_raw(spec, x)
+            else:
+                assert _same_bits(mc.apply_raw(spec, x), y), x
+        assert np.isnan(mc.eval_array(spec, np.full(3, np.nan))).all()
+
+
+def test_power_form_array_kernels_quiet():
+    # the unselected branch sees a negative radicand; that must neither warn
+    # nor change the selected values, computed here by the plain formulas
+    import warnings
+
+    for spec in (_power_pair(), _power_pair(0.45, (0.97, 0.9), (2.7, 1.9))):
+        c = spec.c
+        (al, ar), (pl, pr) = (spec.left.a, spec.right.a), (spec.left.alpha, spec.right.alpha)
+        xs = np.concatenate([np.linspace(0.0, 1.0, 1001), [c, c - 1e-11, c + 1e-11, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = mc.eval_array(spec, xs)
+            d = mc.deriv_array(spec, xs)
+        with np.errstate(invalid="ignore"):
+            ul, ur = (c - xs) / c, (xs - c) / (1.0 - c)
+            want_y = np.clip(np.where(xs < c, al * (1.0 - ul**pl), (1.0 - ar) + ar * ur**pr), 0.0, 1.0)
+            want_y[np.abs(xs - c) <= spec.tolerance] = np.nan
+            want_d = np.where(xs < c, al * pl / c * ul ** (pl - 1.0), ar * pr / (1.0 - c) * ur ** (pr - 1.0))
+        assert _same_bits(y, want_y)
+        assert _same_bits(d, want_d)

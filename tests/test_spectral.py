@@ -189,3 +189,40 @@ def test_experimental_annuli(dec3):
 def test_wild_is_never_asserted(ex1, ex2, ex3):
     for spec in (ex1, ex2, ex3):
         assert classify_attractor(spec).kind != "wild_candidate"
+
+
+def test_distinct_count_matches_unique(rng):
+    import numpy as np
+
+    from lorenzlab.spectral import _distinct_count
+
+    random_codes = rng.integers(0, 2**20, 300_000, dtype=np.uint64)
+    repeats = rng.integers(0, 7, 300_000, dtype=np.uint64) * np.uint64(2**40 + 3)
+    for codes in (random_codes, repeats, np.full(5, 9, dtype=np.uint64), np.zeros(1, dtype=np.uint64)):
+        assert _distinct_count(codes.copy()) == np.unique(codes).size
+
+
+def test_decompose_uses_given_catalog_and_sequence(ex3, cat3, seq3, dec3, monkeypatch):
+    from lorenzlab import spectral
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("catalog or sequence computed again")
+
+    monkeypatch.setattr(spectral, "find_periodic_points", recomputed)
+    monkeypatch.setattr(spectral, "find_renormalizations", recomputed)
+    assert spectral.decompose(ex3, Budgets(), cat3, seq3).to_dict() == dec3.to_dict()
+
+
+def test_decompose_computes_stratum_blocks_once_per_level(ex3, cat3, seq3, dec3, monkeypatch):
+    from lorenzlab import spectral
+
+    levels = []
+    original = spectral.stratum_blocks
+
+    def counted(spec, s, *args, **kwargs):
+        levels.append(s)
+        return original(spec, s, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "stratum_blocks", counted)
+    assert spectral.decompose(ex3, Budgets(), cat3, seq3).to_dict() == dec3.to_dict()
+    assert levels and len(levels) == len(set(levels))
