@@ -123,8 +123,31 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
     return report
 
 
+def _finite_only(obj, path: str, non_finite: list[str]):
+    """obj with every NaN or infinite float replaced by None; the JSON
+    Pointer of each replaced value is appended to non_finite."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        non_finite.append(path)
+        return None
+    if isinstance(obj, dict):
+        return {
+            k: _finite_only(v, f"{path}/{str(k).replace('~', '~0').replace('/', '~1')}", non_finite)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_finite_only(v, f"{path}/{i}", non_finite) for i, v in enumerate(obj)]
+    return obj
+
+
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, allow_nan=True) + "\n"
+    """Strict JSON: non-finite floats are written as null, and their JSON
+    Pointers are listed under a top-level "non_finite" key (present only
+    when there are any)."""
+    non_finite: list[str] = []
+    clean = _finite_only(obj, "", non_finite)
+    if non_finite:
+        clean["non_finite"] = non_finite
+    return json.dumps(clean, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

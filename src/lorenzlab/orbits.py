@@ -17,9 +17,13 @@ from .map_core import (
     DirectedPoint,
     LorenzMapSpec,
     Side,
+    _kernels,
     apply_raw,
     derivative,
 )
+
+# the most points orbit_chunks hands back at once
+WALK_CHUNK = 4096
 
 
 @dataclass
@@ -87,24 +91,22 @@ def iterate_orbit(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int
     """
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 outside [0,1]")
-    tol = spec.tolerance
-    pts = [DirectedPoint(x0, side)]
-    logsum = 0.0
+    xs: list[float] = []
     hit = None
-    x, s = x0, side
-    if abs(x0 - spec.c) <= tol and s == Side.NONE:
-        return OrbitSegment(pts, 0.0, hit_critical_at=0)
-    for _ in range(n):
-        at_c = abs(x - spec.c) <= tol
-        if at_c and s == Side.NONE:
-            hit = len(pts) - 1
-            break
-        if not at_c:
+    for pts, landed in orbit_chunks(spec, x0, max(n, 0) + 1, side):
+        xs += pts
+        # a landing at c stops the orbit; the n-th iterate is kept but not
+        # examined
+        if landed and len(xs) - 1 < max(n, 1):
+            hit = len(xs) - 1
+    # every point but the last was stepped from; a directed start at c
+    # has no derivative
+    logsum = 0.0
+    for x in xs[:-1]:
+        if abs(x - spec.c) > spec.tolerance:
             logsum += math.log(abs(derivative(spec, x)))
-        x = apply_raw(spec, x, s)
-        s = Side.NONE
-        pts.append(DirectedPoint(x, s))
-    return OrbitSegment(pts, logsum, hit_critical_at=hit)
+    points = [DirectedPoint(x0, side)] + [DirectedPoint(x) for x in xs[1:]]
+    return OrbitSegment(points, logsum, hit_critical_at=hit)
 
 
 def itinerary(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int = 100) -> Itinerary:
@@ -121,6 +123,47 @@ def itinerary(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int = 1
     return Itinerary(word="".join(bits), start=DirectedPoint(x0, side))
 
 
+def orbit_chunks(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE):
+    """The float orbit x_0, x_1, ... of (x0, side), at most n points, as
+    (points, landed) pairs with at most WALK_CHUNK points in each list.
+
+    The side applies to x0 only. The orbit stops at the first undirected
+    landing within tolerance of c (x_k with k >= 1, or x_0 without a side):
+    that point is the last one handed back, with landed True. A step is
+    apply_raw's expression with the branch kernels resolved once, so the
+    points are those of repeated apply_raw calls bit for bit.
+    """
+    if n < 1:
+        return
+    c, tol = spec.c, spec.tolerance
+    if abs(x0 - c) <= tol and side == Side.NONE:
+        yield [x0], True
+        return
+    ker = _kernels(spec)
+    left, right = ker["left"][0][0], ker["right"][0][0]
+    pts = [x0]
+    # the one step that may use the side
+    x = apply_raw(spec, x0, side) if n > 1 else x0
+    made = 1
+    while made < n:
+        todo = min(WALK_CHUNK - len(pts), n - made)
+        for _ in range(todo):
+            pts.append(x)
+            if abs(x - c) <= tol:
+                yield pts, True
+                return
+            if x < c:
+                x = min(max(left(x), 0.0), 1.0)
+            else:
+                x = min(max(right(x), 0.0), 1.0)
+        made += todo
+        if len(pts) == WALK_CHUNK:
+            yield pts, False
+            pts = []
+    if pts:
+        yield pts, False
+
+
 def lyapunov(
     spec: LorenzMapSpec,
     x0: float,
@@ -132,32 +175,35 @@ def lyapunov(
     averages of log|Df| (the liminf is approximated by a min over windows)."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
-    tol = spec.tolerance
+    c, tol = spec.c, spec.tolerance
+    ker = _kernels(spec)
+    d_left, d_right = ker["left"][0][1], ker["right"][0][1]
     stride = max(1, n // 100)
     checkpoints = sorted({n - j * stride for j in range(tail_windows)} | {n})
     averages: list[float] = []
-    x, s = x0, side
     total = 0.0
     k = 0
     hit = False
     nxt = 0
-    while k < n:
-        at_c = abs(x - spec.c) <= tol
-        if at_c and s == Side.NONE:
-            hit = True
+    for pts, _ in orbit_chunks(spec, x0, n, side):
+        for x in pts:
+            if abs(x - c) <= tol:
+                # only a directed start may sit at c; it adds no log term
+                if k or side == Side.NONE:
+                    hit = True
+                    break
+            else:
+                d = abs(d_left(x) if x < c else d_right(x))
+                if d <= 0:
+                    hit = True
+                    break
+                total += math.log(d)
+            k += 1
+            if nxt < len(checkpoints) and k == checkpoints[nxt]:
+                averages.append(total / k)
+                nxt += 1
+        if hit:
             break
-        if not at_c:
-            d = abs(derivative(spec, x))
-            if d <= 0:
-                hit = True
-                break
-            total += math.log(d)
-        x = apply_raw(spec, x, s)
-        s = Side.NONE
-        k += 1
-        if nxt < len(checkpoints) and k == checkpoints[nxt]:
-            averages.append(total / k)
-            nxt += 1
     if not averages:
         averages = [total / max(k, 1)]
     return LyapunovEstimate(
@@ -180,28 +226,23 @@ def estimate_omega_limit(
     """Cells visited by the orbit after burn-in, on a dyadic grid."""
     if burn_in + sample_len > 10**8:
         raise ValueError("burn_in + sample_len too large")
-    tol = spec.tolerance
-    x, s = x0, side
     truncated = False
     k = 0
     cells: set[int] = set()
     contains_c = False
     cw = 1.0 / resolution
-    while k < burn_in + sample_len:
-        at_c = abs(x - spec.c) <= tol
-        if at_c and s == Side.NONE:
-            truncated = True
-            if k >= burn_in:
-                contains_c = True
-                cells.add(min(int(x * resolution), resolution - 1))
-            break
-        if k >= burn_in:
-            cells.add(min(int(x * resolution), resolution - 1))
-            if abs(x - spec.c) <= cw:
-                contains_c = True
-        x = apply_raw(spec, x, s)
-        s = Side.NONE
-        k += 1
+    for pts, landed in orbit_chunks(spec, x0, burn_in + sample_len, side):
+        truncated = landed
+        xs = np.array(pts[max(burn_in - k, 0) :])
+        k += len(pts)
+        if xs.size:
+            if not np.isfinite(xs).all():
+                raise ValueError("orbit point is not finite")
+            # min(int(x * resolution), resolution - 1) on the whole chunk
+            idx = np.minimum(xs * resolution, resolution - 1).astype(np.int64)
+            cells.update(np.unique(idx).tolist())
+            # a landing at c after burn-in counts as c in the limit set
+            contains_c = contains_c or landed or bool(np.any(np.abs(xs - spec.c) <= cw))
     return LimitSetEstimate(
         cells=tuple(sorted(cells)),
         resolution=resolution,

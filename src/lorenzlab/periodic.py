@@ -37,6 +37,8 @@ class VariationalPrincipleViolated(PeriodicSearchError):
 
 
 NEUTRAL_TOLERANCE = 1e-4
+# the longest period the catalog searches
+MAX_PERIOD = 20
 
 
 @dataclass
@@ -264,8 +266,8 @@ def find_periodic_points(
     spec: LorenzMapSpec, max_period: int = 12, resolution: int = 1 << 14
 ) -> list[PeriodicOrbitRecord]:
     """All periodic orbits of period <= max_period found at the grid scale."""
-    if max_period > 20:
-        raise ValueError("max_period capped at 20")
+    if max_period > MAX_PERIOD:
+        raise ValueError(f"max_period capped at {MAX_PERIOD}")
     tol = spec.tolerance
     raw: list[PeriodicOrbitRecord] = []
     seen: set[tuple[int, int]] = set()

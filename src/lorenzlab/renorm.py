@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .map_core import LorenzMapSpec, Side, apply_raw, branch_value, critical_values
+from .orbits import orbit_chunks
 from .periodic import PeriodicOrbitRecord, find_periodic_points
 from .return_maps import is_nice, push_interval
 
@@ -234,6 +235,24 @@ def _candidate_pairs(
     )
 
 
+def _orbit_points(spec: LorenzMapSpec, start: float, horizon: int) -> np.ndarray:
+    """The first `horizon` orbit points of start, ending early at a landing
+    within tolerance of c, or at the first point that moved less than the
+    tolerance in one step (that point included, even as point horizon + 1)."""
+    tol = spec.tolerance
+    parts = [np.empty(0)]
+    last = math.inf
+    for pts, _ in orbit_chunks(spec, start, horizon + 1):
+        xs = np.array(pts)
+        still = np.flatnonzero(np.abs(np.diff(xs, prepend=last)) <= tol)
+        if still.size:
+            parts.append(xs[: still[0] + 1])
+            return np.concatenate(parts)
+        parts.append(xs)
+        last = xs[-1]
+    return np.concatenate(parts)[:horizon]
+
+
 def detect_degenerate(
     spec: LorenzMapSpec,
     max_period: int = 12,
@@ -249,22 +268,8 @@ def detect_degenerate(
         catalog = find_periodic_points(spec, max_period)
     v0, v1 = critical_values(spec)
 
-    def orbit_points(start: float) -> np.ndarray:
-        pts = []
-        x = start
-        for _ in range(horizon):
-            pts.append(x)
-            if abs(x - c) <= tol:
-                break
-            nxt = apply_raw(spec, x, Side.NONE)
-            if abs(nxt - x) <= tol:
-                pts.append(nxt)
-                break
-            x = nxt
-        return np.asarray(pts)
-
-    orbit_v0 = orbit_points(v0)  # forward orbit of f(c+)
-    orbit_v1 = orbit_points(v1)  # forward orbit of f(c-)
+    orbit_v0 = _orbit_points(spec, v0, horizon)  # forward orbit of f(c+)
+    orbit_v1 = _orbit_points(spec, v1, horizon)  # forward orbit of f(c-)
 
     def avoids(arr: np.ndarray, lo: float, hi: float) -> bool:
         return not bool(np.any((arr > lo + tol) & (arr < hi - tol)))

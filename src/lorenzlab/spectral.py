@@ -23,8 +23,9 @@ from .map_core import (
     critical_values,
     eval_array,
 )
-from .orbits import estimate_omega_limit, rotation_number
+from .orbits import estimate_omega_limit, orbit_chunks, rotation_number
 from .periodic import (
+    MAX_PERIOD,
     NoPeriodicOrbitFound,
     PeriodicOrbitRecord,
     VariationalPrincipleViolated,
@@ -37,14 +38,32 @@ from .renorm import (
     renormalization_cycle,
     trapping_region,
 )
-from .return_maps import FULL_TOLERANCE, first_return_map, push_interval
+from .return_maps import FULL_TOLERANCE, MAX_HORIZON, first_return_map, push_interval
 
 CRITICAL_VALUE_TOL = 1e-9
+
+# the recurrence probe's trajectory buffer: at most this many steps per
+# block and this many floats in all (steps x live points)
+RECURRENCE_BLOCK_STEPS = 256
+RECURRENCE_BLOCK_FLOATS = 1 << 16
 
 OMEGA0_FULL = "full_interval"
 OMEGA0_ZERO = "{0}"
 OMEGA0_ONE = "{1}"
 OMEGA0_BOTH = "{0,1}"
+
+
+# upper caps of the budgets: the catalog's period cap, the return-time cap,
+# and sizes tied to memory (the entropy word array holds 256 B per sample,
+# and the grids one float or flag per cell)
+BUDGET_CAPS = {
+    "max_period": MAX_PERIOD,
+    "horizon": MAX_HORIZON,
+    "grid_resolution": 1 << 22,
+    "samples": 10**6,
+    "recurrence_resolution": 1 << 16,
+    "probe_resolution": 1 << 16,
+}
 
 
 @dataclass
@@ -82,6 +101,8 @@ class Budgets:
         for k, v in vars(b).items():
             if k != "seed" and v <= 0:
                 raise ValueError(f"budget {k} must be positive")
+            if v > BUDGET_CAPS.get(k, v):
+                raise ValueError(f"budget {k} must be at most {BUDGET_CAPS[k]}, got {v}")
         if b.seed < 0:
             raise ValueError("seed must be non-negative")
         return b
@@ -206,23 +227,34 @@ def _recurrent_cells(
             swallowed |= (lo_edges >= lo) & (hi_edges <= hi)
         keep &= ~swallowed
     idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return ()
     start = centers[idx]
-    x = start.copy()
-    active = np.ones(idx.shape, dtype=bool)
-    recurrent = np.zeros(idx.shape, dtype=bool)
+    x = start
     cw = 1.0 / resolution
-    for _ in range(horizon):
-        if not active.any():
-            break
-        x[active] = eval_array(spec, x[active])
-        dead = active & np.isnan(x)
-        active &= ~dead
-        back = active & (np.abs(x - start) <= cw)
-        recurrent |= back
-        active &= ~back
-    return tuple(int(i) for i in idx[recurrent])
+    found: list[np.ndarray] = []
+    done = 0
+    # the live points are stepped a block at a time into one bounded buffer
+    # (the live set only shrinks, so the first block is the largest); a cell
+    # is recurrent iff some iterate x_k, k <= horizon, lies within cw of its
+    # start, and an orbit that met c stays NaN (never within cw)
+    buf = np.empty(min(idx.size * RECURRENCE_BLOCK_STEPS, max(idx.size, RECURRENCE_BLOCK_FLOATS)))
+    while idx.size and done < horizon:
+        k = min(RECURRENCE_BLOCK_STEPS, max(1, RECURRENCE_BLOCK_FLOATS // idx.size), horizon - done)
+        traj = buf[: k * idx.size].reshape(k, idx.size)
+        y = x
+        for j in range(k):
+            y = traj[j] = eval_array(spec, y)
+        # exact float-cycle exit: an iterate equal to the block's first
+        # value makes the float orbit periodic, so every later iterate is
+        # one already tested in this block
+        cycled = (traj == x).any(axis=0)
+        # |x_k - start| in place: the buffer is the only (k, n) float array
+        traj -= start
+        back = (np.abs(traj, out=traj) <= cw).any(axis=0)
+        found.append(idx[back])
+        live = ~(back | cycled | np.isnan(y))
+        idx, start, x = idx[live], start[live], y[live]
+        done += k
+    return tuple(int(i) for i in np.sort(np.concatenate(found))) if found else ()
 
 
 def _coverage_probe(
@@ -287,16 +319,16 @@ def _absorbed_by_cycle(
 ) -> bool:
     """Does the forward orbit of x0 end up at the cycle (late-time distance
     below 1e-3)?"""
-    x = x0
-    tol = spec.tolerance
-    tail = max(horizon // 10, 10)
+    # the distances of x_j, horizon - tail < j <= horizon, up to a landing at c
+    first = max(horizon - max(horizon // 10, 10) + 1, 1)
+    points = np.array(cycle)
     best = math.inf
-    for k in range(horizon):
-        if abs(x - spec.c) <= tol:
-            break
-        x = apply_raw(spec, x, Side.NONE)
-        if k >= horizon - tail:
-            best = min(best, min(abs(x - p) for p in cycle))
+    k = 0
+    for pts, _ in orbit_chunks(spec, x0, horizon + 1):
+        if k + len(pts) > first:
+            xs = np.array(pts[max(first - k, 0) :])
+            best = min(best, float(np.abs(xs[:, None] - points).min()))
+        k += len(pts)
     return best < 1e-3
 
 

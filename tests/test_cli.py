@@ -219,3 +219,70 @@ def test_scan_rows_in_input_order(tmp_path):
     assert main(argv + ["--budgets", FAST_BUDGETS, "--out", str(out)]) == EXIT_OK
     cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
     assert cells == [["3.5", "3.5"], ["3.5", "4.0"], ["4.0", "3.5"], ["4.0", "4.0"]]
+
+
+BUDGET_LIMITS = {
+    "horizon": 10**6,
+    "grid_resolution": 1 << 22,
+    "recurrence_resolution": 1 << 16,
+    "probe_resolution": 1 << 16,
+    "samples": 10**6,
+    "max_period": 20,
+}
+
+
+@pytest.mark.parametrize("field", sorted(BUDGET_LIMITS))
+def test_budget_caps(tmp_path, field):
+    # the map fails validation after the budgets are read, so a budget at
+    # its cap gets as far as the map check (exit 3) without running a probe
+    cfg = tmp_path / "m.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "c": 0.5,
+                "left": {"kind": "polynomial", "coefficients": [0.1, 3.4, -3.4]},
+                "right": {"kind": "polynomial", "coefficients": [1.0, -4.0, 4.0]},
+            }
+        )
+    )
+    limit = BUDGET_LIMITS[field]
+    at_cap = json.dumps({field: limit})
+    assert main(["classify", "--map", str(cfg), "--budgets", at_cap]) == EXIT_INVALID_MAP
+    over = json.dumps({field: limit + 1})
+    assert main(["classify", "--map", str(cfg), "--budgets", over]) == EXIT_BAD_CONFIG
+    assert main(["classify", "--map", "paper-example", "--budgets", over]) == EXIT_BAD_CONFIG
+
+
+def test_report_is_strict_json_with_non_finite_paths(tmp_path, monkeypatch):
+    from lorenzlab import cli
+    from lorenzlab.orbits import LyapunovEstimate
+
+    def nan_lyapunov(spec, x0, n=10_000, tail_windows=10, side=None):
+        return LyapunovEstimate(math.nan, [math.nan], n, tail_windows)
+
+    monkeypatch.setattr(cli, "lyapunov", nan_lyapunov)
+    out = tmp_path / "rep.json"
+    rc = main(["analyze", "--map", "paper-example", "--budgets", FAST_BUDGETS, "--out", str(out)])
+    assert rc == EXIT_OK
+
+    def no_constants(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = json.loads(out.read_text(), parse_constant=no_constants)
+    assert rep["non_finite"] == [f"/lyapunov_samples/{i}/value" for i in range(3)]
+    assert all(s["value"] is None for s in rep["lyapunov_samples"])
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as res
+
+    schema = json.loads(
+        res.files("lorenzlab").joinpath("schemas/map_report.schema.json").read_text()
+    )
+    jsonschema.validate(rep, schema)
+
+
+def test_finite_reports_have_no_non_finite_key():
+    from lorenzlab.cli import _dump_json
+
+    assert "non_finite" not in json.loads(_dump_json({"a": [1.0, 2], "b": {"c": -0.0}}))
+    text = _dump_json({"a/b": [1.0, math.inf], "c~": {"d": -math.inf}, "e": (math.nan,)})
+    assert json.loads(text)["non_finite"] == ["/a~1b/1", "/c~0/d", "/e/0"]

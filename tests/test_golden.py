@@ -10,6 +10,13 @@ from lorenzlab.cli import _dump_json, build_report; from lorenzlab.spectral impo
 [print(m, hashlib.sha256(_dump_json(build_report(builtin_map(m), Budgets(seed=0))).encode()).hexdigest()) \
 for m in ('paper-example', 'logistic4-embed', 'logistic3.4-embed')]"
 
+The scan CSV is guarded the same way: SHA-256 of the output of
+
+    PYTHONPATH=src python -m lorenzlab.cli scan --a-left 3.75:4 --a-right 3:4 \
+        --steps 2 --budgets '{"max_period": 8}'
+
+(four quadratic pairs through decompose, classification and Lyapunov).
+
 The reports print floats with repr, so the digests hold for IEEE double
 arithmetic on the numpy and libm of the platform that generated them
 (x86-64, CPython 3.11, numpy 2.4).
@@ -33,3 +40,13 @@ def test_golden_report_bytes(tmp_path, name):
     out = tmp_path / "report.json"
     assert main(["analyze", "--map", name, "--seed", "0", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+GOLDEN_SCAN_SHA256 = "73b1fccad7856cd42900acdfa38972899e9e2e56098434d7ec83f68bc21c4398"
+
+
+def test_golden_scan_bytes(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--a-left", "3.75:4", "--a-right", "3:4", "--steps", "2"]
+    assert main(argv + ["--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_SHA256
