@@ -449,7 +449,38 @@ def validate_map(spec: LorenzMapSpec, grid_size: int = 512) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# preimages
+# bisection and preimages
+
+
+def bisect(pred, a: float, b: float, rounds: int) -> float | None:
+    """Midpoint of the bracket left after `rounds` bisection rounds, or None.
+
+    Each round keeps the half where pred holds at the midpoint m: a = m when
+    pred(m) is true, b = m when it is false (a may lie on either side of b).
+    A pred that returns None ends the search with None."""
+    for _ in range(rounds):
+        m = 0.5 * (a + b)
+        keep = pred(m)
+        if keep is None:
+            return None
+        if keep:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def bisect_array(
+    pred, lo: np.ndarray, hi: np.ndarray, rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`bisect` on arrays of brackets in lockstep: the brackets (lo, hi) left
+    after `rounds` rounds, lo taking the midpoints where pred holds."""
+    for _ in range(rounds):
+        m = 0.5 * (lo + hi)
+        keep = pred(m)
+        lo = np.where(keep, m, lo)
+        hi = np.where(keep, hi, m)
+    return lo, hi
 
 
 def _branch_inverse_scalar(spec: LorenzMapSpec, side: str, y: float) -> float | None:
@@ -460,13 +491,7 @@ def _branch_inverse_scalar(spec: LorenzMapSpec, side: str, y: float) -> float | 
     flo, fhi = ker(lo), ker(hi)
     if not (flo - 1e-15 <= y <= fhi + 1e-15):
         return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ker(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda m: ker(m) < y, lo, hi, 80)
 
 
 def branch_inverse_array(spec: LorenzMapSpec, side: str, y: np.ndarray) -> np.ndarray:
@@ -478,13 +503,8 @@ def branch_inverse_array(spec: LorenzMapSpec, side: str, y: np.ndarray) -> np.nd
     lo = np.full(y.shape, lo0)
     hi = np.full(y.shape, hi0)
     bad = (y < ker(np.array(lo0)) - 1e-15) | (y > ker(np.array(hi0)) + 1e-15)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = ker(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    return np.where(bad, np.nan, out)
+    lo, hi = bisect_array(lambda m: ker(m) < y, lo, hi, 80)
+    return np.where(bad, np.nan, 0.5 * (lo + hi))
 
 
 def preimages(spec: LorenzMapSpec, y: float) -> list[DirectedPoint]:

@@ -164,6 +164,16 @@ def orbit_chunks(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE)
         yield pts, False
 
 
+def orbit_list(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE) -> list[float]:
+    """The points of orbit_chunks(spec, x0, n, side) in one list: n points,
+    or fewer when the orbit lands at c before its n-th point, which is then
+    the last one."""
+    pts: list[float] = []
+    for chunk, _ in orbit_chunks(spec, x0, n, side):
+        pts += chunk
+    return pts
+
+
 def lyapunov(
     spec: LorenzMapSpec,
     x0: float,
@@ -337,7 +347,7 @@ def rotation_number(spec: LorenzMapSpec, returnmap, x0: float, n: int = 10_000) 
             t = right.return_time
         for _ in range(t):
             x = apply_raw(spec, x, Side.NONE)
-        if abs(x - x0) <= 10 * tol and k + 1 >= 1:
+        if abs(x - x0) <= 10 * tol:
             return visits / (k + 1)
     if n == 0:
         raise ValueError("no return steps taken")

@@ -9,6 +9,7 @@ that converged onto a discontinuity of f^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +17,13 @@ import numpy as np
 from .map_core import (
     LorenzMapSpec,
     Side,
-    apply_raw,
+    bisect,
+    bisect_array,
     branch_inverse_array,
     derivative,
     eval_array,
 )
-from .orbits import itinerary
+from .orbits import itinerary, orbit_list
 
 
 class PeriodicSearchError(ValueError):
@@ -122,26 +124,42 @@ def _directed_cycle(spec: LorenzMapSpec, x: float, n: int) -> list[float] | None
     continuation closes up (a super-attractor cycle); everything else that
     lands on c is a bisection artifact on a discontinuity of f^n.
     """
-    tol = spec.tolerance
-    for first_side in (Side.NONE, Side.MINUS, Side.PLUS):
-        pts = [x]
-        good = True
-        used_side = False
-        for _ in range(n):
-            cur = pts[-1]
-            if abs(cur - spec.c) <= tol:
-                if first_side == Side.NONE or used_side:
-                    good = False
-                    break
-                pts.append(apply_raw(spec, cur, first_side))
-                used_side = True
-            else:
-                pts.append(apply_raw(spec, cur, Side.NONE))
-        if good and abs(pts[n] - pts[0]) <= 10 * tol:
-            return pts[:n]
-        if first_side == Side.NONE and not any(abs(v - spec.c) <= tol for v in pts):
-            return None  # undirected orbit complete but not closed
+    pts = orbit_list(spec, x, n + 1)
+    if len(pts) <= n:
+        # landed at c before step n: continue from there on each side, and
+        # only an orbit that lands there once can close up
+        k = len(pts) - 1
+        tries = (
+            pts[:k] + orbit_list(spec, pts[k], n + 1 - k, side) for side in (Side.MINUS, Side.PLUS)
+        )
+    else:
+        tries = (pts,)
+    for orbit in tries:
+        if len(orbit) == n + 1 and abs(orbit[n] - orbit[0]) <= 10 * spec.tolerance:
+            return orbit[:n]
     return None
+
+
+def _closure_gap(spec: LorenzMapSpec, x: float, n: int) -> float | None:
+    """f^n(x) - x, or None when the orbit meets c before step n."""
+    pts = orbit_list(spec, x, n + 1)
+    return pts[n] - x if len(pts) == n + 1 else None
+
+
+def _ternary_min(h, a: float, b: float, rounds: int) -> float | None:
+    """Ternary search for a minimum of |h| on [a, b]: the midpoint of the
+    bracket left after `rounds` rounds, or None as soon as h returns None."""
+    for _ in range(rounds):
+        m1 = a + (b - a) / 3
+        m2 = b - (b - a) / 3
+        h1, h2 = h(m1), h(m2)
+        if h1 is None or h2 is None:
+            return None
+        if abs(h1) < abs(h2):
+            b = m2
+        else:
+            a = m1
+    return 0.5 * (a + b)
 
 
 def _roots_for_period(spec: LorenzMapSpec, n: int, resolution: int) -> list[float]:
@@ -161,12 +179,11 @@ def _roots_for_period(spec: LorenzMapSpec, n: int, resolution: int) -> list[floa
     hi = grid[1:][pair].copy()
     if lo.size:
         lo_neg = g[:-1][pair] < 0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = _iterate_array(spec, mid, n) - mid
-            move_lo = (gm < 0) == lo_neg
-            lo = np.where(move_lo, mid, lo)
-            hi = np.where(move_lo, hi, mid)
+
+        def same_sign_as_lo(m: np.ndarray) -> np.ndarray:
+            return ((_iterate_array(spec, m, n) - m) < 0) == lo_neg
+
+        lo, hi = bisect_array(same_sign_as_lo, lo, hi, 60)
         roots.extend(float(v) for v in 0.5 * (lo + hi))
 
     # tangential roots: local minima of |g| that nearly touch zero
@@ -180,20 +197,13 @@ def _roots_for_period(spec: LorenzMapSpec, n: int, resolution: int) -> list[floa
         & (absg[1:-1] <= absg[2:])
         & (absg[1:-1] < 1e-7)
     )
+
+    def gap(v: float) -> float:
+        return float(_iterate_array(spec, np.array([v]), n)[0]) - v
+
     for i in np.nonzero(cand)[0]:
-        a, b = grid[i - 1], grid[i + 1]
-        for _ in range(80):
-            m1 = a + (b - a) / 3
-            m2 = b - (b - a) / 3
-            g1 = abs(float(_iterate_array(spec, np.array([m1]), n)[0]) - m1)
-            g2 = abs(float(_iterate_array(spec, np.array([m2]), n)[0]) - m2)
-            if g1 < g2:
-                b = m2
-            else:
-                a = m1
-        x = 0.5 * (a + b)
-        fx = float(_iterate_array(spec, np.array([x]), n)[0])
-        if abs(fx - x) <= 10 * spec.tolerance:
+        x = _ternary_min(gap, grid[i - 1], grid[i + 1], 80)
+        if abs(gap(x)) <= 10 * spec.tolerance:
             roots.append(x)
     return roots
 
@@ -203,12 +213,9 @@ def _neutral_probe(spec: LorenzMapSpec, cycle: list[float], period: int) -> bool
     x = cycle[0] + 1e-6
     if x >= 1.0:
         x = cycle[0] - 1e-6
-    tol = spec.tolerance
-    for _ in range(4000 * period):
-        if abs(x - spec.c) <= tol:
-            return False
-        x = apply_raw(spec, x, Side.NONE)
-    return min(abs(x - p) for p in cycle) < 1e-4
+    n = 4000 * period
+    pts = orbit_list(spec, x, n + 1)
+    return len(pts) == n + 1 and min(abs(pts[n] - p) for p in cycle) < 1e-4
 
 
 def _polish_root(spec: LorenzMapSpec, x: float, n: int, h: float = 2e-5) -> float:
@@ -216,39 +223,22 @@ def _polish_root(spec: LorenzMapSpec, x: float, n: int, h: float = 2e-5) -> floa
     minimizing |f^n - id| when there is no sign change."""
 
     def g(v: float) -> float | None:
-        y = v
-        for _ in range(n):
-            if abs(y - spec.c) <= spec.tolerance:
-                return None
-            y = apply_raw(spec, y, Side.NONE)
-        return y - v
+        return _closure_gap(spec, v, n)
 
     a, b = max(x - h, 0.0), min(x + h, 1.0)
     ga, gb = g(a), g(b)
     if ga is None or gb is None:
         return x
     if (ga < 0) != (gb < 0):
-        for _ in range(70):
-            m = 0.5 * (a + b)
+
+        def same_sign(m: float) -> bool | None:
             gm = g(m)
-            if gm is None:
-                return x
-            if (gm < 0) == (ga < 0):
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-    for _ in range(90):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        g1, g2 = g(m1), g(m2)
-        if g1 is None or g2 is None:
-            return x
-        if abs(g1) < abs(g2):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
+            return None if gm is None else (gm < 0) == (ga < 0)
+
+        root = bisect(same_sign, a, b, 70)
+    else:
+        root = _ternary_min(g, a, b, 90)
+    return x if root is None else root
 
 
 def _merge_radius(rec: PeriodicOrbitRecord, tol: float) -> float:
@@ -290,19 +280,11 @@ def find_periodic_points(
             # the rotation to the smallest point loses accuracy on strongly
             # repelling cycles (the root error is amplified along the way);
             # a guarded Newton step on f^period - id restores it cheaply
-            def closure_gap(v: float) -> float | None:
-                y = v
-                for _ in range(period):
-                    if abs(y - spec.c) <= tol:
-                        return None
-                    y = apply_raw(spec, y, Side.NONE)
-                return y - v
-
             mult0 = 1.0
             for p in cycle:
                 if abs(p - spec.c) > tol:
                     mult0 *= derivative(spec, p)
-            gap0 = closure_gap(cycle[0])
+            gap0 = _closure_gap(spec, cycle[0], period)
             if gap0 is not None and abs(gap0) > 10 * tol and abs(mult0 - 1.0) > 1e-3:
                 x0 = cycle[0]
                 g = gap0
@@ -311,7 +293,7 @@ def find_periodic_points(
                     if abs(step) > 1e-6:
                         break
                     x0 -= step
-                    g = closure_gap(x0)
+                    g = _closure_gap(spec, x0, period)
                     if g is None or abs(g) <= tol:
                         break
                 if g is not None and abs(g) <= 10 * tol:
@@ -370,14 +352,10 @@ def find_periodic_points(
     # stability-aware cluster merge: a tangential (near-neutral) root passes
     # the closure test over a wide basin, and rotated twins of one orbit can
     # survive the exact key; compare sorted cycles over a small neighbor
-    # window in min-point order
+    # window in min-point order; a record whose orbit meets c ranks last
     def residual(r: PeriodicOrbitRecord) -> float:
-        if "*" in r.side_word:
-            return 0.0
-        y = r.points[0]
-        for _ in range(r.period):
-            y = apply_raw(spec, y, Side.NONE)
-        return abs(y - r.points[0])
+        gap = 0.0 if "*" in r.side_word else _closure_gap(spec, r.points[0], r.period)
+        return math.inf if gap is None else abs(gap)
 
     raw.sort(key=lambda r: (r.period, r.points[0]))
     res_cache = [residual(r) for r in raw]

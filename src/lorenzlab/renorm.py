@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .map_core import LorenzMapSpec, Side, apply_raw, branch_value, critical_values
-from .orbits import orbit_chunks
+from .map_core import LorenzMapSpec, branch_value, critical_values
+from .orbits import orbit_chunks, orbit_list
 from .periodic import PeriodicOrbitRecord, find_periodic_points
 from .return_maps import is_nice, push_interval
 
@@ -103,30 +103,45 @@ def _one_sided_images(
     """
     a, b = J
     tol = spec.tolerance
-    c = spec.c
 
-    def track(u: float, v: float, steps: int) -> tuple[float, float] | None:
+    def track(iv: tuple[float, float], steps: int) -> tuple[float, float] | None:
         for k in range(steps):
-            if u + tol < c < v - tol:
-                return None
-            if k > 0 and u > a + tol and v < b - tol:
+            if k > 0 and iv[0] > a + tol and iv[1] < b - tol:
                 return None  # early return into J: not a single return branch
-            side = "left" if v <= c + tol else "right"
-            lo_d, hi_d = (0.0, c) if side == "left" else (c, 1.0)
-            u = min(max(branch_value(spec, side, min(max(u, lo_d), hi_d)), 0.0), 1.0)
-            v = min(max(branch_value(spec, side, min(max(v, lo_d), hi_d)), 0.0), 1.0)
-        return (u, v)
+            iv = push_interval(spec, iv, 1)
+            if iv is None:
+                return None
+        return iv
 
-    li = track(a, c, la)
-    ri = track(c, b, rb)
+    li = track((a, spec.c), la)
+    ri = track((spec.c, b), rb)
     return li, ri, li is not None and ri is not None
+
+
+def _certify(
+    spec: LorenzMapSpec, J: tuple[float, float], la: int, rb: int
+) -> RenormalizationRecord | str:
+    """The record of J = (a, b) when its one-sided returns at the boundary
+    periods map [a, c) and (c, b] into [a, b], else the reason they do not."""
+    a, b = J
+    tol = spec.tolerance
+    li, ri, clean = _one_sided_images(spec, J, la, rb)
+    if not clean:
+        return "one-sided image split at c or returned early"
+    if not (li[0] >= a - 10 * tol and li[1] <= b + 10 * tol):
+        return f"f^{la}([a,c)) = {li} not inside [a,b]"
+    if not (ri[0] >= a - 10 * tol and ri[1] <= b + 10 * tol):
+        return f"f^{rb}((c,b]) = {ri} not inside [a,b]"
+    regular = (li[1] > spec.c + tol) and (ri[0] < spec.c - tol)
+    return RenormalizationRecord(
+        J=J, period_a=la, period_b=rb, regular=regular, left_image=li, right_image=ri
+    )
 
 
 def is_renormalization(
     spec: LorenzMapSpec,
     J: tuple[float, float],
     horizon: int = 10_000,
-    catalog: list[PeriodicOrbitRecord] | None = None,
     max_period: int = 12,
 ) -> tuple[bool, RenormalizationRecord | None, str]:
     """Certify J = (a, b): periodic boundaries, niceness, one-sided return
@@ -140,16 +155,10 @@ def is_renormalization(
         return False, None, "whole interval is not a proper renormalization"
 
     def detect_period(x: float) -> int | None:
-        y = x
-        for k in range(1, horizon + 1):
-            if abs(y - spec.c) <= tol:
-                return None
-            y = apply_raw(spec, y, Side.NONE)
-            if abs(y - x) <= 10 * tol:
-                return k
-            if k > max(64, 4 * max_period):
-                return None
-        return None
+        # the first k <= horizon, and at most one past the cap, at which the
+        # orbit closes up; an orbit that lands at c ends the search
+        pts = orbit_list(spec, x, min(horizon, max(64, 4 * max_period) + 1) + 1)
+        return next((k for k in range(1, len(pts)) if abs(pts[k] - x) <= 10 * tol), None)
 
     la = detect_period(a)
     rb = detect_period(b)
@@ -158,17 +167,9 @@ def is_renormalization(
     nice = is_nice(spec, J, horizon)
     if not nice.is_nice:
         return False, None, "boundary orbit re-enters J"
-    li, ri, clean = _one_sided_images(spec, J, la, rb)
-    if not clean:
-        return False, None, "one-sided image split at c or returned early"
-    if not (li[0] >= a - 10 * tol and li[1] <= b + 10 * tol):
-        return False, None, f"f^{la}([a,c)) = {li} not inside [a,b]"
-    if not (ri[0] >= a - 10 * tol and ri[1] <= b + 10 * tol):
-        return False, None, f"f^{rb}((c,b]) = {ri} not inside [a,b]"
-    regular = (li[1] > spec.c + tol) and (ri[0] < spec.c - tol)
-    rec = RenormalizationRecord(
-        J=J, period_a=la, period_b=rb, regular=regular, left_image=li, right_image=ri
-    )
+    rec = _certify(spec, J, la, rb)
+    if isinstance(rec, str):
+        return False, None, rec
     return True, rec, "ok"
 
 
@@ -330,18 +331,9 @@ def find_renormalizations(
     # so the critical orbit must re-enter [a,b] at exactly that time
     v0, v1 = critical_values(spec)
 
-    def short_orbit(start: float) -> list[float]:
-        pts = [start]
-        x = start
-        for _ in range(max(p.period for p in catalog) if catalog else max_period):
-            if abs(x - spec.c) <= tol:
-                break
-            x = apply_raw(spec, x, Side.NONE)
-            pts.append(x)
-        return pts
-
-    orb_v0 = short_orbit(v0)
-    orb_v1 = short_orbit(v1)
+    steps = max(p.period for p in catalog) if catalog else max_period
+    orb_v0 = orbit_list(spec, v0, steps + 1)
+    orb_v1 = orbit_list(spec, v1, steps + 1)
 
     for (a, b, la, rb) in _candidate_pairs(spec, catalog):
         if la > 1 and la - 1 < len(orb_v1) and not (a - tol <= orb_v1[la - 1] <= b + tol):
@@ -350,22 +342,9 @@ def find_renormalizations(
             continue
         # boundary periodicity and niceness are exact catalog facts here;
         # only the one-sided return inclusions remain to be tracked
-        li, ri, clean = _one_sided_images(spec, (a, b), la, rb)
-        if not clean:
-            continue
-        if not (li[0] >= a - 10 * tol and li[1] <= b + 10 * tol):
-            continue
-        if not (ri[0] >= a - 10 * tol and ri[1] <= b + 10 * tol):
-            continue
-        rec = RenormalizationRecord(
-            J=(a, b),
-            period_a=la,
-            period_b=rb,
-            regular=(li[1] > spec.c + tol) and (ri[0] < spec.c - tol),
-            left_image=li,
-            right_image=ri,
-        )
-        (regular if rec.regular else nonregular).append(rec)
+        rec = _certify(spec, (a, b), la, rb)
+        if not isinstance(rec, str):
+            (regular if rec.regular else nonregular).append(rec)
 
     regular.sort(key=lambda r: -r.width)
     chain: list[RenormalizationRecord] = []
@@ -398,7 +377,7 @@ def find_renormalizations(
     if nonregular:
         a = min(r.J[0] for r in nonregular)
         b = max(r.J[1] for r in nonregular)
-        ok, rec, why = is_renormalization(spec, (a, b), horizon, catalog, max_period)
+        ok, rec, why = is_renormalization(spec, (a, b), horizon, max_period)
         if ok and not rec.regular:
             j_max = rec
         else:
@@ -506,11 +485,8 @@ def trapping_region(
     for _ in range(probe_points):
         k = int(rng.integers(0, len(uniq)))
         lo, hi = uniq[k]
-        x = float(rng.uniform(lo, hi))
-        for _ in range(probe_steps):
-            if abs(x - c) <= spec.tolerance:
-                break
-            x = apply_raw(spec, x, Side.NONE)
+        # the orbit up to a landing at c, that point included
+        for x in orbit_list(spec, float(rng.uniform(lo, hi)), probe_steps + 1)[1:]:
             if not any(u[0] - 1e-9 <= x <= u[1] + 1e-9 for u in uniq):
                 raise ValueError(f"invariance probe left the trapping region at x={x}")
     return uniq

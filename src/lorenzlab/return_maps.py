@@ -18,12 +18,15 @@ from .map_core import (
     LorenzMapSpec,
     Side,
     apply_raw,
+    bisect,
+    bisect_array,
     branch_value,
     branch_inverse_array,
     critical_values,
     deriv_array,
     eval_array,
 )
+from .orbits import orbit_chunks, orbit_list
 from .periodic import PeriodicOrbitRecord, find_periodic_points
 
 FULL_TOLERANCE = 1e-6
@@ -124,22 +127,23 @@ def _boundary_orbit_avoids(
 ) -> tuple[bool, int | None, bool]:
     """(avoids J, period if the orbit closes up, hit_critical flag).
 
-    Detects periodic closure early so periodic boundaries cost one cycle
-    instead of the whole horizon.
+    Detects periodic closure early so periodic boundaries cost one chunk
+    of the walk instead of the whole horizon.
     """
     lo, hi = J
     tol = spec.tolerance
-    x = start
-    period = None
-    for k in range(1, horizon + 1):
-        if abs(x - spec.c) <= tol:
-            return True, period, True
-        x = apply_raw(spec, x, Side.NONE)
-        if lo + tol < x < hi - tol:
-            return False, None, False
-        if abs(x - start) <= 10 * tol:
-            return True, k, False
-    return True, None, False
+    k = -1
+    for pts, _ in orbit_chunks(spec, start, horizon + 1):
+        for x in pts:
+            k += 1
+            if k == 0:
+                continue
+            if lo + tol < x < hi - tol:
+                return False, None, False
+            if abs(x - start) <= 10 * tol:
+                return True, k, False
+    # the walk stops early only at a landing at c before step horizon
+    return True, None, k < horizon
 
 
 def is_nice(spec: LorenzMapSpec, J: tuple[float, float], horizon: int = 10_000) -> NiceInterval:
@@ -187,17 +191,13 @@ def push_interval(
 def order(spec: LorenzMapSpec, I: tuple[float, float], horizon: int = 1000) -> int | None:
     """Smallest k with c in the interior of f^k(I); None if not found within
     the horizon ("infinite up to horizon")."""
-    u, v = I
-    if not (u < v):
+    if not (I[0] < I[1]):
         raise ValueError("empty interval")
-    tol = spec.tolerance
     for k in range(horizon + 1):
-        if u + tol < spec.c < v - tol:
-            return k
-        side = "left" if v <= spec.c + tol else "right"
-        u = min(max(branch_value(spec, side, max(u, 0.0) if side == "left" else max(u, spec.c)), 0.0), 1.0)
-        v = min(max(branch_value(spec, side, min(v, spec.c) if side == "left" else min(v, 1.0)), 0.0), 1.0)
-        if v - u <= 2 * tol:
+        I = push_interval(spec, I, 1)
+        if I is None:
+            return k  # f^k(I) straddles c
+        if I[1] - I[0] <= 2 * spec.tolerance:
             return None  # collapsed below resolution, cannot cover c
     return None
 
@@ -212,14 +212,10 @@ def _directed_iterate(spec: LorenzMapSpec, x: float, side: Side, steps: int) -> 
 
 def _branch_path(spec: LorenzMapSpec, x: float, steps: int) -> list[str] | None:
     """Branch sequence taken by the orbit of x, None if it grazes c."""
-    path = []
-    for _ in range(steps):
-        if abs(x - spec.c) <= spec.tolerance:
-            return None
-        side = "left" if x < spec.c else "right"
-        path.append(side)
-        x = apply_raw(spec, x, Side.NONE)
-    return path
+    pts = orbit_list(spec, x, steps + 1)
+    if len(pts) <= steps:
+        return None
+    return ["left" if p < spec.c else "right" for p in pts[:steps]]
 
 
 def _apply_path(spec: LorenzMapSpec, x: float, path: list[str]) -> float:
@@ -238,6 +234,23 @@ def _apply_path(spec: LorenzMapSpec, x: float, path: list[str]) -> float:
         else:
             x = branch_value(spec, side, x)
     return x
+
+
+def _polish_edge(
+    spec: LorenzMapSpec, x_in: float, x_out: float, path: list[str], target: float
+) -> float:
+    """Solve f^t(x) = target along the frozen branch path between x_in and
+    x_out; x_in when the path's values there do not bracket the target.
+
+    The return-time bisection stops at the numerical dead zone around
+    orbits that graze c; the branch composition extends continuously and
+    monotonically across the true edge."""
+    v_in = _apply_path(spec, x_in, path)
+    v_out = _apply_path(spec, x_out, path)
+    if not (min(v_in, v_out) - 1e-12 <= target <= max(v_in, v_out) + 1e-12):
+        return x_in
+    below = v_in < target
+    return bisect(lambda m: (_apply_path(spec, m, path) < target) == below, x_in, x_out, 70)
 
 
 def _first_return_time(spec: LorenzMapSpec, x: float, J: tuple[float, float], horizon: int) -> int:
@@ -372,11 +385,7 @@ def first_return_map(
     x_in = np.array([b[2] for b in brackets], dtype=float)
     x_out = np.array([b[3] for b in brackets], dtype=float)
     bt = np.array([runs[b[0]][2] for b in brackets], dtype=np.int64)
-    for _ in range(60):
-        m = 0.5 * (x_in + x_out)
-        ok = _return_times(spec, m, J, bt) == bt
-        x_in = np.where(ok, m, x_in)
-        x_out = np.where(ok, x_out, m)
+    x_in, x_out = bisect_array(lambda m: _return_times(spec, m, J, bt) == bt, x_in, x_out, 60)
     for (r, e, _, _), a, b in zip(brackets, x_in.tolist(), x_out.tolist()):
         edges[r][e], outs[r][e] = a, b
 
@@ -391,46 +400,28 @@ def first_return_map(
     audit = (_return_times(spec, samples.ravel(), J, st) == st).reshape(-1, 3).all(axis=1)
     live = [r for r, ok in zip(live, audit) if ok]
 
-    def polish_edge(x_in: float, x_out: float, path: list[str], target: float) -> float:
-        # the return-time bisection stops at the numerical dead zone around
-        # orbits that graze c; the branch composition extends continuously
-        # and monotonically across the true edge, so solve f^t(x) = target
-        # along the frozen path
-        v_in = _apply_path(spec, x_in, path)
-        v_out = _apply_path(spec, x_out, path)
-        if not (min(v_in, v_out) - 1e-12 <= target <= max(v_in, v_out) + 1e-12):
-            return x_in
-        a, b = x_in, x_out
-        for _ in range(70):
-            m = 0.5 * (a + b)
-            vm = _apply_path(spec, m, path)
-            if (vm < target) == (v_in < target):
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
     covered = 0.0
     for r in live:
         (left, right), (left_out, right_out), t = edges[r], outs[r], runs[r][2]
         # a branch is a single monotone composition: all of the run must
         # share one branch path, else it is a conglomerate of equal-time
         # pieces with sub-resolution gaps and is dropped as uncovered
+        # (an end sample whose orbit grazes c is retried further inside)
         w = right - left
         paths = []
-        for frac in (1e-6, 0.5, 1.0 - 1e-6):
-            p = _branch_path(spec, left + frac * w, t)
-            if p is None:
-                p = _branch_path(spec, left + (frac if frac == 0.5 else (1e-3 if frac < 0.5 else 1.0 - 1e-3)) * w, t)
-            if p is not None:
-                paths.append(p)
+        for fracs in ((1e-6, 1e-3), (0.5,), (1.0 - 1e-6, 1.0 - 1e-3)):
+            for frac in fracs:
+                p = _branch_path(spec, left + frac * w, t)
+                if p is not None:
+                    paths.append(p)
+                    break
         if len(paths) < 2 or any(p != paths[0] for p in paths[1:]):
             continue
         path = paths[0]
         if left_out is not None:
-            left = polish_edge(left, left_out, path, lo)
+            left = _polish_edge(spec, left, left_out, path, lo)
         if right_out is not None:
-            right = polish_edge(right, right_out, path, hi)
+            right = _polish_edge(spec, right, right_out, path, hi)
         img_lo = _apply_path(spec, left, path) if abs(left - spec.c) > 10 * tol else _directed_iterate(
             spec, spec.c, Side.PLUS, t
         )

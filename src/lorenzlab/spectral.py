@@ -12,18 +12,12 @@ numerical probe, and the report says which budgets it ran under.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .map_core import (
-    LorenzMapSpec,
-    Side,
-    apply_raw,
-    critical_values,
-    eval_array,
-)
-from .orbits import estimate_omega_limit, orbit_chunks, rotation_number
+from .map_core import LorenzMapSpec, critical_values, eval_array
+from .orbits import estimate_omega_limit, orbit_chunks, orbit_list, rotation_number
 from .periodic import (
     MAX_PERIOD,
     NoPeriodicOrbitFound,
@@ -78,16 +72,7 @@ class Budgets:
     probe_resolution: int = 1 << 8
 
     def to_dict(self) -> dict:
-        return {
-            "max_period": self.max_period,
-            "max_depth": self.max_depth,
-            "horizon": self.horizon,
-            "grid_resolution": self.grid_resolution,
-            "samples": self.samples,
-            "seed": self.seed,
-            "recurrence_resolution": self.recurrence_resolution,
-            "probe_resolution": self.probe_resolution,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Budgets":
@@ -458,6 +443,18 @@ class StratumBlocks:
     minimal_orbit: PeriodicOrbitRecord
 
 
+def _entry_sides(
+    spec: LorenzMapSpec, x: float, L: tuple[float, float], cap: int
+) -> list[str] | None:
+    """The branches the orbit of x takes before the first of its cap points
+    inside L, or None; an orbit that lands at c outside L never enters it."""
+    pts = orbit_list(spec, x, cap)
+    for k, y in enumerate(pts):
+        if L[0] + spec.tolerance < y < L[1] - spec.tolerance:
+            return ["left" if p < spec.c else "right" for p in pts[:k]]
+    return None
+
+
 def stratum_blocks(
     spec: LorenzMapSpec,
     stratum_index: int,
@@ -510,18 +507,6 @@ def stratum_blocks(
         prev_rec = chain[stratum_index - 2]
         sources = renormalization_cycle(spec, prev_rec)
 
-    def entry_sides(x: float, cap: int) -> list[str] | None:
-        sides: list[str] = []
-        y = x
-        for _ in range(cap):
-            if L[0] + tol < y < L[1] - tol:
-                return sides
-            if abs(y - spec.c) <= tol:
-                return None
-            sides.append("left" if y < spec.c else "right")
-            y = apply_raw(spec, y, Side.NONE)
-        return None
-
     from .map_core import branch_inverse_array
 
     blocks: list[tuple[float, float]] = [L]
@@ -530,7 +515,7 @@ def stratum_blocks(
     for (u, v) in sources:
         for frac in (0.5, 0.25, 0.75, 0.125, 0.875):
             w = u + frac * (v - u)
-            sides = entry_sides(w, cap)
+            sides = _entry_sides(spec, w, L, cap)
             if sides is None:
                 continue
             lo, hi = L
@@ -594,24 +579,13 @@ def decompose(
 
     n_f = 0 if om0 == OMEGA0_FULL else len(chain) + 1
     res = budgets.recurrence_resolution
-
-    # the blocks loop and the annuli loop both need the blocks of a level;
-    # each level's result, or the exception it raised, is kept for the other
-    blocks_of: dict[int, StratumBlocks | Exception] = {}
-
-    def level_blocks(s: int) -> StratumBlocks:
-        if s not in blocks_of:
-            try:
-                blocks_of[s] = stratum_blocks(spec, s, chain, catalog, budgets)
-            except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError) as e:
-                blocks_of[s] = e
-        found = blocks_of[s]
-        if isinstance(found, Exception):
-            raise found
-        return found
-
+    v0, v1 = critical_values(spec)
     tol = spec.tolerance
     strata: list[Stratum] = []
+    # experimental annuli between consecutive regular levels: the interval
+    # spanned by the one-sided critical values at the minimal-orbit boundary
+    # periods, minus the next chain interval
+    annuli: list[list[tuple[float, float]]] = []
     count = max(n_f, 1)
     for s in range(1, count + 1):
         region = K[s - 1] if s - 1 < len(K) else K[-1]
@@ -647,21 +621,32 @@ def decompose(
                     >= 0.9
                 )
             stratum.transitive_probe = all(results)
-        if 0 < s < n_f:
-            if s == 1:
-                v0x, v1x = critical_values(spec)
-                outer_regular = v0x < spec.c < v1x
-            else:
-                outer_regular = chain[s - 2].regular
-            if outer_regular:
-                try:
-                    sb = level_blocks(s)
-                    stratum.block_decomposition = sb.blocks
-                    stratum.block_return_steps = sb.return_steps
-                    if not sb.overlaps_ok:
-                        stratum.notes.append("block overlap exceeded a point")
-                except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError) as e:
+        # the blocks of level s serve the stratum when the outer interval is
+        # regular and the annulus when the inner one is
+        outer_regular = 0 < s < n_f and (v0 < spec.c < v1 if s == 1 else chain[s - 2].regular)
+        inner_regular = 0 < s < n_f and chain[s - 1].regular
+        if outer_regular or inner_regular:
+            try:
+                sb = stratum_blocks(spec, s, chain, catalog, budgets)
+            except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError) as e:
+                sb = None
+                if outer_regular:
                     stratum.notes.append(f"block decomposition unavailable: {e}")
+            if sb is not None and outer_regular:
+                stratum.block_decomposition = sb.blocks
+                stratum.block_return_steps = sb.return_steps
+                if not sb.overlaps_ok:
+                    stratum.notes.append("block overlap exceeded a point")
+            if sb is not None and inner_regular:
+                # a critical orbit that lands at c stays there
+                u = orbit_list(spec, v0, sb.minimal_orbit.period)[-1]
+                v = orbit_list(spec, v1, sb.minimal_orbit.period)[-1]
+                if u < v:
+                    inner = chain[s].J if s < len(chain) else None
+                    if inner and inner[0] > u and inner[1] < v:
+                        annuli.append([(u, inner[0]), (inner[1], v)])
+                    else:
+                        annuli.append([(u, v)])
         strata.append(stratum)
 
     # strata disjointness audit, exempting certified periodic-orbit cells
@@ -681,34 +666,6 @@ def decompose(
                 notes.append(
                     f"strata {strata[i].n} and {strata[j].n} share periodic-orbit cells (exempted)"
                 )
-
-    # experimental annuli between consecutive regular levels: the interval
-    # spanned by the one-sided critical values at the minimal-orbit boundary
-    # periods, minus the next chain interval
-    annuli: list[list[tuple[float, float]]] = []
-    v0, v1 = critical_values(spec)
-    for s in range(1, len(chain) + 1):
-        rec = chain[s - 1]
-        if not rec.regular:
-            continue
-        try:
-            sb = level_blocks(s) if s < n_f else None
-        except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError):
-            sb = None
-        if sb is None:
-            continue
-        per_lo = sb.minimal_orbit.period
-        u = v0
-        v = v1
-        for _ in range(per_lo - 1):
-            u = apply_raw(spec, u, Side.NONE) if abs(u - spec.c) > tol else u
-            v = apply_raw(spec, v, Side.NONE) if abs(v - spec.c) > tol else v
-        if u < v:
-            inner = chain[s].J if s < len(chain) else None
-            if inner and inner[0] > u and inner[1] < v:
-                annuli.append([(u, inner[0]), (inner[1], v)])
-            else:
-                annuli.append([(u, v)])
 
     final = classify_attractor(spec, budgets, catalog, seq)
     return DecompositionRecord(

@@ -17,6 +17,16 @@ The scan CSV is guarded the same way: SHA-256 of the output of
 
 (four quadratic pairs through decompose, classification and Lyapunov).
 
+The return-map CSVs are SHA-256 of the outputs of
+
+    PYTHONPATH=src python -m lorenzlab.cli returnmap --map logistic3.4-embed \
+        --interval 0.294117647,0.705882353
+    PYTHONPATH=src python -m lorenzlab.cli returnmap --map logistic4-embed \
+        --interval 0.25,0.75
+
+(the edge bisections, edge polish, branch paths and niceness probe of
+`first_return_map` and `is_nice`).
+
 The reports print floats with repr, so the digests hold for IEEE double
 arithmetic on the numpy and libm of the platform that generated them
 (x86-64, CPython 3.11, numpy 2.4).
@@ -50,3 +60,21 @@ def test_golden_scan_bytes(tmp_path):
     argv = ["scan", "--a-left", "3.75:4", "--a-right", "3:4", "--steps", "2"]
     assert main(argv + ["--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_SHA256
+
+
+GOLDEN_RETURNMAP_SHA256 = {
+    ("logistic3.4-embed", "0.294117647,0.705882353"): (
+        "05d8ccb9d2fb0a68c513bf8995437de6980b5f39d6a0a2aa83c728a570eec2ea"
+    ),
+    ("logistic4-embed", "0.25,0.75"): (
+        "e8b2fe67fb3a92b3d2d6696e1f5047b753bc561d13676c863a7bdaa02dd287d0"
+    ),
+}
+
+
+@pytest.mark.parametrize("name,interval", sorted(GOLDEN_RETURNMAP_SHA256))
+def test_golden_returnmap_bytes(tmp_path, name, interval):
+    out = tmp_path / "branches.csv"
+    argv = ["returnmap", "--map", name, "--interval", interval, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RETURNMAP_SHA256[(name, interval)]
