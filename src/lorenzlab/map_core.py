@@ -195,12 +195,15 @@ def _poly_funcs(coefs: tuple[float, ...]):
 
     def make(c):
         rev = tuple(reversed(c.tolist())) if len(c) else (0.0,)
-
-        def f(x: float) -> float:
-            acc = 0.0
-            for coef in rev:
-                acc = acc * x + coef
-            return acc
+        # the scalar Horner expression ((r0 * x + r1) * x + r2) ... in the
+        # array kernel's order (a constant is 0.0 * x + r0 there too),
+        # compiled once over the coefficients bound as closure names
+        terms = rev if len(rev) > 1 else (0.0,) + rev
+        names = [f"r{k}" for k in range(len(terms))]
+        body = names[0]
+        for name in names[1:]:
+            body = f"({body}) * x + {name}"
+        f = eval(f"lambda {', '.join(names)}: lambda x: {body}")(*terms)
 
         if len(rev) == 1:
 
@@ -317,9 +320,9 @@ def apply_raw(spec: LorenzMapSpec, x: float, side: Side = Side.NONE) -> float:
         raise UndirectedCriticalEvaluation(
             f"undirected critical evaluation at x={x!r} (c={c!r})"
         )
-    if x < c:
-        return min(max(ker["left"][0][0](x), 0.0), 1.0)
-    return min(max(ker["right"][0][0](x), 0.0), 1.0)
+    y = ker["left"][0][0](x) if x < c else ker["right"][0][0](x)
+    # min(max(y, 0.0), 1.0) bit for bit (NaN and -0.0 pass through)
+    return 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
 
 
 def evaluate(spec: LorenzMapSpec, p: DirectedPoint) -> DirectedPoint:

@@ -152,10 +152,8 @@ def orbit_chunks(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE)
             if abs(x - c) <= tol:
                 yield pts, True
                 return
-            if x < c:
-                x = min(max(left(x), 0.0), 1.0)
-            else:
-                x = min(max(right(x), 0.0), 1.0)
+            y = left(x) if x < c else right(x)
+            x = 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
         made += todo
         if len(pts) == WALK_CHUNK:
             yield pts, False

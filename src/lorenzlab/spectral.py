@@ -40,6 +40,8 @@ CRITICAL_VALUE_TOL = 1e-9
 # block and this many floats in all (steps x live points)
 RECURRENCE_BLOCK_STEPS = 256
 RECURRENCE_BLOCK_FLOATS = 1 << 16
+# margin of the core's invariance certificate, far above the kernel's rounding
+CORE_MARGIN = 1e-9
 
 OMEGA0_FULL = "full_interval"
 OMEGA0_ZERO = "{0}"
@@ -189,6 +191,26 @@ def _in_any(x: np.ndarray, intervals: list[tuple[float, float]]) -> np.ndarray:
     return out
 
 
+def _certified_core(spec: LorenzMapSpec) -> tuple[float, float] | None:
+    """V = [v0 - m, v1 + m] clipped to [0, 1], m = CORE_MARGIN, when
+    v0 = f(c+) < c < v1 = f(c-) and the end images certify f(V) inside V
+    with margin m; else None.
+
+    Both branches are increasing, so f maps [lo, c) into [f(lo), v1] and
+    (c, hi] into [v0, f(hi)]; f(lo) >= lo + m and f(hi) <= hi - m (an end
+    at 0 or 1 is fixed and needs no check) put both inside V with margin m.
+    """
+    v0, v1 = critical_values(spec)
+    if not v0 < spec.c < v1:
+        return None
+    lo, hi = max(v0 - CORE_MARGIN, 0.0), min(v1 + CORE_MARGIN, 1.0)
+    flo, fhi = eval_array(spec, np.array([lo, hi])).tolist()
+    # written so that a NaN image fails the certificate
+    if (lo > 0.0 and not flo >= lo + CORE_MARGIN) or (hi < 1.0 and not fhi <= hi - CORE_MARGIN):
+        return None
+    return lo, hi
+
+
 def _recurrent_cells(
     spec: LorenzMapSpec,
     region: list[tuple[float, float]],
@@ -215,6 +237,11 @@ def _recurrent_cells(
     start = centers[idx]
     x = start
     cw = 1.0 / resolution
+    # exact core exit: an iterate inside the certified core V stays there, so
+    # a start whose window [start - cw, start + cw] misses V by the margin
+    # never comes back (with no core, V = [0, 1] drops nothing)
+    lo, hi = _certified_core(spec) or (0.0, 1.0)
+    far = (start + cw < lo - CORE_MARGIN) | (start - cw > hi + CORE_MARGIN)
     found: list[np.ndarray] = []
     done = 0
     # the live points are stepped a block at a time into one bounded buffer
@@ -236,8 +263,9 @@ def _recurrent_cells(
         traj -= start
         back = (np.abs(traj, out=traj) <= cw).any(axis=0)
         found.append(idx[back])
-        live = ~(back | cycled | np.isnan(y))
-        idx, start, x = idx[live], start[live], y[live]
+        trapped = far & (y >= lo) & (y <= hi)
+        live = ~(back | cycled | trapped | np.isnan(y))
+        idx, start, x, far = idx[live], start[live], y[live], far[live]
         done += k
     return tuple(int(i) for i in np.sort(np.concatenate(found))) if found else ()
 

@@ -238,8 +238,22 @@ def _same_bits(a, b) -> bool:
     return bool(np.all((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
 
 
+def _cubic_map():
+    return mc.LorenzMapSpec(
+        c=0.45,
+        left=mc.BranchSpec("polynomial", "left", coefficients=(0.0, 0.4, 3.1, -2.9)),
+        right=mc.BranchSpec("polynomial", "right", coefficients=(0.2, -1.1, 2.6, -0.7)),
+        name="cubic",
+    )
+
+
+def _quartic_map():
+    # u = 3.2 t + 1.6 t^2 with t = x (1 - x), symmetric about 1/2
+    return embed_unimodal(mc.UnimodalSpec((0.0, 3.2, -1.6, -3.2, 1.6), name="quartic"))
+
+
 def test_eval_array_matches_apply_raw(ex1, ex2, ex3, rng):
-    for spec in (ex1, ex2, ex3):
+    for spec in (ex1, ex2, ex3, _cubic_map(), _quartic_map()):
         c, tol = spec.c, spec.tolerance
         ball = c + tol * np.linspace(-1.0, 1.0, 41)
         edge = [np.nextafter(c - tol, 0.0), np.nextafter(c + tol, 1.0), c - 2 * tol, c + 2 * tol]
@@ -275,3 +289,59 @@ def test_power_form_array_kernels_quiet():
             want_d = np.where(xs < c, al * pl / c * ul ** (pl - 1.0), ar * pr / (1.0 - c) * ur ** (pr - 1.0))
         assert _same_bits(y, want_y)
         assert _same_bits(d, want_d)
+
+
+def _horner_loop(rev, x):
+    # the scalar polynomial kernel before the closed form, kept as the
+    # reference: the loop over the coefficients, highest degree first
+    acc = 0.0
+    for coef in rev:
+        acc = acc * x + coef
+    return acc
+
+
+def test_scalar_kernels_match_horner_loop(rng):
+    # equal bit for bit at every finite x; a leading coefficient -0.0 of
+    # degree >= 1 (never made by polyder, only given) is the one exception:
+    # the loop's 0.0 * x + r0 turns it into +0.0, while the scalar kernel
+    # follows the array kernel's x * r0
+    smallest_normal = 2.2250738585072014e-308
+    xs = rng.uniform(0.0, 1.0, 200).tolist() + [
+        0.0, -0.0, 1.0, 5e-324, 1e-310, math.nextafter(smallest_normal, 0.0), smallest_normal]
+    for degree in range(7):
+        for lead in ("random", "zero", "negative", "minus-zero"):
+            cs = rng.normal(0.0, 3.0, degree + 1)
+            if lead == "zero":
+                cs[-1] = 0.0
+            elif lead == "negative":
+                cs[-1] = -abs(cs[-1]) - 1.0
+            elif lead == "minus-zero":
+                cs[-1] = -0.0
+            scalars, arrays = mc._poly_funcs(tuple(cs))
+            for order, (f, fa) in enumerate(zip(scalars, arrays)):
+                d = np.polynomial.polynomial.polyder(cs, order)
+                rev = tuple(reversed(d.tolist())) if len(d) else (0.0,)
+                assert _same_bits([f(x) for x in xs], fa(np.array(xs))), (degree, lead, order)
+                if lead == "minus-zero" and len(rev) > 1:
+                    continue
+                for x in xs:
+                    assert _same_bits(f(x), _horner_loop(rev, x)), (degree, lead, order, x)
+
+
+def test_clamp_matches_min_max():
+    # the left branch -0.0 * x + y is y bit for bit at x > 0; the right one
+    # sends 0.75 to 0.25, so the walk 0.75, 0.25, ... takes its own step at
+    # 0.25 and apply_raw steps from 0.25 alike
+    from lorenzlab.orbits import orbit_list
+
+    for y in (math.nan, 0.0, -0.0, math.inf, -math.inf, -1e-300, math.nextafter(1.0, 2.0), 0.25, 1.0):
+        want = min(max(y, 0.0), 1.0)
+        spec = mc.LorenzMapSpec(
+            c=0.5,
+            left=mc.BranchSpec("polynomial", "left", coefficients=(y, -0.0)),
+            right=mc.BranchSpec("polynomial", "right", coefficients=(0.25, -0.0)),
+        )
+        # the second derivative kernel of a non-finite constant is NaN
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(mc.apply_raw(spec, 0.25), want), y
+        assert _same_bits(orbit_list(spec, 0.75, 3), [0.75, 0.25, want]), y

@@ -4,11 +4,13 @@ per-step loop it replaced, kept here verbatim as the reference."""
 import numpy as np
 import pytest
 
-from lorenzlab import builtin_map, quadratic_pair, spectral
-from lorenzlab.map_core import BranchSpec, LorenzMapSpec, eval_array
+from lorenzlab import builtin_map, quadratic_pair, spectral, validate_map
+from lorenzlab.map_core import BranchSpec, LorenzMapSpec, critical_values, eval_array
 from lorenzlab.spectral import (
+    CORE_MARGIN,
     RECURRENCE_BLOCK_FLOATS,
     RECURRENCE_BLOCK_STEPS,
+    _certified_core,
     _in_any,
     _recurrent_cells,
 )
@@ -131,3 +133,60 @@ def test_float_cycle_exit_fires(monkeypatch):
     cells = _recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
     assert len(cells) < resolution // 10
     assert sum(elements) < 0.05 * resolution * horizon
+
+
+# maps around the core exit, with the certified core V each one must get:
+# "inside" when 0 < lo and hi < 1, "lo=0" / "hi=1" when one end is clipped,
+# "full" for V = [0, 1], None when the probe must not use the exit
+CORE_CASES = {
+    "inside": (quadratic_pair(3.75, 3.0), "inside"),
+    "lo-clipped": (quadratic_pair(3.6, 4.0), "lo=0"),
+    "hi-clipped": (quadratic_pair(4.0, 3.4), "hi=1"),
+    "full": (quadratic_pair(4.0, 4.0), "full"),
+    # f(c+) = 0.55 >= c: no core
+    "no-core": (quadratic_pair(3.5, 1.8), None),
+    # f(c+) = 1.2e-9: lo = 2e-10 lies so close to the fixed point 0 that
+    # f(lo) - lo < CORE_MARGIN, and the certificate fails
+    "uncertified": (quadratic_pair(3.7, 4.0 - 4.8e-9), None),
+    "power": (power_map(), "inside"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_recurrent_cells_match_reference_around_the_core(case):
+    spec, want = CORE_CASES[case]
+    assert validate_map(spec).ok
+    core = _certified_core(spec)
+    if want is None:
+        assert core is None
+    else:
+        v0, v1 = critical_values(spec)
+        lo, hi = core
+        assert lo == (0.0 if want in ("lo=0", "full") else v0 - CORE_MARGIN)
+        assert hi == (1.0 if want in ("hi=1", "full") else v1 + CORE_MARGIN)
+        assert 0.0 <= lo < spec.c < hi <= 1.0
+        # the invariance the exit rests on, on a dense grid of V
+        xs = np.linspace(lo, hi, 100_001)
+        ys = eval_array(spec, xs[np.abs(xs - spec.c) > spec.tolerance])
+        assert ys.min() >= lo and ys.max() <= hi
+    for region, holes in REGIONS:
+        check(spec, region, holes, 512, block_horizons(512, 3_000))
+    check(spec, [(0.0, 1.0)], [], 1024, [10_000])
+
+
+def test_core_exit_fires(monkeypatch):
+    # on this chaotic pair about a third of [0, 1] lies outside the core and
+    # never comes back; without the exit those cells run the full horizon
+    spec = quadratic_pair(3.75, 3.0)
+    elements = []
+
+    def counting(spec, x):
+        elements.append(np.size(x))
+        return eval_array(spec, x)
+
+    monkeypatch.setattr(spectral, "eval_array", counting)
+    resolution, horizon = 1024, 10_000
+    cells = _recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
+    assert sum(elements) < 0.25 * resolution * horizon
+    monkeypatch.undo()
+    assert cells == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
