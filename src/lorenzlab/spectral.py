@@ -42,6 +42,8 @@ RECURRENCE_BLOCK_STEPS = 256
 RECURRENCE_BLOCK_FLOATS = 1 << 16
 # margin of the core's invariance certificate, far above the kernel's rounding
 CORE_MARGIN = 1e-9
+# entropy_estimate merges bit-equal float orbits every this many burn-in steps
+ENTROPY_MERGE_STEPS = 64
 
 OMEGA0_FULL = "full_interval"
 OMEGA0_ZERO = "{0}"
@@ -722,47 +724,68 @@ def entropy_estimate(
     """Word-count entropy: (1/n) log of the number of distinct length-n
     itinerary words observed along sampled orbits after a burn-in.
 
-    The count is capped by 2^n, so the estimate never exceeds log 2.
+    An orbit that meets c up to one step past its last window is dropped.
+    Bit-equal float iterates share all later ones, so the burn-in merges
+    them (every ENTROPY_MERGE_STEPS steps and at its end) without changing
+    the set of words. The count is capped by 2^n, so the estimate never
+    exceeds log 2.
     """
-    if n > 30:
-        raise ValueError("word length capped at 30")
+    if not 1 <= n <= 30:
+        raise ValueError("word length must lie in [1, 30]")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
+    if windows_per_orbit < 1:
+        raise ValueError("need at least one window per orbit")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
     if rng is None:
         rng = np.random.default_rng(0)
-    m = samples
-    L = burn_in + n + windows_per_orbit
-    x = rng.uniform(0.0, 1.0, m)
-    bits = np.zeros((m, n + windows_per_orbit), dtype=bool)
-    alive = np.ones(m, dtype=bool)
-    for k in range(L):
-        if k >= burn_in:
-            bits[:, k - burn_in] = x >= spec.c
+    x = rng.uniform(0.0, 1.0, samples)
+    for k in range(burn_in):
+        if k and k % ENTROPY_MERGE_STEPS == 0:
+            x = _merge_equal_orbits(x)
         x = eval_array(spec, x)
-        alive &= ~np.isnan(x)
-        x[~alive] = 0.0  # keep the array clean; dead rows are dropped below
-    bits = bits[alive]
-    if bits.shape[0] == 0:
-        return 0.0
-    # rolling n-bit codes across each orbit's window strip
-    code = np.zeros(bits.shape[0], dtype=np.uint64)
-    for j in range(n):
-        code = (code << np.uint64(1)) | bits[:, j].astype(np.uint64)
-    words = np.empty((windows_per_orbit, bits.shape[0]), dtype=np.uint64)
-    words[0] = code
+    # no merging from here on: orbits that meet later had different words
+    x = _merge_equal_orbits(x)
+    # rolling n-bit codes; NaN (an orbit that met c) propagates to the end
     mask = np.uint64((1 << n) - 1)
-    for k in range(1, windows_per_orbit):
-        code = ((code << np.uint64(1)) | bits[:, n + k - 1].astype(np.uint64)) & mask
-        words[k] = code
+    code = np.zeros(x.size, dtype=np.uint64)
+    words = np.empty((windows_per_orbit, x.size), dtype=np.uint64)
+    for j in range(n + windows_per_orbit - 1):
+        code <<= np.uint64(1)
+        code |= x >= spec.c
+        code &= mask
+        if j >= n - 1:
+            words[j - n + 1] = code
+        x = eval_array(spec, x)
+    alive = ~np.isnan(eval_array(spec, x))
+    if not alive.any():
+        return 0.0
+    # dead orbits take a live orbit's words, which leaves the set unchanged
+    words[:, ~alive] = words[:, alive.argmax(), None]
     return math.log(_distinct_count(words.ravel())) / n
 
 
-def _distinct_count(codes: np.ndarray) -> int:
-    """Number of distinct values, by sorting in place and counting the
-    neighbours that differ (np.unique hashes large integer arrays, which is
-    slower and holds a table the size of the input)."""
+def _first_of_runs(codes: np.ndarray) -> np.ndarray:
+    """Sort in place and mark the first of each run of equal values
+    (np.unique hashes large integer arrays: slower, and a table as big)."""
     codes.sort()
-    return int(codes.size and 1 + np.count_nonzero(codes[1:] != codes[:-1]))
+    first = np.empty(codes.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    return first
+
+
+def _distinct_count(codes: np.ndarray) -> int:
+    """Number of distinct values; sorts `codes` in place."""
+    return int(np.count_nonzero(_first_of_runs(codes)))
+
+
+def _merge_equal_orbits(x: np.ndarray) -> np.ndarray:
+    """The distinct bit patterns of x, NaN (a dead orbit) dropped. The map
+    step is a function of the bits, so equal bits mean one orbit."""
+    u = x[~np.isnan(x)].view(np.uint64)
+    return u[_first_of_runs(u)].view(np.float64)
 
 
 def solenoid_entropy_bound(chain: list[RenormalizationRecord]) -> float | None:

@@ -1,0 +1,134 @@
+"""`spectral.entropy_estimate`, which merges bit-equal float orbits during
+the burn-in, against the loop that stepped every sample, kept here verbatim
+as the reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from lorenzlab import builtin_map, quadratic_pair, spectral
+from lorenzlab.map_core import BUILTIN_NAMES, BranchSpec, LorenzMapSpec, eval_array
+from lorenzlab.spectral import _distinct_count, entropy_estimate
+
+
+def reference_entropy_estimate(spec, n=20, samples=100_000, rng=None, burn_in=512, windows_per_orbit=32):
+    if n > 30:
+        raise ValueError("word length capped at 30")
+    if samples < 10_000:
+        raise ValueError("need at least 1e4 samples")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    m = samples
+    L = burn_in + n + windows_per_orbit
+    x = rng.uniform(0.0, 1.0, m)
+    bits = np.zeros((m, n + windows_per_orbit), dtype=bool)
+    alive = np.ones(m, dtype=bool)
+    for k in range(L):
+        if k >= burn_in:
+            bits[:, k - burn_in] = x >= spec.c
+        x = eval_array(spec, x)
+        alive &= ~np.isnan(x)
+        x[~alive] = 0.0  # keep the array clean; dead rows are dropped below
+    bits = bits[alive]
+    if bits.shape[0] == 0:
+        return 0.0
+    # rolling n-bit codes across each orbit's window strip
+    code = np.zeros(bits.shape[0], dtype=np.uint64)
+    for j in range(n):
+        code = (code << np.uint64(1)) | bits[:, j].astype(np.uint64)
+    words = np.empty((windows_per_orbit, bits.shape[0]), dtype=np.uint64)
+    words[0] = code
+    mask = np.uint64((1 << n) - 1)
+    for k in range(1, windows_per_orbit):
+        code = ((code << np.uint64(1)) | bits[:, n + k - 1].astype(np.uint64)) & mask
+        words[k] = code
+    return math.log(_distinct_count(words.ravel())) / n
+
+
+def power_map(c, a, alpha) -> LorenzMapSpec:
+    return LorenzMapSpec(
+        c=c,
+        left=BranchSpec(kind="power_form", domain_side="left", a=a[0], alpha=alpha[0]),
+        right=BranchSpec(kind="power_form", domain_side="right", a=a[1], alpha=alpha[1]),
+        name="power",
+    )
+
+
+def random_pairs(count: int) -> list:
+    rng = np.random.default_rng(3)
+    return [quadratic_pair(*(float(v) for v in rng.uniform(3.0, 4.0, 2))) for _ in range(count)]
+
+
+MAPS = {
+    **{f"pair{k}": spec for k, spec in enumerate(random_pairs(6))},
+    "pair(4,4)": quadratic_pair(4.0, 4.0),
+    "power(2.7,1.9)": power_map(0.45, (0.97, 0.9), (2.7, 1.9)),
+    "power(3.0,2.2)": power_map(0.4, (0.85, 0.8), (3.0, 2.2)),
+    # orbits die in the tolerance ball of c
+    "dying": quadratic_pair(3.4, 4.0, tolerance=1e-3),
+}
+
+
+def same(spec, seed=0, **kw):
+    got = entropy_estimate(spec, rng=np.random.default_rng(seed), **kw)
+    want = reference_entropy_estimate(spec, rng=np.random.default_rng(seed), **kw)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_entropy_matches_reference_on_builtins(name):
+    same(builtin_map(name))
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_entropy_matches_reference_on_other_maps(name):
+    same(MAPS[name], seed=5, samples=10_000)
+
+
+def test_entropy_zero_when_every_orbit_dies():
+    assert same(quadratic_pair(3.4, 4.0, tolerance=0.49), samples=10_000) == 0.0
+
+
+@pytest.mark.parametrize("name", ["paper-example", "logistic3.4-embed", "dying"])
+@pytest.mark.parametrize("burn_in", [0, 1, 63, 64, 65, 512])
+@pytest.mark.parametrize("windows_per_orbit", [1, 32])
+@pytest.mark.parametrize("n", [1, 12, 20])
+def test_entropy_matches_reference_across_arguments(name, burn_in, windows_per_orbit, n):
+    spec = MAPS[name] if name in MAPS else builtin_map(name)
+    same(spec, samples=10_000, burn_in=burn_in, windows_per_orbit=windows_per_orbit, n=n)
+
+
+def test_orbit_merge_cuts_the_work(monkeypatch):
+    # paper-example has an attracting 2-cycle: almost every float orbit
+    # falls onto one of a few exact float values during the burn-in
+    spec = builtin_map("paper-example")
+    elements = []
+
+    def counting(spec, x):
+        elements.append(np.size(x))
+        return eval_array(spec, x)
+
+    monkeypatch.setattr(spectral, "eval_array", counting)
+    samples, n, burn_in, windows = 100_000, 20, 512, 32
+    h = entropy_estimate(spec)
+    assert sum(elements) < 0.25 * samples * (burn_in + n + windows)
+    monkeypatch.undo()
+    assert h == reference_entropy_estimate(spec)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"n": 0},
+        {"n": 31},
+        {"samples": 9_999},
+        {"windows_per_orbit": 0},
+        {"windows_per_orbit": -1},
+        {"burn_in": -5},
+    ],
+)
+def test_entropy_rejects_bad_arguments(kw):
+    with pytest.raises(ValueError):
+        entropy_estimate(builtin_map("paper-example"), **kw)
