@@ -24,16 +24,17 @@ from .map_core import (
     MapValidationError,
     Side,
     critical_values,
+    derivative,
     embed_unimodal,
     load_map,
     logistic,
     quadratic_pair,
     validate_map,
 )
-from .orbits import iterate_orbit, lyapunov
+from .orbits import estimate_omega_limit, iterate_orbit, lyapunov
 from .periodic import find_periodic_points
 from .renorm import find_renormalizations
-from .return_maps import ReturnMapRec, first_return_map, is_nice
+from .return_maps import ReturnMapRec, first_return_map, is_nice, phobic_measure
 from .spectral import (
     Budgets,
     classify_attractor,
@@ -49,13 +50,16 @@ EXIT_INVALID_MAP = 3
 SCHEMA_VERSION = "1"
 
 
-def _load_budgets(arg: str | None) -> Budgets:
-    if not arg:
-        return Budgets()
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return Budgets.from_dict(json.load(fh))
-    return Budgets.from_dict(json.loads(arg))
+def _load_budgets(args: argparse.Namespace) -> Budgets:
+    """--budgets (inline JSON or a path), then --seed where the command has it."""
+    text = args.budgets or "{}"
+    if os.path.exists(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    budgets = Budgets.from_dict(json.loads(text))
+    if getattr(args, "seed", None) is not None:
+        budgets.seed = args.seed
+    return budgets
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -156,9 +160,7 @@ def _dump_json(obj: dict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = load_map(args.map)
-    budgets = _load_budgets(args.budgets)
-    if args.seed is not None:
-        budgets.seed = args.seed
+    budgets = _load_budgets(args)
     report = build_report(spec, budgets)
     _emit(_dump_json(report), args.out)
     return EXIT_INVALID_MAP if "error" in report else EXIT_OK
@@ -166,9 +168,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = load_map(args.map)
-    budgets = _load_budgets(args.budgets)
-    if args.seed is not None:
-        budgets.seed = args.seed
+    budgets = _load_budgets(args)
     validation = validate_map(spec)
     if not (validation.is_lorenz and validation.is_contracting):
         _emit(_dump_json({"error": "map failed validation", "validation": validation.to_dict()}), args.out)
@@ -180,9 +180,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec = load_map(args.map)
-    budgets = _load_budgets(args.budgets)
-    if args.seed is not None:
-        budgets.seed = args.seed
+    budgets = _load_budgets(args)
     validation = validate_map(spec)
     if not (validation.is_lorenz and validation.is_contracting):
         _emit(_dump_json({"error": "map failed validation"}), args.out)
@@ -220,8 +218,6 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     seg = iterate_orbit(spec, args.x0, side, args.steps)
     buf = io.StringIO()
     buf.write("k,x,side,logDf,itin_bit\n")
-    from .map_core import derivative
-
     for k, p in enumerate(seg.points):
         at_c = abs(p.x - spec.c) <= spec.tolerance
         logdf = "" if at_c else repr(math.log(abs(derivative(spec, p.x))))
@@ -261,9 +257,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for v in (lo_l, hi_l, lo_r, hi_r):
         if not (2.5 <= v <= 4.0):
             raise MapValidationError("sweep ranges must lie within [2.5, 4.0]")
-    budgets = _load_budgets(args.budgets)
-    if args.seed is not None:
-        budgets.seed = args.seed
+    budgets = _load_budgets(args)
     lefts = np.linspace(lo_l, hi_l, args.steps)
     rights = np.linspace(lo_r, hi_r, args.steps)
     cells = [(float(al), float(ar)) for al in lefts for ar in rights]
@@ -297,7 +291,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         lo, hi = (float(v) for v in args.interval.split(","))
         _write_branches(buf, first_return_map(spec, (lo, hi), args.horizon, args.resolution))
     elif args.kind == "strata":
-        budgets = _load_budgets(args.budgets)
+        budgets = _load_budgets(args)
         rec = decompose(spec, budgets)
         buf.write("n,lo,hi,tag\n")
         for s in rec.strata:
@@ -309,8 +303,6 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     elif args.kind == "limitset":
         if args.x0 is None:
             raise MapValidationError("limitset needs --x0")
-        from .orbits import estimate_omega_limit
-
         est = estimate_omega_limit(spec, args.x0, 1000, args.steps, args.resolution)
         w = 1.0 / est.resolution
         buf.write("cell_index,cell_lo,cell_hi\n")
@@ -319,8 +311,6 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     elif args.kind == "phobic":
         if not args.interval:
             raise MapValidationError("phobic needs --interval lo,hi")
-        from .return_maps import phobic_measure
-
         lo, hi = (float(v) for v in args.interval.split(","))
         est = phobic_measure(spec, (lo, hi), args.steps, args.resolution)
         w = 1.0 / est.grid
@@ -346,48 +336,53 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_map=True):
-        if with_map:
-            p.add_argument("--map", required=True, help=f"map config path or builtin: {', '.join(BUILTIN_NAMES)}")
-        p.add_argument("--budgets", default=None, help="budgets JSON (inline or path)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
+    flags = {
+        "map": dict(required=True, help=f"map config path or builtin: {', '.join(BUILTIN_NAMES)}"),
+        "budgets": dict(default=None, help="budgets JSON (inline or path)"),
+        "out": dict(default=None, help="output path (default stdout)"),
+        "seed": dict(type=int, default=None),
+    }
+
+    def add_common(p, *names):
+        """The shared flags of p, each added only where the command reads it."""
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
 
     p = sub.add_parser("analyze", help="full report")
-    add_common(p)
+    add_common(p, "map", "budgets", "out", "seed")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("classify", help="attractor class only")
-    add_common(p)
+    add_common(p, "map", "budgets", "out", "seed")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("decompose", help="strata decomposition")
-    add_common(p)
+    add_common(p, "map", "budgets", "out", "seed")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("returnmap", help="first-return branch CSV")
-    add_common(p)
+    add_common(p, "map", "out")
     p.add_argument("--interval", required=True, help="lo,hi")
     p.add_argument("--horizon", type=int, default=1000)
     p.add_argument("--resolution", type=int, default=1 << 12)
     p.set_defaults(fn=cmd_returnmap)
 
     p = sub.add_parser("orbit", help="orbit CSV dump")
-    add_common(p)
+    add_common(p, "map", "out")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--side", default="none", choices=["minus", "plus", "none"])
     p.add_argument("--steps", type=int, default=200)
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("scan", help="quadratic-pair parameter sweep CSV")
-    add_common(p, with_map=False)
+    add_common(p, "budgets", "out")
     p.add_argument("--a-left", required=True, help="lo:hi")
     p.add_argument("--a-right", required=True, help="lo:hi")
     p.add_argument("--steps", type=int, default=10)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("plotdata", help="cobweb / returnmap / strata / limitset / phobic CSV")
-    add_common(p)
+    add_common(p, "map", "budgets", "out")
     p.add_argument(
         "--kind", required=True, choices=["cobweb", "returnmap", "strata", "limitset", "phobic"]
     )
@@ -400,7 +395,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed-unimodal", help="emit the two-branch embedding of a symmetric unimodal map")
     p.add_argument("--logistic", type=float, required=True)
-    p.add_argument("--out", default=None)
+    add_common(p, "out")
     p.set_defaults(fn=cmd_embed_unimodal)
     return ap
 

@@ -505,9 +505,24 @@ def branch_inverse_array(spec: LorenzMapSpec, side: str, y: np.ndarray) -> np.nd
     y = np.asarray(y, dtype=float)
     lo = np.full(y.shape, lo0)
     hi = np.full(y.shape, hi0)
-    bad = (y < ker(np.array(lo0)) - 1e-15) | (y > ker(np.array(hi0)) + 1e-15)
+    # written as "not inside" so that a NaN y is bad too
+    bad = ~((y >= ker(np.array(lo0)) - 1e-15) & (y <= ker(np.array(hi0)) + 1e-15))
     lo, hi = bisect_array(lambda m: ker(m) < y, lo, hi, 80)
     return np.where(bad, np.nan, 0.5 * (lo + hi))
+
+
+def pull_back(
+    spec: LorenzMapSpec, interval: tuple[float, float], path: list[str]
+) -> tuple[float, float] | None:
+    """The interval that `path` maps monotonically onto `interval`, path[0]
+    (the first branch taken forward) inverted last; None when an end leaves
+    a branch's range."""
+    ends = np.array(interval, dtype=float)
+    for side in reversed(path):
+        ends = branch_inverse_array(spec, side, ends)
+    if np.isnan(ends).any():
+        return None
+    return float(ends[0]), float(ends[1])
 
 
 def preimages(spec: LorenzMapSpec, y: float) -> list[DirectedPoint]:

@@ -19,6 +19,7 @@ from .map_core import (
     Side,
     _kernels,
     apply_raw,
+    branch_inverse_array,
     derivative,
 )
 
@@ -276,8 +277,6 @@ def estimate_alpha_limit(
     """
     if depth > 60:
         raise ValueError("depth capped at 60")
-    from .map_core import branch_inverse_array
-
     tol = spec.tolerance
     level = np.array([x])
     all_nodes: list[tuple[int, float]] = [(0, x)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .map_core import LorenzMapSpec, branch_value, critical_values
+from .map_core import LorenzMapSpec, branch_value, critical_values, pull_back
 from .orbits import orbit_chunks, orbit_list
 from .periodic import PeriodicOrbitRecord, find_periodic_points
 from .return_maps import is_nice, push_interval
@@ -440,8 +440,6 @@ def trapping_region(
     in J; a forward-invariance spot check runs on random points of the
     union.
     """
-    from .map_core import branch_inverse_array
-
     a, b = rec.J
     c = spec.c
     comps: list[tuple[float, float]] = []
@@ -457,19 +455,19 @@ def trapping_region(
                 break
             cur = nxt
         comps.append(rec.J)
-        # component i maps into J through sides[i:], so its gap is the
-        # pullback of J along exactly that tail
-        for i in range(1, len(sides)):
-            lo, hi = rec.J
-            for side in reversed(sides[i:]):
-                vr_lo = branch_value(spec, side, 0.0 if side == "left" else c)
-                vr_hi = branch_value(spec, side, c if side == "left" else 1.0)
-                lo2 = min(max(lo, vr_lo), vr_hi)
-                hi2 = min(max(hi, vr_lo), vr_hi)
-                lo = float(branch_inverse_array(spec, side, np.array([lo2]))[0])
-                hi = float(branch_inverse_array(spec, side, np.array([hi2]))[0])
-            if not (math.isnan(lo) or math.isnan(hi)) and hi - lo > spec.tolerance:
-                comps.append((lo, hi))
+        # component i maps into J through sides[i:]. One backward pass: its
+        # gap is the gap of component i + 1 (J for the last) clipped into
+        # the range of sides[i] and pulled back along it
+        tail: list[tuple[float, float]] = []
+        gap = rec.J
+        for side in reversed(sides[1:]):
+            vr_lo, vr_hi = (branch_value(spec, side, x) for x in ((0.0, c) if side == "left" else (c, 1.0)))
+            gap = pull_back(spec, tuple(min(max(e, vr_lo), vr_hi) for e in gap), [side])
+            if gap is None:
+                break
+            tail.append(gap)
+        # longest tail first: the dedupe keeps the first of two near-equal gaps
+        comps.extend(g for g in reversed(tail) if g[1] - g[0] > spec.tolerance)
 
     walk((a, c), rec.period_a)
     walk((c, b), rec.period_b)

@@ -21,10 +21,9 @@ from .map_core import (
     bisect,
     bisect_array,
     branch_value,
-    branch_inverse_array,
-    critical_values,
     deriv_array,
     eval_array,
+    pull_back,
 )
 from .orbits import orbit_chunks, orbit_list
 from .periodic import PeriodicOrbitRecord, find_periodic_points
@@ -462,29 +461,28 @@ def gaps(
     to map onto J at their order.
     """
     lo, hi = J
-    v0, v1 = critical_values(spec)
     tol = spec.tolerance
     out: list[GapRecord] = [GapRecord(gap=J, order=0, image_is_J=True)]
     seen = {(round(lo, 12), round(hi, 12))}
     frontier = [(lo, hi)]
     depth = 0
-    while frontier and depth < max_order and len(out) < budget:
+    while frontier and depth < max_order:
         depth += 1
         nxt: list[tuple[float, float]] = []
         for (u, v) in frontier:
-            for side, vmin, vmax in (("left", 0.0, v1), ("right", v0, 1.0)):
-                if u < vmin - tol or v > vmax + tol:
-                    continue  # clipped preimage would abut c and meet J
-                uu = float(branch_inverse_array(spec, side, np.array([u]))[0])
-                vv = float(branch_inverse_array(spec, side, np.array([v]))[0])
-                if math.isnan(uu) or math.isnan(vv) or vv - uu <= 2 * tol:
+            for side in ("left", "right"):
+                pre = pull_back(spec, (u, v), [side])
+                if pre is None or pre[1] - pre[0] <= 2 * tol:
                     continue
+                uu, vv = pre
                 if uu < hi and vv > lo:
                     continue  # meets J: those points belong to the gap J itself
                 key = (round(uu, 12), round(vv, 12))
                 if key in seen:
                     continue
                 seen.add(key)
+                if len(out) >= budget:
+                    return out
                 img = push_interval(spec, (uu, vv), depth)
                 ok = img is not None and abs(img[0] - lo) <= FULL_TOLERANCE and abs(img[1] - hi) <= FULL_TOLERANCE
                 shares = min(abs(uu - lo), abs(uu - hi), abs(vv - lo), abs(vv - hi)) <= 10 * tol
@@ -492,8 +490,6 @@ def gaps(
                     GapRecord(gap=(uu, vv), order=depth, image_is_J=bool(ok), touches_boundary=shares)
                 )
                 nxt.append((uu, vv))
-                if len(out) >= budget:
-                    break
         frontier = nxt
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .map_core import LorenzMapSpec, critical_values, eval_array
+from .map_core import LorenzMapSpec, critical_values, eval_array, pull_back
 from .orbits import estimate_omega_limit, orbit_chunks, orbit_list, rotation_number
 from .periodic import (
     MAX_PERIOD,
@@ -44,6 +44,11 @@ RECURRENCE_BLOCK_FLOATS = 1 << 16
 CORE_MARGIN = 1e-9
 # entropy_estimate merges bit-equal float orbits every this many burn-in steps
 ENTROPY_MERGE_STEPS = 64
+# the coverage probe keeps at most this many merged image components and
+# stops once this share of its target cells is covered, the share a
+# transitivity probe must reach
+COVERAGE_COMPONENT_CAP = 4096
+COVERAGE_STOP_FRACTION = 0.9
 
 OMEGA0_FULL = "full_interval"
 OMEGA0_ZERO = "{0}"
@@ -278,8 +283,6 @@ def _coverage_probe(
     target_cells: set[int],
     resolution: int,
     horizon: int,
-    component_cap: int = 4096,
-    stop_fraction: float = 0.95,
 ) -> float:
     """Fraction of target cells covered by forward images of seed_interval,
     pushing intervals with splitting at c (budgeted)."""
@@ -292,13 +295,11 @@ def _coverage_probe(
     def mark(iv: tuple[float, float]):
         i0 = max(int(iv[0] * resolution), 0)
         i1 = min(int(iv[1] * resolution), resolution - 1)
-        for i in range(i0, i1 + 1):
-            if i in target_cells:
-                covered.add(i)
+        covered.update(target_cells.intersection(range(i0, i1 + 1)))
 
     mark(seed_interval)
     for _ in range(horizon):
-        if len(covered) / len(target_cells) >= stop_fraction:
+        if len(covered) / len(target_cells) >= COVERAGE_STOP_FRACTION:
             break
         nxt: list[tuple[float, float]] = []
         for (u, v) in comps:
@@ -319,7 +320,7 @@ def _coverage_probe(
                 merged[-1] = (merged[-1][0], max(merged[-1][1], iv[1]))
             else:
                 merged.append(iv)
-        comps = merged[:component_cap]
+        comps = merged[:COVERAGE_COMPONENT_CAP]
         if not comps:
             break
     return len(covered) / len(target_cells)
@@ -537,8 +538,6 @@ def stratum_blocks(
         prev_rec = chain[stratum_index - 2]
         sources = renormalization_cycle(spec, prev_rec)
 
-    from .map_core import branch_inverse_array
-
     blocks: list[tuple[float, float]] = [L]
     steps: list[int] = [0]
     cap = max(64, 8 * budgets.max_period)
@@ -548,12 +547,10 @@ def stratum_blocks(
             sides = _entry_sides(spec, w, L, cap)
             if sides is None:
                 continue
-            lo, hi = L
-            for side in reversed(sides):
-                lo = float(branch_inverse_array(spec, side, np.array([lo]))[0])
-                hi = float(branch_inverse_array(spec, side, np.array([hi]))[0])
-            if math.isnan(lo) or math.isnan(hi):
+            block = pull_back(spec, L, sides)
+            if block is None:
                 continue
+            lo, hi = block
             if not any(abs(lo - b[0]) <= 1e-9 and abs(hi - b[1]) <= 1e-9 for b in blocks):
                 img = push_interval(spec, (lo, hi), len(sides))
                 if img is None or abs(img[0] - L[0]) > FULL_TOLERANCE or abs(img[1] - L[1]) > FULL_TOLERANCE:
@@ -647,8 +644,7 @@ def decompose(
             for ci in probes:
                 seed = (ci / res, (ci + 1) / res)
                 results.append(
-                    _coverage_probe(spec, seed, targets, res, budgets.horizon, stop_fraction=0.9)
-                    >= 0.9
+                    _coverage_probe(spec, seed, targets, res, budgets.horizon) >= COVERAGE_STOP_FRACTION
                 )
             stratum.transitive_probe = all(results)
         # the blocks of level s serve the stratum when the outer interval is

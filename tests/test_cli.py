@@ -286,3 +286,17 @@ def test_finite_reports_have_no_non_finite_key():
     assert "non_finite" not in json.loads(_dump_json({"a": [1.0, 2], "b": {"c": -0.0}}))
     text = _dump_json({"a/b": [1.0, math.inf], "c~": {"d": -math.inf}, "e": (math.nan,)})
     assert json.loads(text)["non_finite"] == ["/a~1b/1", "/c~0/d", "/e/0"]
+
+
+def test_unread_flags_rejected():
+    # each command takes --budgets and --seed only where it reads them
+    common = {
+        "returnmap": ["--map", "paper-example", "--interval", "0.4,0.6"],
+        "orbit": ["--map", "paper-example", "--x0", "0.3"],
+        "plotdata": ["--map", "paper-example", "--kind", "cobweb", "--x0", "0.3"],
+        "scan": ["--a-left", "3.5:4.0", "--a-right", "3.5:4.0", "--steps", "1"],
+    }
+    unread = [("returnmap", "--budgets", "{}"), ("returnmap", "--seed", "1"), ("orbit", "--budgets", "{}"),
+              ("orbit", "--seed", "1"), ("plotdata", "--seed", "1"), ("scan", "--seed", "1")]  # fmt: skip
+    for cmd, flag, value in unread:
+        assert main([cmd, *common[cmd], flag, value]) == EXIT_BAD_CONFIG, (cmd, flag)

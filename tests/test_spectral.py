@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lorenzlab import (
@@ -226,3 +227,62 @@ def test_decompose_computes_stratum_blocks_once_per_level(ex3, cat3, seq3, dec3,
     monkeypatch.setattr(spectral, "stratum_blocks", counted)
     assert spectral.decompose(ex3, Budgets(), cat3, seq3).to_dict() == dec3.to_dict()
     assert levels and len(levels) == len(set(levels))
+
+
+def ref_coverage_probe(spec, seed_interval, target_cells, resolution, horizon, component_cap=4096, stop_fraction=0.95):
+    """spectral._coverage_probe before its knobs became constants, verbatim."""
+    from lorenzlab.return_maps import push_interval
+
+    if not target_cells:
+        return 1.0
+    covered = set()
+    comps = [seed_interval]
+    tol = spec.tolerance
+
+    def mark(iv):
+        i0 = max(int(iv[0] * resolution), 0)
+        i1 = min(int(iv[1] * resolution), resolution - 1)
+        for i in range(i0, i1 + 1):
+            if i in target_cells:
+                covered.add(i)
+
+    mark(seed_interval)
+    for _ in range(horizon):
+        if len(covered) / len(target_cells) >= stop_fraction:
+            break
+        nxt = []
+        for (u, v) in comps:
+            if u + tol < spec.c < v - tol:
+                pieces = [(u, spec.c), (spec.c, v)]
+            else:
+                pieces = [(u, v)]
+            for (a, b) in pieces:
+                img = push_interval(spec, (a, b), 1)
+                if img is not None and img[1] - img[0] > tol:
+                    nxt.append(img)
+                    mark(img)
+        nxt.sort()
+        merged = []
+        for iv in nxt:
+            if merged and iv[0] <= merged[-1][1] + tol:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], iv[1]))
+            else:
+                merged.append(iv)
+        comps = merged[:component_cap]
+        if not comps:
+            break
+    return len(covered) / len(target_cells)
+
+
+def test_coverage_probe_matches_reference(ex1, ex2, ex3):
+    from lorenzlab import spectral
+
+    rng = np.random.default_rng(7)
+    for spec in (ex1, ex2, ex3):
+        for res in (64, 1024):
+            for targets in (set(range(res)), set(rng.choice(res, res // 8, replace=False).tolist()), set()):
+                for ci in (0, res // 3, res // 2, res - 1):
+                    seed = (ci / res, (ci + 1) / res)
+                    for horizon in (0, 1, 5, 200):
+                        got = spectral._coverage_probe(spec, seed, targets, res, horizon)
+                        assert got == ref_coverage_probe(spec, seed, targets, res, horizon, stop_fraction=0.9)
