@@ -34,7 +34,14 @@ from .map_core import (
 from .orbits import estimate_omega_limit, iterate_orbit, lyapunov
 from .periodic import find_periodic_points
 from .renorm import find_renormalizations
-from .return_maps import ReturnMapRec, first_return_map, is_nice, phobic_measure
+from .return_maps import (
+    MAX_HORIZON,
+    MAX_RESOLUTION,
+    ReturnMapRec,
+    first_return_map,
+    is_nice,
+    phobic_measure,
+)
 from .spectral import (
     Budgets,
     classify_attractor,
@@ -60,6 +67,18 @@ def _load_budgets(args: argparse.Namespace) -> Budgets:
     if getattr(args, "seed", None) is not None:
         budgets.seed = args.seed
     return budgets
+
+
+def _int_in(lo: int, hi: int):
+    """An argparse type: an integer in [lo, hi], checked before any work."""
+
+    def integer(text: str) -> int:
+        v = int(text)
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {v}")
+        return v
+
+    return integer
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -371,14 +390,14 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p, "map", "out")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--side", default="none", choices=["minus", "plus", "none"])
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_int_in(0, MAX_HORIZON), default=200)
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("scan", help="quadratic-pair parameter sweep CSV")
     add_common(p, "budgets", "out")
     p.add_argument("--a-left", required=True, help="lo:hi")
     p.add_argument("--a-right", required=True, help="lo:hi")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_int_in(1, 1024), default=10)
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("plotdata", help="cobweb / returnmap / strata / limitset / phobic CSV")
@@ -387,10 +406,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--kind", required=True, choices=["cobweb", "returnmap", "strata", "limitset", "phobic"]
     )
     p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_int_in(0, MAX_HORIZON), default=200)
     p.add_argument("--interval", default=None)
     p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--resolution", type=int, default=1 << 12)
+    p.add_argument("--resolution", type=_int_in(2, MAX_RESOLUTION), default=1 << 12)
     p.set_defaults(fn=cmd_plotdata)
 
     p = sub.add_parser("embed-unimodal", help="emit the two-branch embedding of a symmetric unimodal map")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,10 +174,50 @@ def is_renormalization(
     return True, rec, "ok"
 
 
+class _OrbitTable(NamedTuple):
+    """Per-orbit facts of a catalog, one entry per orbit."""
+    points: np.ndarray  # the orbit's points in catalog order, NaN-padded
+    period: np.ndarray
+    a: np.ndarray  # greatest point below c - tol, NaN when there is none
+    b: np.ndarray  # least point above c + tol, NaN when there is none
+    fa: np.ndarray  # orbit successors of a and b
+    fb: np.ndarray
+    w1: np.ndarray  # f^(p-1)(v1), NaN for p = 1 or once the walk of v1 landed at c
+    w0: np.ndarray  # f^(p-1)(v0), likewise
+
+
+def _orbit_table(spec: LorenzMapSpec, catalog: list[PeriodicOrbitRecord]) -> _OrbitTable:
+    c, tol = spec.c, spec.tolerance
+    period = np.array([o.period for o in catalog], dtype=int)
+    width = int(period.max()) if catalog else 1
+    pts = np.full((len(catalog), width), np.nan)
+    for i, o in enumerate(catalog):
+        pts[i, : o.period] = o.points
+    rows = np.arange(len(catalog))
+
+    def adjacent(side: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the point at k of each orbit and its successor, NaN without a point on the side
+        has = side.any(axis=1)
+        return np.where(has, pts[rows, k], np.nan), np.where(has, pts[rows, (k + 1) % period], np.nan)
+
+    def at_period(v: float) -> np.ndarray:
+        # one walk of the critical value, up to a landing at c
+        orb = np.array(orbit_list(spec, v, width + 1))
+        return np.where((period > 1) & (period <= orb.size), orb[np.minimum(period, orb.size) - 1], np.nan)
+
+    below, above = pts < c - tol, pts > c + tol
+    # argmax and argmin give the first of equal extremes, as list.index does
+    a, fa = adjacent(below, np.argmax(np.where(below, pts, -np.inf), axis=1))
+    b, fb = adjacent(above, np.argmin(np.where(above, pts, np.inf), axis=1))
+    v0, v1 = critical_values(spec)
+    return _OrbitTable(pts, period, a, b, fa, fb, at_period(v1), at_period(v0))
+
+
 def _candidate_pairs(
     spec: LorenzMapSpec, catalog: list[PeriodicOrbitRecord]
 ) -> list[tuple[float, float, int, int]]:
-    """Boundary candidates (a, b, period_a, period_b) from orbit pairs.
+    """Boundary candidates (a, b, period_a, period_b) from orbit pairs that
+    pass every necessary condition the catalog decides, widest first.
 
     a is an orbit's point adjacent to c from below, b another orbit's point
     adjacent from above; both orbits must stay clear of (a, b), which is an
@@ -185,55 +226,36 @@ def _candidate_pairs(
     boundary period above 1, which prunes most pairs of expanding maps.
     """
     tol = spec.tolerance
-    c = spec.c
-    info = []
-    for o in catalog:
-        below = [p for p in o.points if p < c - tol]
-        above = [p for p in o.points if p > c + tol]
-        a = max(below) if below else None
-        b = min(above) if above else None
-
-        def successor(x):
-            i = o.points.index(x)
-            return o.points[(i + 1) % o.period]
-
-        info.append(
-            (
-                a,
-                b,
-                o.period,
-                successor(a) if a is not None else None,
-                successor(b) if b is not None else None,
-            )
-        )
-    pairs: dict[tuple[float, float], tuple[int, int]] = {}
-    for (lo_i, hi_i, per_i, fa_i, _) in info:
-        if lo_i is None:
-            continue
-        for (lo_j, hi_j, per_j, _, fb_j) in info:
-            if hi_j is None:
-                continue
-            a, b = lo_i, hi_j
-            if a <= tol and b >= 1.0 - tol:
-                continue
-            # orbit of a must not enter (a, b): its least point above c is >= b
-            if hi_i is not None and hi_i < b - tol:
-                continue
-            # orbit of b must not enter (a, b): its greatest point below c is <= a
-            if lo_j is not None and lo_j > a + tol:
-                continue
-            # unless a is fixed, f((a,c)) = (f(a), v1) must clear (a, b) at once
-            if per_i > 1 and fa_i < b - tol:
-                continue
-            if per_j > 1 and fb_j > a + tol:
-                continue
-            key = (a, b)
-            if key not in pairs:
-                pairs[key] = (per_i, per_j)
-    return sorted(
-        ((a, b, la, rb) for (a, b), (la, rb) in pairs.items()),
-        key=lambda t: t[0] - t[1],
+    t = _orbit_table(spec, catalog)
+    # rows: the orbit of a; columns: the orbit of b
+    a, b = t.a[:, None], t.b[None, :]
+    ok = (
+        ~np.isnan(a)
+        & ~np.isnan(b)
+        & ~((a <= tol) & (b >= 1.0 - tol))
+        # orbit of a must not enter (a, b): its least point above c is >= b
+        & ~(t.b[:, None] < b - tol)
+        # orbit of b must not enter (a, b): its greatest point below c is <= a
+        & ~(t.a[None, :] > a + tol)
+        # unless a is fixed, f((a,c)) = (f(a), v1) must clear (a, b) at once
+        & ~((t.period[:, None] > 1) & (t.fa[:, None] < b - tol))
+        & ~((t.period[None, :] > 1) & (t.fb[None, :] > a + tol))
     )
+    i, j = np.nonzero(ok)
+    # the first pair of each (a, b) key in row-major order, as a dict keeps it
+    ka, kb = (np.unique(x, return_inverse=True)[1] for x in (t.a, t.b))
+    first = np.zeros(len(i), dtype=bool)
+    first[np.unique(ka[i] * len(kb) + kb[j], return_index=True)[1]] = True
+    i, j = i[first], j[first]
+    a, b = t.a[i], t.b[j]
+    # one-sided critical orbits: f^period(a)([a,c)) = (a, f^(period(a)-1)(v1))
+    # when the side certifies, so the critical orbit must re-enter [a,b] at
+    # exactly that time (NaN: no test)
+    w1, w0 = t.w1[i], t.w0[j]
+    ok = ~((w1 < a - tol) | (w1 > b + tol)) & ~((w0 < a - tol) | (w0 > b + tol))
+    order = np.argsort(a[ok] - b[ok], kind="stable")  # widest first
+    i, j = i[ok][order], j[ok][order]
+    return list(zip(t.a[i].tolist(), t.b[j].tolist(), t.period[i].tolist(), t.period[j].tolist()))
 
 
 def _orbit_points(spec: LorenzMapSpec, start: float, horizon: int) -> np.ndarray:
@@ -263,43 +285,36 @@ def detect_degenerate(
     """Widest half-interval (alpha, c) or (c, alpha) with f^period(alpha)
     mapping it into itself while both the orbit of alpha and the opposite
     one-sided critical orbit stay clear of it."""
-    tol = spec.tolerance
-    c = spec.c
+    c, tol = spec.c, spec.tolerance
     if catalog is None:
         catalog = find_periodic_points(spec, max_period)
     v0, v1 = critical_values(spec)
-
     orbit_v0 = _orbit_points(spec, v0, horizon)  # forward orbit of f(c+)
     orbit_v1 = _orbit_points(spec, v1, horizon)  # forward orbit of f(c-)
-
-    def avoids(arr: np.ndarray, lo: float, hi: float) -> bool:
-        return not bool(np.any((arr > lo + tol) & (arr < hi - tol)))
-
+    t = _orbit_table(spec, catalog)
+    pts = t.points
+    # only a point within tol of its orbit's a (left of c) or b (right) has no
+    # orbit point inside its half-interval; a clean push of (p, c) ends at
+    # f^(p-1)(v1), one of (c, p) starts at f^(p-1)(v0): neither may pass c
+    left = (pts < c) & ~(pts + tol < t.a[:, None]) & ~(t.w1[:, None] > c + 10 * tol)
+    right = (pts > c) & ~(t.b[:, None] < pts - tol) & ~(t.w0[:, None] < c - 10 * tol)
+    live = np.array([o.kind != "super" for o in catalog], dtype=bool)[:, None]
     best: DegenerateRecord | None = None
-    for o in catalog:
-        if o.kind == "super":
+    for i, k in zip(*np.nonzero((left | right) & live & (np.abs(pts - c) > tol))):
+        o = catalog[i]
+        p = o.points[k]
+        lo, hi = I = (p, c) if p < c else (c, p)
+        img = push_interval(spec, I, o.period)
+        if img is None or not (img[0] >= lo - 10 * tol and img[1] <= hi + 10 * tol):
             continue
-        for p in o.points:
-            if abs(p - c) <= tol:
-                continue
-            if p < c:
-                I = (p, c)
-                img = push_interval(spec, I, o.period)
-                inside = img is not None and img[0] >= p - 10 * tol and img[1] <= c + 10 * tol
-                opp = avoids(orbit_v0, *I)
-            else:
-                I = (c, p)
-                img = push_interval(spec, I, o.period)
-                inside = img is not None and img[0] >= c - 10 * tol and img[1] <= p + 10 * tol
-                opp = avoids(orbit_v1, *I)
-            if not (inside and opp):
-                continue
-            if not all(not (I[0] + tol < q < I[1] - tol) for q in o.points):
-                continue
-            if best is None or I[1] - I[0] > best.I[1] - best.I[0]:
-                best = DegenerateRecord(
-                    I=I, n=o.period, avoidance_horizon=horizon, boundary_point=p
-                )
+        # the opposite one-sided critical orbit and the orbit of p stay clear
+        opp = orbit_v0 if p < c else orbit_v1
+        if np.any((opp > lo + tol) & (opp < hi - tol)):
+            continue
+        if any(lo + tol < q < hi - tol for q in o.points):
+            continue
+        if best is None or hi - lo > best.I[1] - best.I[0]:
+            best = DegenerateRecord(I=I, n=o.period, avoidance_horizon=horizon, boundary_point=p)
     return best
 
 
@@ -324,24 +339,8 @@ def find_renormalizations(
     notes: list[str] = [f"budgets: max_period={max_period}, max_depth={max_depth}, horizon={horizon}"]
     regular: list[RenormalizationRecord] = []
     nonregular: list[RenormalizationRecord] = []
-    tol = spec.tolerance
-
-    # one-sided critical orbits, used as an O(1) necessary condition:
-    # f^period(a)([a,c)) = (a, f^(period(a)-1)(v1)) when the side certifies,
-    # so the critical orbit must re-enter [a,b] at exactly that time
-    v0, v1 = critical_values(spec)
-
-    steps = max(p.period for p in catalog) if catalog else max_period
-    orb_v0 = orbit_list(spec, v0, steps + 1)
-    orb_v1 = orbit_list(spec, v1, steps + 1)
-
     for (a, b, la, rb) in _candidate_pairs(spec, catalog):
-        if la > 1 and la - 1 < len(orb_v1) and not (a - tol <= orb_v1[la - 1] <= b + tol):
-            continue
-        if rb > 1 and rb - 1 < len(orb_v0) and not (a - tol <= orb_v0[rb - 1] <= b + tol):
-            continue
-        # boundary periodicity and niceness are exact catalog facts here;
-        # only the one-sided return inclusions remain to be tracked
+        # the catalog decided all but the one-sided return inclusions
         rec = _certify(spec, (a, b), la, rb)
         if not isinstance(rec, str):
             (regular if rec.regular else nonregular).append(rec)

@@ -85,6 +85,8 @@ class Budgets:
 
     @staticmethod
     def from_dict(d: dict) -> "Budgets":
+        if not isinstance(d, dict):
+            raise ValueError(f"budgets must be a JSON object, got {d!r}")
         b = Budgets()
         for k, v in d.items():
             if not hasattr(b, k):

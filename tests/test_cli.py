@@ -4,6 +4,7 @@ import math
 import pytest
 
 from lorenzlab.cli import EXIT_BAD_CONFIG, EXIT_INVALID_MAP, EXIT_OK, main
+from lorenzlab.return_maps import MAX_HORIZON, MAX_RESOLUTION
 
 FAST_BUDGETS = json.dumps(
     {"max_period": 8, "horizon": 2000, "grid_resolution": 1 << 12, "samples": 20_000}
@@ -300,3 +301,45 @@ def test_unread_flags_rejected():
               ("orbit", "--seed", "1"), ("plotdata", "--seed", "1"), ("scan", "--seed", "1")]  # fmt: skip
     for cmd, flag, value in unread:
         assert main([cmd, *common[cmd], flag, value]) == EXIT_BAD_CONFIG, (cmd, flag)
+
+
+@pytest.mark.parametrize("budgets", ["[1]", "5", "null", '"x"'])
+def test_budgets_must_be_a_json_object(budgets, capsys):
+    assert main(["classify", "--map", "paper-example", "--budgets", budgets]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+SCAN = ["scan", "--a-left", "3.5:4.0", "--a-right", "3.5:4.0"]
+ORBIT = ["orbit", "--map", "paper-example", "--x0", "0.3"]
+COBWEB = ["plotdata", "--map", "paper-example", "--kind", "cobweb", "--x0", "0.3"]
+PHOBIC = ["plotdata", "--map", "paper-example", "--kind", "phobic", "--interval", "0.4,0.6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SCAN, "--steps", "0"],
+        [*SCAN, "--steps", "1025"],
+        [*ORBIT, "--steps", "-1"],
+        [*ORBIT, "--steps", str(MAX_HORIZON + 1)],
+        [*COBWEB, "--steps", "-1"],
+        [*COBWEB, "--steps", str(MAX_HORIZON + 1)],
+        [*PHOBIC, "--resolution", "1"],
+        [*PHOBIC, "--resolution", str(MAX_RESOLUTION + 1)],
+    ],
+)
+def test_integer_flags_out_of_range(tmp_path, argv, capsys):
+    # rejected while the arguments are parsed: no work, no output file
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert "must lie in" in capsys.readouterr().err
+
+
+def test_integer_flags_at_lower_bounds(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*ORBIT, "--steps", "0", "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 2
+    assert main([*PHOBIC, "--steps", "0", "--resolution", "2", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[0] == "cell_index,cell_lo,cell_hi"

@@ -24,6 +24,7 @@ from lorenzlab.map_core import (
 )
 from lorenzlab.orbits import WALK_CHUNK, orbit_list
 from lorenzlab.renorm import RenormalizationRecord
+from test_orbit_table import ref_candidate_pairs  # the unfiltered pair list
 
 
 def power(c, a_left, a_right, alpha_left, alpha_right, name):
@@ -611,7 +612,7 @@ def test_catalog_matches_reference(spec, monkeypatch):
 
 
 def test_one_sided_images_and_certification_match_reference(spec):
-    cands = renorm._candidate_pairs(spec, list(catalog(spec)))[:40]
+    cands = ref_candidate_pairs(spec, list(catalog(spec)))[:40]
     rng = np.random.default_rng(3)
     c = spec.c
     cands += [(c - float(u), c + float(v), int(p), int(q)) for u, v, p, q in zip(
@@ -626,7 +627,7 @@ def test_one_sided_images_and_certification_match_reference(spec):
 
 def test_is_renormalization_matches_reference(spec):
     c = spec.c
-    Js = [(a, b) for a, b, _, _ in renorm._candidate_pairs(spec, list(catalog(spec)))[:12]]
+    Js = [(a, b) for a, b, _, _ in ref_candidate_pairs(spec, list(catalog(spec)))[:12]]
     Js += [(c - 0.1, c + 0.1), (0.0, 1.0), (0.2, 0.3), (c - 0.2, c + 0.05)]
     Js += [(x, c + 0.2) for x, k in starts(spec) if k and k > 0 and x < c]
     Js += [(c - 0.2, x) for x, k in starts(spec) if k and k > 0 and x > c]
