@@ -474,16 +474,39 @@ def bisect(pred, a: float, b: float, rounds: int) -> float | None:
 
 
 def bisect_array(
-    pred, lo: np.ndarray, hi: np.ndarray, rounds: int
+    pred, lo: np.ndarray, hi: np.ndarray, rounds: int, *per_bracket: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """`bisect` on arrays of brackets in lockstep: the brackets (lo, hi) left
-    after `rounds` rounds, lo taking the midpoints where pred holds."""
+    after `rounds` rounds, lo taking the midpoints where pred holds.
+
+    Each round calls pred(m, *per_bracket) on the live brackets only, with
+    every per-bracket array sliced to them. A bracket whose midpoint equalled
+    lo or hi is frozen after that round's update: each later round would
+    meet the same midpoint and change nothing, so for an elementwise,
+    deterministic pred the result keeps every bit of the fixed-round loop."""
+    shape = np.shape(lo)
+    lo = np.array(lo, dtype=float).ravel()
+    hi = np.array(hi, dtype=float).ravel()
+    args = [np.asarray(a).ravel() for a in per_bracket]
+    live = np.arange(lo.size)
+    l, h = lo, hi
     for _ in range(rounds):
-        m = 0.5 * (lo + hi)
-        keep = pred(m)
-        lo = np.where(keep, m, lo)
-        hi = np.where(keep, hi, m)
-    return lo, hi
+        if not live.size:
+            break
+        m = 0.5 * (l + h)
+        keep = pred(m, *args)
+        done = (m == l) | (m == h)
+        l = np.where(keep, m, l)
+        h = np.where(keep, h, m)
+        if done.any():
+            lo[live[done]] = l[done]
+            hi[live[done]] = h[done]
+            stay = ~done
+            live, l, h = live[stay], l[stay], h[stay]
+            args = [a[stay] for a in args]
+    lo[live] = l
+    hi[live] = h
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def _branch_inverse_scalar(spec: LorenzMapSpec, side: str, y: float) -> float | None:
@@ -507,7 +530,7 @@ def branch_inverse_array(spec: LorenzMapSpec, side: str, y: np.ndarray) -> np.nd
     hi = np.full(y.shape, hi0)
     # written as "not inside" so that a NaN y is bad too
     bad = ~((y >= ker(np.array(lo0)) - 1e-15) & (y <= ker(np.array(hi0)) + 1e-15))
-    lo, hi = bisect_array(lambda m: ker(m) < y, lo, hi, 80)
+    lo, hi = bisect_array(lambda m, y: ker(m) < y, lo, hi, 80, y)
     return np.where(bad, np.nan, 0.5 * (lo + hi))
 
 

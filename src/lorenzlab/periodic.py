@@ -4,12 +4,15 @@ The search scans a fine grid of sign changes of f^n(x) - x, bisects each
 bracket in a batch, and adds a minima fallback for tangential (saddle-node)
 roots that produce no sign change. Every accepted orbit is re-verified
 against |f^period(x) - x| <= 10 * tolerance, which also discards brackets
-that converged onto a discontinuity of f^n.
+that converged onto a discontinuity of f^n. A root of f^n - id within that
+same width of a point of an orbit already registered, whose period d divides
+n, and that closes up at d within that width too, is not registered again.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +165,18 @@ def _ternary_min(h, a: float, b: float, rounds: int) -> float | None:
     return 0.5 * (a + b)
 
 
-def _roots_for_period(spec: LorenzMapSpec, n: int, resolution: int) -> list[float]:
+def _roots_for_period(
+    spec: LorenzMapSpec,
+    n: int,
+    resolution: int,
+    fn: np.ndarray,
+    known,
+) -> list[float]:
+    """Roots of f^n - id found on the grid of `resolution` cells, given f^n
+    on that grid as `fn`. A tangential candidate that is itself an exact
+    grid hit is not refined when known(x) says that it is a point of an
+    orbit already registered."""
     grid = np.linspace(0.0, 1.0, resolution + 1)
-    fn = _iterate_array(spec, grid, n)
     g = fn - grid
     ok = ~np.isnan(g)
     roots: list[float] = []
@@ -178,12 +190,11 @@ def _roots_for_period(spec: LorenzMapSpec, n: int, resolution: int) -> list[floa
     lo = grid[:-1][pair].copy()
     hi = grid[1:][pair].copy()
     if lo.size:
-        lo_neg = g[:-1][pair] < 0
 
-        def same_sign_as_lo(m: np.ndarray) -> np.ndarray:
+        def same_sign_as_lo(m: np.ndarray, lo_neg: np.ndarray) -> np.ndarray:
             return ((_iterate_array(spec, m, n) - m) < 0) == lo_neg
 
-        lo, hi = bisect_array(same_sign_as_lo, lo, hi, 60)
+        lo, hi = bisect_array(same_sign_as_lo, lo, hi, 60, g[:-1][pair] < 0)
         roots.extend(float(v) for v in 0.5 * (lo + hi))
 
     # tangential roots: local minima of |g| that nearly touch zero
@@ -202,6 +213,8 @@ def _roots_for_period(spec: LorenzMapSpec, n: int, resolution: int) -> list[floa
         return float(_iterate_array(spec, np.array([v]), n)[0]) - v
 
     for i in np.nonzero(cand)[0]:
+        if zero[i] and known(grid[i]):
+            continue
         x = _ternary_min(gap, grid[i - 1], grid[i + 1], 80)
         if abs(gap(x)) <= 10 * spec.tolerance:
             roots.append(x)
@@ -261,6 +274,22 @@ def find_periodic_points(
     tol = spec.tolerance
     raw: list[PeriodicOrbitRecord] = []
     seen: set[tuple[int, int]] = set()
+    # (point, period) of every registered orbit, sorted by point
+    index: list[tuple[float, int]] = []
+
+    def known(x: float, n: int) -> bool:
+        """Does x lie within 10 * tol of a registered point whose period d
+        divides n, and close up at d within 10 * tol? The closure test
+        then takes x for a point of that orbit."""
+        i = bisect_left(index, (x - 10 * tol,))
+        while i < len(index) and index[i][0] <= x + 10 * tol:
+            d = index[i][1]
+            if n % d == 0:
+                gap = _closure_gap(spec, x, d)
+                if gap is not None and abs(gap) <= 10 * tol:
+                    return True
+            i += 1
+        return False
 
     def register(x: float, n: int):
         orbit = _directed_cycle(spec, x, n)
@@ -340,13 +369,22 @@ def find_periodic_points(
                 side_word="".join(bits),
             )
         )
+        # a near-neutral orbit passes the closure test over a wide basin, where
+        # a later root can register a better-closing twin that wins the merge
+        # below: only the other orbits are indexed
+        if abs(abs(mult) - 1.0) > 10 * NEUTRAL_TOLERANCE:
+            for p in cycle:
+                insort(index, (p, period))
 
     # endpoint fixed points are part of the map's definition
     register(0.0, 1)
     register(1.0, 1)
+    # f^n on the grid, one step per period
+    fn = np.linspace(0.0, 1.0, resolution + 1)
     for n in range(1, max_period + 1):
-        for x in _roots_for_period(spec, n, resolution):
-            if 0.0 < x < 1.0:
+        fn = eval_array(spec, fn)
+        for x in _roots_for_period(spec, n, resolution, fn, lambda v: known(v, n)):
+            if 0.0 < x < 1.0 and not known(x, n):
                 register(x, n)
 
     # stability-aware cluster merge: a tangential (near-neutral) root passes

@@ -384,7 +384,7 @@ def first_return_map(
     x_in = np.array([b[2] for b in brackets], dtype=float)
     x_out = np.array([b[3] for b in brackets], dtype=float)
     bt = np.array([runs[b[0]][2] for b in brackets], dtype=np.int64)
-    x_in, x_out = bisect_array(lambda m: _return_times(spec, m, J, bt) == bt, x_in, x_out, 60)
+    x_in, x_out = bisect_array(lambda m, t: _return_times(spec, m, J, t) == t, x_in, x_out, 60, bt)
     for (r, e, _, _), a, b in zip(brackets, x_in.tolist(), x_out.tolist()):
         edges[r][e], outs[r][e] = a, b
 
@@ -595,38 +595,41 @@ def root_interval(
     per_a = per_a or max_period
     per_b = per_b or max_period
 
-    best: tuple[float, float] | None = None
-    count = 0
-    for o1 in catalog:
-        if o1.period > per_a:
-            continue
-        left_pts = [p for p in o1.points if p <= lo - tol]
-        if not left_pts:
-            continue
-        a2 = max(left_pts)
-        for o2 in catalog:
-            if o2.period > per_b:
-                continue
-            right_pts = [q for q in o2.points if q >= hi + tol]
-            if not right_pts:
-                continue
-            b2 = min(right_pts)
-            inside = [p for p in o1.points + o2.points if a2 + tol < p < b2 - tol]
-            if inside:
-                continue
-            count += 1
-            if best is None:
-                best = (a2, b2)
-            else:
-                best = (max(best[0], a2), min(best[1], b2))
-    if best is None:
+    # per orbit: a, its greatest point <= lo - tol; b, its least point
+    # >= hi + tol; n1, its least point > a + tol; p2, its greatest point
+    # < b - tol. A pair (o1, o2) bounds a candidate (a[o1], b[o2]) when no
+    # point of o1 or o2 lies strictly inside it: n1[o1] and p2[o2] decide
+    # that for the whole pair matrix at once.
+    k = len(catalog)
+    a, b = np.full(k, np.nan), np.full(k, np.nan)
+    n1, p2 = np.full(k, np.inf), np.full(k, -np.inf)
+    for i, o in enumerate(catalog):
+        left = [p for p in o.points if p <= lo - tol]
+        if left:
+            a[i] = a_i = max(left)
+            n1[i] = min((p for p in o.points if p > a_i + tol), default=math.inf)
+        right = [q for q in o.points if q >= hi + tol]
+        if right:
+            b[i] = b_i = min(right)
+            p2[i] = max((q for q in o.points if q < b_i - tol), default=-math.inf)
+    period = np.array([o.period for o in catalog], dtype=np.int64)
+    rows = (period <= per_a) & ~np.isnan(a)
+    cols = (period <= per_b) & ~np.isnan(b)
+    pairs = (
+        rows[:, None]
+        & cols[None, :]
+        & ~(n1[:, None] < (b - tol)[None, :])
+        & ~(p2[None, :] > (a + tol)[:, None])
+    )
+    count = int(np.count_nonzero(pairs))
+    if not count:
         return RootIntervalResult(
             interval=(0.0, 1.0),
             candidates=0,
             notes=notes + ["no periodic nice candidate found; using the whole interval"],
         )
+    best = (float(a[pairs.any(axis=1)].max()), float(b[pairs.any(axis=0)].min()))
     # consistency spot check: the root boundary orbit must avoid the root interval
-    a2, b2 = best
     chk = is_nice(spec, best, min(horizon, 10_000))
     if not chk.is_nice:
         notes.append("intersection of candidates failed the niceness probe")

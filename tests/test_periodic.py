@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lorenzlab import (
@@ -11,6 +12,7 @@ from lorenzlab import (
     lyapunov,
     minimal_period_orbit_in,
 )
+from lorenzlab import periodic
 from lorenzlab.periodic import (
     NoPeriodicOrbitFound,
     VariationalPrincipleViolated,
@@ -211,3 +213,35 @@ def test_singer_bound_small_sweep():
 
             spec = quadratic_pair(al, ar)
             assert count_nonrepelling(spec, 8) <= 2
+
+
+def test_catalog_work_counts(ex2, monkeypatch):
+    # each orbit registered once, f^n stepped from the previous level's grid
+    # and collapsed brackets frozen; registering every root made 12,456
+    # _directed_cycle calls, 12 _ternary_min calls and 18,222 eval_array
+    # calls on 9.36 M elements
+    counts = {"_directed_cycle": 0, "_ternary_min": 0, "eval_array": 0, "elements": 0}
+
+    def counted(name):
+        fn = getattr(periodic, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "eval_array":
+                counts["elements"] += int(np.size(args[1]))
+            return fn(*args)
+
+        monkeypatch.setattr(periodic, name, wrapper)
+
+    for name in ("_directed_cycle", "_ternary_min", "eval_array"):
+        counted(name)
+    runs = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        assert len(periodic.find_periodic_points(ex2, 12)) == 747
+        runs.append(dict(counts))
+    assert runs[0] == runs[1]
+    assert runs[0]["_directed_cycle"] <= 7_000
+    assert runs[0]["_ternary_min"] <= 2
+    assert runs[0]["eval_array"] <= 4_500
+    assert runs[0]["elements"] <= 6_000_000

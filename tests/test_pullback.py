@@ -13,7 +13,6 @@ from lorenzlab.map_core import (
     BranchSpec,
     LorenzMapSpec,
     _kernels,
-    bisect_array,
     branch_inverse_array,
     branch_value,
     critical_values,
@@ -98,7 +97,11 @@ def ref_branch_inverse_array(spec, side, y):
     lo = np.full(y.shape, lo0)
     hi = np.full(y.shape, hi0)
     bad = (y < ker(np.array(lo0)) - 1e-15) | (y > ker(np.array(hi0)) + 1e-15)
-    lo, hi = bisect_array(lambda m: ker(m) < y, lo, hi, 80)
+    for _ in range(80):
+        m = 0.5 * (lo + hi)
+        keep = ker(m) < y
+        lo = np.where(keep, m, lo)
+        hi = np.where(keep, hi, m)
     return np.where(bad, np.nan, 0.5 * (lo + hi))
 
 

@@ -14,7 +14,7 @@ from lorenzlab import (
 )
 from lorenzlab import builtin_map
 from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, validate_map
-from lorenzlab.return_maps import _first_return_time, _return_times
+from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times, find_periodic_points
 from conftest import A3, B3, P_CYCLE
 
 # alpha = 2 on both sides: numpy's power and libm's pow then both round x*x
@@ -223,6 +223,23 @@ def test_root_interval_nested(ex3, cat3, seq3):
     assert res.interval[1] >= seq3.intervals[0].J[1] - 1e-9
 
 
+def test_root_interval_matches_reference(ex1, ex2, ex3, cat1, cat2, cat3):
+    rng = np.random.default_rng(29)
+    for spec, cat in ((ex1, cat1), (ex2, cat2), (ex3, cat3)):
+        c = spec.c
+        Js = [(c - u, c + v) for u, v in rng.uniform(0.001, 0.3, (15, 2))]
+        # intervals bounded by catalog points, whose boundary periods bound the pairs
+        below = sorted({max((p for p in r.points if p < c), default=0.0) for r in cat})
+        above = sorted({min((p for p in r.points if p > c), default=1.0) for r in cat})
+        Js += [(float(rng.choice(below)), float(rng.choice(above))) for _ in range(5)]
+        # the nested loops take about 2 s on the 747 orbits of period <= 12 of
+        # logistic4-embed, so one interval runs at 12 and the others lower
+        periods = [12] + [int(p) for p in rng.integers(4, 10, len(Js) - 1)]
+        for J, max_period in zip(Js, periods):
+            got = root_interval(spec, J, max_period, catalog=cat, horizon=1000)
+            assert got == ref_root_interval(spec, J, max_period, catalog=cat, horizon=1000), (J, max_period)
+
+
 @pytest.mark.parametrize(
     "name, J",
     [
@@ -268,3 +285,63 @@ def test_return_times_match_scalar_reference(name, J, rng):
         assert np.array_equal(_return_times(spec, xs, J, t) == t, ref == t), t
     ts = rng.integers(1, t_max + 3, xs.size)
     assert np.array_equal(_return_times(spec, xs, J, ts) == ts, ref == ts)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def ref_root_interval(spec, J, max_period=12, catalog=None, horizon=10_000):
+    """return_maps.root_interval as it was, with the catalog pairs in nested
+    loops, kept verbatim."""
+    lo, hi = J
+    tol = spec.tolerance
+    if catalog is None:
+        catalog = find_periodic_points(spec, max_period)
+    nice = is_nice(spec, J, horizon)
+    notes = []
+    if not nice.is_nice:
+        notes.append("input interval failed the niceness probe")
+    per_a, per_b = nice.boundary_periodic
+    per_a = per_a or max_period
+    per_b = per_b or max_period
+
+    best: tuple[float, float] | None = None
+    count = 0
+    for o1 in catalog:
+        if o1.period > per_a:
+            continue
+        left_pts = [p for p in o1.points if p <= lo - tol]
+        if not left_pts:
+            continue
+        a2 = max(left_pts)
+        for o2 in catalog:
+            if o2.period > per_b:
+                continue
+            right_pts = [q for q in o2.points if q >= hi + tol]
+            if not right_pts:
+                continue
+            b2 = min(right_pts)
+            inside = [p for p in o1.points + o2.points if a2 + tol < p < b2 - tol]
+            if inside:
+                continue
+            count += 1
+            if best is None:
+                best = (a2, b2)
+            else:
+                best = (max(best[0], a2), min(best[1], b2))
+    if best is None:
+        return RootIntervalResult(
+            interval=(0.0, 1.0),
+            candidates=0,
+            notes=notes + ["no periodic nice candidate found; using the whole interval"],
+        )
+    # consistency spot check: the root boundary orbit must avoid the root interval
+    a2, b2 = best
+    chk = is_nice(spec, best, min(horizon, 10_000))
+    if not chk.is_nice:
+        notes.append("intersection of candidates failed the niceness probe")
+    for g in gaps(spec, J, max_order=6, budget=64)[1:4]:
+        if not g.image_is_J:
+            notes.append(f"gap {g.gap} at order {g.order} failed to map onto J")
+    return RootIntervalResult(interval=best, candidates=count, notes=notes)

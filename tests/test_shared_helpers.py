@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lorenzlab import builtin_map, periodic, quadratic_pair, renorm, return_maps, spectral
+from lorenzlab import builtin_map, embed_unimodal, logistic, periodic, quadratic_pair, renorm, return_maps, spectral
 from lorenzlab.map_core import (
     BranchSpec,
     LorenzMapSpec,
@@ -105,6 +107,15 @@ def test_landings_found():
 
 # ---------------------------------------------------------------------------
 # references: the replaced loops, verbatim
+
+
+def ref_bisect_array(pred, lo, hi, rounds):
+    for _ in range(rounds):
+        m = 0.5 * (lo + hi)
+        keep = pred(m)
+        lo = np.where(keep, m, lo)
+        hi = np.where(keep, hi, m)
+    return lo, hi
 
 
 def ref_branch_inverse_scalar(spec, side, y):
@@ -258,6 +269,149 @@ def ref_roots_for_period(spec, n, resolution):
         if abs(fx - x) <= 10 * spec.tolerance:
             roots.append(x)
     return roots
+
+
+def ref_find_periodic_points(spec, max_period=12, resolution=1 << 14):
+    """periodic.find_periodic_points as it was before the registered-point
+    index and the incremental grid: every root of f^n - id is registered,
+    on f^n iterated from scratch for each n."""
+    from lorenzlab.map_core import derivative
+    from lorenzlab.periodic import MAX_PERIOD, NEUTRAL_TOLERANCE, PeriodicOrbitRecord, _merge_radius
+
+    _directed_cycle = ref_directed_cycle
+    _closure_gap = ref_closure_gap
+    _polish_root = ref_polish_root
+    _neutral_probe = ref_neutral_probe
+    _roots_for_period = ref_roots_for_period
+    if max_period > MAX_PERIOD:
+        raise ValueError(f"max_period capped at {MAX_PERIOD}")
+    tol = spec.tolerance
+    raw: list[PeriodicOrbitRecord] = []
+    seen: set[tuple[int, int]] = set()
+
+    def register(x: float, n: int):
+        orbit = _directed_cycle(spec, x, n)
+        if orbit is None:
+            return
+        # minimal period divides n
+        period = n
+        for d in range(1, n):
+            if n % d == 0 and abs(orbit[d] - orbit[0]) <= 10 * tol:
+                period = d
+                break
+        cycle = orbit[:period]
+        start = int(np.argmin(cycle))
+        cycle = cycle[start:] + cycle[:start]
+        is_super = any(abs(p - spec.c) <= tol for p in cycle)
+        if not is_super:
+            # the rotation to the smallest point loses accuracy on strongly
+            # repelling cycles (the root error is amplified along the way);
+            # a guarded Newton step on f^period - id restores it cheaply
+            mult0 = 1.0
+            for p in cycle:
+                if abs(p - spec.c) > tol:
+                    mult0 *= derivative(spec, p)
+            gap0 = _closure_gap(spec, cycle[0], period)
+            if gap0 is not None and abs(gap0) > 10 * tol and abs(mult0 - 1.0) > 1e-3:
+                x0 = cycle[0]
+                g = gap0
+                for _ in range(5):
+                    step = g / (mult0 - 1.0)
+                    if abs(step) > 1e-6:
+                        break
+                    x0 -= step
+                    g = _closure_gap(spec, x0, period)
+                    if g is None or abs(g) <= tol:
+                        break
+                if g is not None and abs(g) <= 10 * tol:
+                    rebuilt = _directed_cycle(spec, x0, period)
+                    if rebuilt is not None:
+                        cycle = rebuilt
+                else:
+                    x1 = _polish_root(spec, cycle[0], period)
+                    rebuilt = _directed_cycle(spec, x1, period)
+                    if rebuilt is not None:
+                        cycle = rebuilt
+        if is_super:
+            mult = 0.0
+            kind = "super"
+        else:
+            mult = 1.0
+            for p in cycle:
+                mult *= derivative(spec, p)
+            if abs(abs(mult) - 1.0) <= NEUTRAL_TOLERANCE:
+                kind = "neutral"
+            elif abs(mult) < 1.0:
+                kind = "attracting"
+            else:
+                kind = "repelling"
+        # key on the sorted cycle: the rotation to the smallest point is
+        # ambiguous when two cycle points nearly coincide, so min-point keys
+        # would register the same orbit twice
+        key = (period,) + tuple(int(round(p / 1e-7)) for p in sorted(cycle))
+        if key in seen:
+            return
+        seen.add(key)
+        bits = []
+        for p in cycle:
+            if abs(p - spec.c) <= tol:
+                bits.append("*")
+            else:
+                bits.append("0" if p < spec.c else "1")
+        raw.append(
+            PeriodicOrbitRecord(
+                points=cycle,
+                period=period,
+                multiplier=mult,
+                kind=kind,
+                side_word="".join(bits),
+            )
+        )
+
+    # endpoint fixed points are part of the map's definition
+    register(0.0, 1)
+    register(1.0, 1)
+    for n in range(1, max_period + 1):
+        for x in _roots_for_period(spec, n, resolution):
+            if 0.0 < x < 1.0:
+                register(x, n)
+
+    # stability-aware cluster merge: a tangential (near-neutral) root passes
+    # the closure test over a wide basin, and rotated twins of one orbit can
+    # survive the exact key; compare sorted cycles over a small neighbor
+    # window in min-point order; a record whose orbit meets c ranks last
+    def residual(r: PeriodicOrbitRecord) -> float:
+        gap = 0.0 if "*" in r.side_word else _closure_gap(spec, r.points[0], r.period)
+        return math.inf if gap is None else abs(gap)
+
+    raw.sort(key=lambda r: (r.period, r.points[0]))
+    res_cache = [residual(r) for r in raw]
+    sorted_pts = [sorted(r.points) for r in raw]
+    keep = [True] * len(raw)
+    for i in range(len(raw)):
+        if not keep[i]:
+            continue
+        j = i + 1
+        while j < len(raw) and raw[j].period == raw[i].period:
+            gap = raw[j].points[0] - raw[i].points[0]
+            if gap > 2e-3:  # beyond the widest possible merge radius
+                break
+            if keep[j]:
+                radius = max(_merge_radius(raw[i], tol), _merge_radius(raw[j], tol))
+                if gap <= radius and max(
+                    abs(a - b) for a, b in zip(sorted_pts[i], sorted_pts[j])
+                ) <= radius:
+                    if res_cache[j] < res_cache[i]:
+                        raw[i], raw[j] = raw[j], raw[i]
+                        res_cache[i], res_cache[j] = res_cache[j], res_cache[i]
+                        sorted_pts[i], sorted_pts[j] = sorted_pts[j], sorted_pts[i]
+                    keep[j] = False
+            j += 1
+    merged = [r for r, k in zip(raw, keep) if k]
+    for rec in merged:
+        if rec.kind == "neutral":
+            rec.neutral_attracting_probe = _neutral_probe(spec, rec.points, rec.period)
+    return merged
 
 
 def ref_tangency(spec, n, a, b):
@@ -516,6 +670,47 @@ def test_bisect_helpers_both_orientations():
     assert bisect(lambda m: True, 0.0, 1.0, 0) == 0.5
 
 
+def bisect_cases():
+    """(lo, hi, per-bracket threshold) arrays: random brackets in both
+    orientations, NaN ends, brackets already collapsed to one float and to
+    adjacent floats, and signed zeros."""
+    rng = np.random.default_rng(13)
+    lo, hi = rng.uniform(0.0, 1.0, (2, 64))
+    lo[:4], hi[4:8] = np.nan, np.nan
+    lo[8:12] = hi[8:12]
+    hi[12:16] = np.nextafter(lo[12:16], 2.0)
+    lo[16:20] = np.nextafter(hi[16:20], -1.0)
+    lo[20:22], hi[20:22] = -0.0, 0.0
+    lo[22], hi[22] = 0.0, 5e-324
+    t = rng.uniform(0.0, 1.0, 64)
+    t[24:32] = lo[24:32]  # the threshold on a bracket end
+    yield lo, hi, t
+    yield lo[30], hi[30], t[30]  # 0-d
+    yield lo.reshape(8, 8), hi.reshape(8, 8), t.reshape(8, 8)
+
+
+def test_bisect_array_matches_fixed_rounds():
+    def same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    for lo, hi, t in bisect_cases():
+        flip = (np.asarray(t) * 1e3).astype(int) % 2 == 0
+        lo0, hi0 = np.copy(lo), np.copy(hi)
+        preds = [
+            (lambda m: m < 0.3, lambda m: m < 0.3, ()),
+            (lambda m: np.sin(1e3 * m) > 0, lambda m: np.sin(1e3 * m) > 0, ()),
+            (lambda m, t: m < t, lambda m: m < t, (t,)),
+            (lambda m, t, f: (m < t) == f, lambda m: (m < t) == flip, (t, flip)),
+        ]
+        for pred, ref_pred, per_bracket in preds:
+            for rounds in (0, 1, 60, 80):
+                got = bisect_array(pred, lo, hi, rounds, *per_bracket)
+                want = ref_bisect_array(ref_pred, lo, hi, rounds)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        assert same_bits(lo, lo0) and same_bits(hi, hi0)
+
+
 def test_branch_inverses_match_reference(spec):
     v0, v1 = critical_values(spec)
     ys = np.concatenate([np.linspace(-0.01, 1.01, 203), [0.0, 1.0, v0, v1, v0 - 1e-16, v1 + 1e-16]])
@@ -546,7 +741,9 @@ def test_ternary_min_matches_tangency_reference(spec):
 
 def test_roots_for_period_match_reference(spec):
     for n in range(1, 7):
-        assert periodic._roots_for_period(spec, n, 1024) == ref_roots_for_period(spec, n, 1024)
+        fn = periodic._iterate_array(spec, np.linspace(0.0, 1.0, 1025), n)
+        got = periodic._roots_for_period(spec, n, 1024, fn, lambda x: False)
+        assert got == ref_roots_for_period(spec, n, 1024)
 
 
 def test_directed_cycle_and_closure_gap_match_reference(spec):
@@ -597,14 +794,42 @@ def test_residual_and_neutral_probe_match_reference(spec):
             assert periodic._neutral_probe(spec, cycle, 1) == ref_neutral_probe(spec, cycle, 1)
 
 
-def test_catalog_matches_reference(spec, monkeypatch):
-    got = [r.to_dict() for r in periodic.find_periodic_points(spec, 8, 4096)]
-    monkeypatch.setattr(periodic, "_directed_cycle", ref_directed_cycle)
-    monkeypatch.setattr(periodic, "_closure_gap", ref_closure_gap)
-    monkeypatch.setattr(periodic, "_polish_root", ref_polish_root)
-    monkeypatch.setattr(periodic, "_neutral_probe", ref_neutral_probe)
-    monkeypatch.setattr(periodic, "_roots_for_period", ref_roots_for_period)
-    assert got == [r.to_dict() for r in periodic.find_periodic_points(spec, 8, 4096)]
+def test_catalog_matches_reference(spec):
+    got = [r.to_dict() for r in catalog(spec)]
+    assert got == [r.to_dict() for r in ref_find_periodic_points(spec, 8, 4096)]
+
+
+def test_builtin_catalogs_match_reference(ex1, ex2, ex3, cat1, cat2, cat3):
+    for s, cat in ((ex1, cat1), (ex2, cat2), (ex3, cat3)):
+        assert [r.to_dict() for r in cat] == [r.to_dict() for r in ref_find_periodic_points(s, 12, 1 << 14)]
+
+
+def test_neutral_catalog_matches_reference():
+    # the period-2 orbit of the logistic map at a = 3 has multiplier 1: its
+    # closure test passes over a basin about 1e-3 wide, where roots found at
+    # later periods register better-closing twins that win the merge
+    spec = embed_unimodal(logistic(3.0))
+    got = [r.to_dict() for r in periodic.find_periodic_points(spec, 12, 1 << 14)]
+    assert got == [r.to_dict() for r in ref_find_periodic_points(spec, 12, 1 << 14)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(2.9, 4.0), st.floats(2.9, 4.0), st.integers(1, 6))
+def test_catalog_property(a_left, a_right, max_period):
+    spec = quadratic_pair(a_left, a_right)
+    tol = spec.tolerance
+    cat = periodic.find_periodic_points(spec, max_period, 2048)
+    got = [r.to_dict() for r in cat]
+    assert got == [r.to_dict() for r in ref_find_periodic_points(spec, max_period, 2048)]
+    assert got == [r.to_dict() for r in periodic.find_periodic_points(spec, max_period, 2048)]
+    for r in cat:
+        if r.kind == "super":
+            continue
+        orbit = orbit_list(spec, r.points[0], r.period + 1)
+        assert len(orbit) == r.period + 1 and abs(orbit[-1] - orbit[0]) <= 10 * tol
+        for d in range(1, r.period):
+            if r.period % d == 0:
+                assert abs(orbit[d] - orbit[0]) > 10 * tol, f"period {r.period} closes at {d}"
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +1000,6 @@ def test_edge_bisection_matches_reference(spec):
     x_out = np.concatenate([xs[edge + 1], xs[edge]])
     bt = np.concatenate([times[edge], times[edge + 1]])
     assert x_in.size
-    got = bisect_array(lambda m: return_maps._return_times(spec, m, J, bt) == bt, x_in, x_out, 60)
+    got = bisect_array(lambda m, t: return_maps._return_times(spec, m, J, t) == t, x_in, x_out, 60, bt)
     want = ref_edge_bisection(spec, J, x_in, x_out, bt)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
