@@ -217,7 +217,8 @@ def _roots_for_period(
             continue
         x = _ternary_min(gap, grid[i - 1], grid[i + 1], 80)
         if abs(gap(x)) <= 10 * spec.tolerance:
-            roots.append(x)
+            # the grid ends make x an np.float64; the catalog holds floats
+            roots.append(float(x))
     return roots
 
 

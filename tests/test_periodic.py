@@ -175,6 +175,15 @@ def test_neutral_cycle_detection():
     assert rec.neutral_attracting_probe is not None
 
 
+def test_catalog_points_are_floats(cat2):
+    # the neutral period-2 orbit of logistic(3.0) is a tangency root, found
+    # by ternary search between grid points (np.float64 ends)
+    neutral = find_periodic_points(embed_unimodal(logistic(3.0)), 12, 16384)
+    assert any(r.kind == "neutral" for r in neutral)
+    for catalog in (neutral, cat2):
+        assert all(type(p) is float for r in catalog for p in r.points)
+
+
 def test_minimal_period_orbit(ex1, ex3, cat1, cat3):
     rec = minimal_period_orbit_in(ex3, (A3, B3), 8, catalog=cat3)
     assert rec.period == 2

@@ -1,15 +1,29 @@
-"""The block-stepped recurrence probe `spectral._recurrent_cells` against the
-per-step loop it replaced, kept here verbatim as the reference."""
+"""The block-stepped recurrence probe `spectral._recurrent_cells`, with its
+scalar tail, against the per-step loop it replaced, kept here verbatim as
+the reference."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import builtin_map, quadratic_pair, spectral, validate_map
-from lorenzlab.map_core import BranchSpec, LorenzMapSpec, critical_values, eval_array
+from lorenzlab.map_core import (
+    BranchSpec,
+    LorenzMapSpec,
+    UndirectedCriticalEvaluation,
+    apply_raw,
+    critical_values,
+    eval_array,
+)
+from lorenzlab.orbits import orbit_list, recurrence_tail
 from lorenzlab.spectral import (
     CORE_MARGIN,
     RECURRENCE_BLOCK_FLOATS,
     RECURRENCE_BLOCK_STEPS,
+    RECURRENCE_TAIL_POINTS,
     _certified_core,
     _in_any,
     _recurrent_cells,
@@ -190,3 +204,172 @@ def test_core_exit_fires(monkeypatch):
     assert sum(elements) < 0.25 * resolution * horizon
     monkeypatch.undo()
     assert cells == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
+
+
+def spy_tail(monkeypatch) -> list:
+    """Record (starts, steps) of every scalar tail the probe runs."""
+    calls = []
+    tail = spectral.recurrence_tail
+
+    def spy(spec, starts, xs, far, steps, *rest):
+        calls.append((starts, steps))
+        return tail(spec, starts, xs, far, steps, *rest)
+
+    monkeypatch.setattr(spectral, "recurrence_tail", spy)
+    return calls
+
+
+@pytest.mark.parametrize("pair", [(3.875, 3.5), (3.75, 3.0)])
+def test_scalar_tail_fires_and_matches_reference(monkeypatch, pair):
+    # slow returners inside the core: 11 on (3.875, 3.5) at this resolution
+    # run the whole horizon and come back only after it
+    spec = quadratic_pair(*pair)
+    resolution, horizon = 1024, 10_000
+    calls = spy_tail(monkeypatch)
+    steps = []
+
+    def counting(spec, x):
+        steps.append(np.size(x))
+        return eval_array(spec, x)
+
+    monkeypatch.setattr(spectral, "eval_array", counting)
+    cells = _recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
+    assert len(calls) == 1
+    starts, tail_steps = calls[0]
+    assert 0 < len(starts) <= RECURRENCE_TAIL_POINTS
+    # without the tail every step up to the horizon is an array call
+    assert len(steps) < horizon // 2
+    assert cells == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
+
+    # horizons around the step t0 where the tail takes over: t0 itself ends
+    # on that block boundary before the tail runs; the others end inside
+    # the tail, one of them on the tail's own cycle-save boundary, and two
+    # on the first return of a tail point and one step before it
+    t0 = horizon - tail_steps
+    cw = 1.0 / resolution
+    returns = []
+    for s in starts:
+        orbit = orbit_list(spec, s, horizon + 1)
+        returns += [k for k in range(t0 + 1, len(orbit)) if abs(orbit[k] - s) <= cw][:1]
+    t1 = min(returns)
+    horizons = (t0, t0 + 1, t0 + RECURRENCE_BLOCK_STEPS, t0 + RECURRENCE_BLOCK_STEPS + 1, t1 - 1, t1)
+    for h in horizons:
+        calls.clear()
+        got = _recurrent_cells(spec, [(0.0, 1.0)], [], resolution, h)
+        assert [steps for _, steps in calls] == ([] if h == t0 else [h - t0])
+        assert got == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, h), h
+
+
+def test_power_form_never_enters_the_tail(monkeypatch):
+    # the two kernel families differ in the last bit on power_form branches,
+    # so their live points stay on the array step even when few are left
+    spec = power_map()
+    calls = spy_tail(monkeypatch)
+    for region, resolution in (([(0.0, 1.0)], 1024), ([(0.4, 0.5)], 256)):
+        check(spec, region, [], resolution, [3_000])
+    assert calls == []
+    # a quadratic pair on the same small region does take the tail
+    check(quadratic_pair(3.875, 3.5), [(0.4, 0.5)], [], 256, [3_000])
+    assert calls
+
+
+def intervals(min_size: int, max_size: int):
+    """Lists of closed intervals in [0, 1] with ends on a 1/1000 grid."""
+    end = st.integers(0, 1000).map(lambda k: k / 1000)
+    pair = st.tuples(end, end).map(sorted).map(tuple)
+    return st.lists(pair, min_size=min_size, max_size=max_size)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    a=st.floats(3.0, 4.0),
+    b=st.floats(3.0, 4.0),
+    tolerance=st.sampled_from([1e-10, 1e-3]),
+    region=intervals(1, 2),
+    holes=intervals(0, 2),
+    resolution=st.integers(64, 512),
+    horizon=st.integers(0, 3_000),
+)
+def test_recurrent_cells_match_reference_on_random_pairs(a, b, tolerance, region, holes, resolution, horizon):
+    spec = quadratic_pair(a, b, tolerance=tolerance)
+    check(spec, region, holes, resolution, [horizon])
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# polynomial maps whose branches leave [0, 1], so that both clamps act; the
+# left branch x + (-0.0) maps -0.0 to -0.0 before the clamp
+OVERSHOOT = LorenzMapSpec(
+    c=0.5,
+    left=BranchSpec(kind="polynomial", domain_side="left", coefficients=(-0.0, 1.0)),
+    right=BranchSpec(kind="polynomial", domain_side="right", coefficients=(-0.3, 2.5)),
+)
+CLAMPING = LorenzMapSpec(
+    c=0.4,
+    left=BranchSpec(kind="polynomial", domain_side="left", coefficients=(-0.5, 1.5, 1.0)),
+    right=BranchSpec(kind="polynomial", domain_side="right", coefficients=(0.2, 0.5, 1.5)),
+    tolerance=1e-3,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    spec=st.one_of(
+        st.tuples(st.floats(3.0, 4.0), st.floats(3.0, 4.0), st.sampled_from([1e-10, 1e-3])).map(
+            lambda t: quadratic_pair(t[0], t[1], tolerance=t[2])
+        ),
+        st.sampled_from([OVERSHOOT, CLAMPING, builtin_map("logistic4-embed")]),
+    ),
+    xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+    near_c=st.lists(st.floats(-3.0, 3.0), max_size=20),
+)
+def test_scalar_step_equals_array_step_on_polynomial_maps(spec, xs, near_c):
+    # the fact the scalar tail rests on: one apply_raw step is eval_array's
+    # step bit for bit, and eval_array's NaN is exactly |x - c| <= tol
+    c, tol = spec.c, spec.tolerance
+    points = xs + [0.0, -0.0, 1.0] + [min(max(c + u * tol, 0.0), 1.0) for u in near_c]
+    ys = eval_array(spec, np.array(points))
+    for x, y in zip(points, ys.tolist()):
+        if abs(x - c) <= tol:
+            assert np.isnan(y), x
+            with pytest.raises(UndirectedCriticalEvaluation):
+                apply_raw(spec, x)
+        elif apply_raw(spec, x) == 0.0:
+            # the one allowed difference: the scalar clamp passes a -0.0
+            # through, numpy's maximum may give 0.0; the recurrence probe
+            # only compares values, which cannot tell the two apart
+            assert y == 0.0, x
+        else:
+            assert bits(apply_raw(spec, x)) == bits(y), x
+
+
+def test_clamps_and_signed_zero_are_exercised():
+    # the maps above reach what the step test is meant to cover
+    assert apply_raw(OVERSHOOT, 0.9) == 1.0 and apply_raw(CLAMPING, 0.1) == 0.0
+    assert bits(apply_raw(OVERSHOOT, -0.0)) == bits(-0.0)
+    assert eval_array(OVERSHOOT, np.array([-0.0]))[0] == 0.0
+    # on a quadratic pair the step of -0.0 is 0.0 in both kernels
+    spec = quadratic_pair(3.5, 3.5)
+    assert bits(apply_raw(spec, -0.0)) == bits(eval_array(spec, np.array([-0.0]))[0]) == bits(0.0)
+
+
+def test_recurrence_tail_counts_the_last_step_and_the_cell_edge():
+    # the closest approach of a short orbit to its start, at step k: a
+    # window of exactly that distance catches it at step k, not before
+    spec = quadratic_pair(3.875, 3.5)
+    s = 0.3
+    orbit = orbit_list(spec, s, 60)
+    dist = [abs(x - s) for x in orbit]
+    k = min(range(1, 60), key=dist.__getitem__)
+    d = dist[k]
+    whole = (0.0, 1.0)
+    assert recurrence_tail(spec, [s], [s], [False], k, d, whole, RECURRENCE_BLOCK_STEPS) == [True]
+    assert recurrence_tail(spec, [s], [s], [False], k - 1, d, whole, RECURRENCE_BLOCK_STEPS) == [False]
+    narrower = np.nextafter(d, 0.0)
+    assert recurrence_tail(spec, [s], [s], [False], 59, narrower, whole, RECURRENCE_BLOCK_STEPS) == [False]
+    # resumed from its j-th iterate, the walk counts steps from there
+    j = k // 2
+    assert recurrence_tail(spec, [s], [orbit[j]], [False], k - j, d, whole, 4) == [True]
+    assert recurrence_tail(spec, [s], [orbit[j]], [False], k - j - 1, d, whole, 4) == [False]
