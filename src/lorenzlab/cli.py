@@ -32,8 +32,6 @@ from .map_core import (
     validate_map,
 )
 from .orbits import estimate_omega_limit, iterate_orbit, lyapunov
-from .periodic import find_periodic_points
-from .renorm import find_renormalizations
 from .return_maps import (
     MAX_HORIZON,
     MAX_RESOLUTION,
@@ -43,6 +41,7 @@ from .return_maps import (
     phobic_measure,
 )
 from .spectral import (
+    Analysis,
     Budgets,
     classify_attractor,
     decompose,
@@ -91,28 +90,31 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
-    """Full analysis pipeline: validate, periodic catalog, renormalization
-    sequence, decomposition, Lyapunov samples and entropy."""
-    report: dict = {
+def _validated(spec: LorenzMapSpec) -> dict:
+    """The report head: schema, tool, map and validation, plus an "error"
+    key when the map is not a contracting Lorenz map (no probe runs then)."""
+    validation = validate_map(spec)
+    head: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "lorenzlab", "version": __version__},
         "map": spec.to_dict(),
+        "validation": validation.to_dict(),
     }
-    validation = validate_map(spec)
-    report["validation"] = validation.to_dict()
     if not (validation.is_lorenz and validation.is_contracting):
-        report["error"] = "map failed validation"
-        return report
+        head["error"] = "map failed validation"
+    return head
 
-    catalog = find_periodic_points(spec, budgets.max_period, budgets.grid_resolution)
-    report["periodic_catalog"] = [r.to_dict() for r in catalog]
-    seq = find_renormalizations(
-        spec, budgets.max_period, budgets.max_depth, budgets.horizon, catalog
-    )
-    report["renorm"] = seq.to_dict()
-    dec = decompose(spec, budgets, catalog, seq)
-    report["decomposition"] = dec.to_dict()
+
+def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
+    """Full analysis pipeline: validate, periodic catalog, renormalization
+    sequence, decomposition, Lyapunov samples and entropy."""
+    report = _validated(spec)
+    if "error" in report:
+        return report
+    a = Analysis(spec, budgets)
+    report["periodic_catalog"] = [r.to_dict() for r in a.catalog]
+    report["renorm"] = a.seq.to_dict()
+    report["decomposition"] = decompose(a).to_dict()
 
     rng = np.random.default_rng(budgets.seed)
     v0, v1 = critical_values(spec)
@@ -140,7 +142,7 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
         "samples": max(budgets.samples, 10_000),
         "estimate": h,
         "upper_bound": math.log(2.0) + 2.0 / 20,
-        "solenoid_bound": solenoid_entropy_bound(seq.chain()),
+        "solenoid_bound": solenoid_entropy_bound(a.seq.chain()),
     }
     report["provenance"] = {"budgets": budgets.to_dict(), "seed": budgets.seed}
     return report
@@ -185,28 +187,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_INVALID_MAP if "error" in report else EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def _analysis_command(args: argparse.Namespace, key: str, stage) -> int:
+    """classify and decompose: the map, then {key: stage(analysis)}; a map
+    that fails validation gets analyze's error report and exit code."""
     spec = load_map(args.map)
     budgets = _load_budgets(args)
-    validation = validate_map(spec)
-    if not (validation.is_lorenz and validation.is_contracting):
-        _emit(_dump_json({"error": "map failed validation", "validation": validation.to_dict()}), args.out)
+    out = _validated(spec)
+    if "error" in out:
+        _emit(_dump_json(out), args.out)
         return EXIT_INVALID_MAP
-    cls = classify_attractor(spec, budgets)
-    _emit(_dump_json({"map": spec.to_dict(), "final_class": cls.to_dict()}), args.out)
+    _emit(_dump_json({"map": spec.to_dict(), key: stage(Analysis(spec, budgets)).to_dict()}), args.out)
     return EXIT_OK
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    return _analysis_command(args, "final_class", classify_attractor)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    spec = load_map(args.map)
-    budgets = _load_budgets(args)
-    validation = validate_map(spec)
-    if not (validation.is_lorenz and validation.is_contracting):
-        _emit(_dump_json({"error": "map failed validation"}), args.out)
-        return EXIT_INVALID_MAP
-    rec = decompose(spec, budgets)
-    _emit(_dump_json({"map": spec.to_dict(), "decomposition": rec.to_dict()}), args.out)
-    return EXIT_OK
+    return _analysis_command(args, "decomposition", decompose)
 
 
 def _write_branches(buf: io.StringIO, rec: ReturnMapRec) -> None:
@@ -249,7 +248,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
     try:
         spec = quadratic_pair(a_left, a_right)
-        dec = decompose(spec, budgets)
+        dec = decompose(Analysis(spec, budgets))
         est = lyapunov(spec, 0.6180339887498949, max(budgets.horizon, 1000))
         return {
             "a_left": a_left,
@@ -310,8 +309,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         lo, hi = (float(v) for v in args.interval.split(","))
         _write_branches(buf, first_return_map(spec, (lo, hi), args.horizon, args.resolution))
     elif args.kind == "strata":
-        budgets = _load_budgets(args)
-        rec = decompose(spec, budgets)
+        rec = decompose(Analysis(spec, _load_budgets(args)))
         buf.write("n,lo,hi,tag\n")
         for s in rec.strata:
             for (lo, hi) in s.K_n:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,41 @@ class Budgets:
         if b.seed < 0:
             raise ValueError("seed must be non-negative")
         return b
+
+
+@dataclass(eq=False)
+class Analysis:
+    """One map under one set of budgets, and the objects every stage of a
+    report reads, each computed on first use and then kept: the periodic
+    catalog, the renormalization sequence and the trapping regions of its
+    chain."""
+
+    spec: LorenzMapSpec
+    budgets: Budgets
+
+    @cached_property
+    def catalog(self) -> list[PeriodicOrbitRecord]:
+        return find_periodic_points(self.spec, self.budgets.max_period, self.budgets.grid_resolution)
+
+    @cached_property
+    def seq(self) -> NestedSequence:
+        b = self.budgets
+        return find_renormalizations(self.spec, b.max_period, b.max_depth, b.horizon, self.catalog)
+
+    @cached_property
+    def trapping(self) -> tuple[list[list[tuple[float, float]]], list[str]]:
+        """K_0 = [0, 1] and the trapping region K_n of each chain level, and
+        a note for each level whose invariance probe failed (its K_n is its
+        interval J)."""
+        K: list[list[tuple[float, float]]] = [[(0.0, 1.0)]]
+        notes: list[str] = []
+        for rec in self.seq.chain():
+            try:
+                K.append(trapping_region(self.spec, rec))
+            except ValueError as e:
+                notes.append(f"trapping region of {rec.J} failed its invariance probe: {e}")
+                K.append([rec.J])
+        return K, notes
 
 
 @dataclass
@@ -371,27 +407,15 @@ def _absorbed_by_cycle(
     return best < 1e-3
 
 
-def classify_attractor(
-    spec: LorenzMapSpec,
-    budgets: Budgets | None = None,
-    catalog: list[PeriodicOrbitRecord] | None = None,
-    seq: NestedSequence | None = None,
-) -> AttractorClass:
+def classify_attractor(a: Analysis) -> AttractorClass:
     """Decision procedure over budgeted probes, in order: absorbing periodic
     or super attractor, depth-capped solenoid candidate, irrational-rotation
     (Cherry) candidate, interval-cycle coverage, Cantor-like remainder with
     a wild-candidate note."""
-    if budgets is None:
-        budgets = Budgets()
-    if catalog is None:
-        catalog = find_periodic_points(spec, budgets.max_period, budgets.grid_resolution)
-    if seq is None:
-        seq = find_renormalizations(
-            spec, budgets.max_period, budgets.max_depth, budgets.horizon, catalog
-        )
-    evidence: dict = {"budgets": budgets.to_dict(), "renorm_depth": len(seq.chain())}
-    v0, v1 = critical_values(spec)
+    spec, budgets, catalog, seq = a.spec, a.budgets, a.catalog, a.seq
     chain = seq.chain()
+    evidence: dict = {"budgets": budgets.to_dict(), "renorm_depth": len(chain)}
+    v0, v1 = critical_values(spec)
     deepest: tuple[float, float] = chain[-1].J if chain else (0.0, 1.0)
 
     # (1) attracting or super orbit absorbing the critical orbits
@@ -447,12 +471,10 @@ def classify_attractor(
         except ValueError as e:
             evidence["rotation_probe_error"] = str(e)
 
-    # (4) do the near-critical orbits cover the deepest trapping region?
+    # (4) do the near-critical orbits cover the deepest trapping region, or
+    # with no chain the certified core, where every orbit ends up?
     res = budgets.probe_resolution
-    if chain:
-        trap = trapping_region(spec, chain[-1])
-    else:
-        trap = [(0.0, 1.0)]
+    trap = a.trapping[0][-1] if chain else [_certified_core(spec) or (0.0, 1.0)]
     trap_cells = set(int(i) for i in np.nonzero(_cells_of_intervals(trap, res))[0])
     h = 1.0 / res
     cover: set[int] = set()
@@ -509,18 +531,11 @@ def _entry_sides(
     return None
 
 
-def stratum_blocks(
-    spec: LorenzMapSpec,
-    stratum_index: int,
-    chain: list[RenormalizationRecord],
-    catalog: list[PeriodicOrbitRecord],
-    budgets: Budgets | None = None,
-) -> StratumBlocks:
+def stratum_blocks(a: Analysis, stratum_index: int) -> StratumBlocks:
     """Block decomposition of a middle stratum: the central component of the
     complement of the minimal-period orbit, plus the finitely many gaps of
     its avoiding set met by the enclosing renormalization cycle."""
-    if budgets is None:
-        budgets = Budgets()
+    spec, catalog, chain = a.spec, a.catalog, a.seq.chain()
     n_f = len(chain) + 1
     if not (0 < stratum_index < n_f):
         raise ValueError("blocks are defined for middle strata only")
@@ -563,7 +578,7 @@ def stratum_blocks(
 
     blocks: list[tuple[float, float]] = [L]
     steps: list[int] = [0]
-    cap = max(64, 8 * budgets.max_period)
+    cap = max(64, 8 * a.budgets.max_period)
     for (u, v) in sources:
         for frac in (0.5, 0.25, 0.75, 0.125, 0.875):
             w = u + frac * (v - u)
@@ -597,35 +612,14 @@ def stratum_blocks(
 # decomposition
 
 
-def decompose(
-    spec: LorenzMapSpec,
-    budgets: Budgets | None = None,
-    catalog: list[PeriodicOrbitRecord] | None = None,
-    seq: NestedSequence | None = None,
-) -> DecompositionRecord:
+def decompose(a: Analysis) -> DecompositionRecord:
     """Full stratification: trapping chain, per-stratum recurrence cells,
-    transitivity probes, middle-stratum blocks and final classification.
-    The catalog and the renormalization sequence are computed here unless
-    the caller already has them for the same budgets."""
-    if budgets is None:
-        budgets = Budgets()
-    if catalog is None:
-        catalog = find_periodic_points(spec, budgets.max_period, budgets.grid_resolution)
-    if seq is None:
-        seq = find_renormalizations(
-            spec, budgets.max_period, budgets.max_depth, budgets.horizon, catalog
-        )
+    transitivity probes, middle-stratum blocks and final classification."""
+    spec, budgets, catalog, seq = a.spec, a.budgets, a.catalog, a.seq
     chain = seq.chain()
     om0 = omega0(spec)
-    notes = list(seq.notes)
-
-    K: list[list[tuple[float, float]]] = [[(0.0, 1.0)]]
-    for rec in chain:
-        try:
-            K.append(trapping_region(spec, rec))
-        except ValueError as e:
-            notes.append(f"trapping region of {rec.J} failed its invariance probe: {e}")
-            K.append([rec.J])
+    K, trap_notes = a.trapping
+    notes = list(seq.notes) + trap_notes
 
     n_f = 0 if om0 == OMEGA0_FULL else len(chain) + 1
     res = budgets.recurrence_resolution
@@ -676,7 +670,7 @@ def decompose(
         inner_regular = 0 < s < n_f and chain[s - 1].regular
         if outer_regular or inner_regular:
             try:
-                sb = stratum_blocks(spec, s, chain, catalog, budgets)
+                sb = stratum_blocks(a, s)
             except (NoPeriodicOrbitFound, VariationalPrincipleViolated, ValueError) as e:
                 sb = None
                 if outer_regular:
@@ -716,7 +710,7 @@ def decompose(
                     f"strata {strata[i].n} and {strata[j].n} share periodic-orbit cells (exempted)"
                 )
 
-    final = classify_attractor(spec, budgets, catalog, seq)
+    final = classify_attractor(a)
     return DecompositionRecord(
         n_f=n_f,
         omega0=om0,

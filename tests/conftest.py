@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from lorenzlab import (
-    Budgets,
-    builtin_map,
-    decompose,
-    find_periodic_points,
-    find_renormalizations,
-)
+from lorenzlab import Analysis, Budgets, builtin_map, decompose
 
 # the worked quadratic pair: left 3.4x(1-x), right 1-4x(1-x)
 P_CYCLE = 0.48880830755049054
@@ -31,39 +25,56 @@ def ex3():
     return builtin_map("logistic3.4-embed")
 
 
+# one Analysis per builtin at default budgets: the catalogs, the sequence
+# and the decompositions below share its cached objects
 @pytest.fixture(scope="session")
-def cat1(ex1):
-    return find_periodic_points(ex1, 12)
-
-
-@pytest.fixture(scope="session")
-def cat2(ex2):
-    return find_periodic_points(ex2, 12)
+def an1(ex1):
+    return Analysis(ex1, Budgets())
 
 
 @pytest.fixture(scope="session")
-def cat3(ex3):
-    return find_periodic_points(ex3, 12)
+def an2(ex2):
+    return Analysis(ex2, Budgets())
 
 
 @pytest.fixture(scope="session")
-def seq3(ex3, cat3):
-    return find_renormalizations(ex3, 12, 8, catalog=cat3)
+def an3(ex3):
+    return Analysis(ex3, Budgets())
 
 
 @pytest.fixture(scope="session")
-def dec1(ex1):
-    return decompose(ex1, Budgets())
+def cat1(an1):
+    return an1.catalog
 
 
 @pytest.fixture(scope="session")
-def dec2(ex2):
-    return decompose(ex2, Budgets())
+def cat2(an2):
+    return an2.catalog
 
 
 @pytest.fixture(scope="session")
-def dec3(ex3):
-    return decompose(ex3, Budgets())
+def cat3(an3):
+    return an3.catalog
+
+
+@pytest.fixture(scope="session")
+def seq3(an3):
+    return an3.seq
+
+
+@pytest.fixture(scope="session")
+def dec1(an1):
+    return decompose(an1)
+
+
+@pytest.fixture(scope="session")
+def dec2(an2):
+    return decompose(an2)
+
+
+@pytest.fixture(scope="session")
+def dec3(an3):
+    return decompose(an3)
 
 
 @pytest.fixture()

@@ -52,22 +52,36 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["analyze", "--map", str(bad)]) == EXIT_BAD_CONFIG
 
 
+BROKEN_MAP = {
+    "name": "broken",
+    "c": 0.5,
+    "left": {"kind": "polynomial", "coefficients": [0.1, 3.4, -3.4]},
+    "right": {"kind": "polynomial", "coefficients": [1.0, -4.0, 4.0]},
+}
+
+
 def test_invalid_map_exit_code(tmp_path):
     cfg = tmp_path / "m.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "name": "broken",
-                "c": 0.5,
-                "left": {"kind": "polynomial", "coefficients": [0.1, 3.4, -3.4]},
-                "right": {"kind": "polynomial", "coefficients": [1.0, -4.0, 4.0]},
-            }
-        )
-    )
+    cfg.write_text(json.dumps(BROKEN_MAP))
     out = tmp_path / "rep.json"
     rc = main(["analyze", "--map", str(cfg), "--out", str(out)])
     assert rc == EXIT_INVALID_MAP
     assert "error" in json.loads(out.read_text())
+
+
+def test_one_validation_gate(tmp_path):
+    # analyze, classify and decompose stop at the same check with the same
+    # error report, validation included
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(BROKEN_MAP))
+    reports = []
+    for command in ("analyze", "classify", "decompose"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--map", str(cfg), "--out", str(out)]) == EXIT_INVALID_MAP
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["error"] == "map failed validation"
+    assert "validation" in reports[0]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_classify_command(tmp_path):
@@ -237,15 +251,7 @@ def test_budget_caps(tmp_path, field):
     # the map fails validation after the budgets are read, so a budget at
     # its cap gets as far as the map check (exit 3) without running a probe
     cfg = tmp_path / "m.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "c": 0.5,
-                "left": {"kind": "polynomial", "coefficients": [0.1, 3.4, -3.4]},
-                "right": {"kind": "polynomial", "coefficients": [1.0, -4.0, 4.0]},
-            }
-        )
-    )
+    cfg.write_text(json.dumps(BROKEN_MAP))
     limit = BUDGET_LIMITS[field]
     at_cap = json.dumps({field: limit})
     assert main(["classify", "--map", str(cfg), "--budgets", at_cap]) == EXIT_INVALID_MAP

@@ -52,7 +52,7 @@ def test_golden_report_bytes(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
 
 
-GOLDEN_SCAN_SHA256 = "73b1fccad7856cd42900acdfa38972899e9e2e56098434d7ec83f68bc21c4398"
+GOLDEN_SCAN_SHA256 = "8aa4e97114eb2289aa7f49c86ff9c16f9e0b4723764edb00f58143f41d469e6f"
 
 
 def test_golden_scan_bytes(tmp_path):

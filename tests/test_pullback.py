@@ -18,10 +18,10 @@ from lorenzlab.map_core import (
     critical_values,
     pull_back,
 )
-from lorenzlab.periodic import find_periodic_points
-from lorenzlab.renorm import RenormalizationRecord, find_renormalizations, renormalization_cycle, trapping_region
+from lorenzlab.renorm import RenormalizationRecord, renormalization_cycle, trapping_region
 from lorenzlab.return_maps import FULL_TOLERANCE, GapRecord, gaps, push_interval
 from lorenzlab.spectral import (
+    Analysis,
     Budgets,
     NoPeriodicOrbitFound,
     VariationalPrincipleViolated,
@@ -56,7 +56,7 @@ MAPS = (
     + POWER
 )
 IDS = [m.name for m in MAPS]
-BUDGETS = Budgets(max_period=8)
+BUDGETS = Budgets(max_period=8, max_depth=3, grid_resolution=4096)
 
 
 @pytest.fixture(scope="module", params=MAPS, ids=IDS)
@@ -65,13 +65,12 @@ def spec(request):
 
 
 @functools.cache
-def catalog(spec):
-    return find_periodic_points(spec, BUDGETS.max_period, 4096)
+def analysis(spec):
+    return Analysis(spec, BUDGETS)
 
 
-@functools.cache
 def chain(spec):
-    return find_renormalizations(spec, BUDGETS.max_period, 3, BUDGETS.horizon, catalog(spec)).chain()
+    return analysis(spec).seq.chain()
 
 
 def records(spec):
@@ -251,7 +250,7 @@ def test_stratum_blocks_match_reference(spec):
     recs = chain(spec)
     for s in range(1, len(recs) + 1):
         try:
-            sb = stratum_blocks(spec, s, recs, catalog(spec), BUDGETS)
+            sb = stratum_blocks(analysis(spec), s)
         except (NoPeriodicOrbitFound, VariationalPrincipleViolated):
             continue
         sources = [(0.0, spec.c), (spec.c, 1.0)] if s == 1 else renormalization_cycle(spec, recs[s - 2])

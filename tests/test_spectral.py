@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorenzlab import (
+    Analysis,
     Budgets,
     classify_attractor,
     embed_unimodal,
@@ -14,7 +15,7 @@ from lorenzlab import (
     quadratic_pair,
 )
 from lorenzlab.map_core import Side, apply_raw
-from lorenzlab.spectral import stratum_blocks
+from lorenzlab.spectral import _certified_core, stratum_blocks
 from lorenzlab.renorm import find_renormalizations
 from conftest import A3, B3, P_CYCLE, Q_CYCLE
 
@@ -82,8 +83,8 @@ def test_trap_chain_invariance(ex3, dec3, rng):
                     raise AssertionError(f"left K_{s.n} at {x}")
 
 
-def test_stratum_blocks_outer(ex3, cat3, seq3):
-    sb = stratum_blocks(ex3, 1, seq3.chain(), cat3)
+def test_stratum_blocks_outer(ex3, an3):
+    sb = stratum_blocks(an3, 1)
     assert sb.minimal_orbit.period == 2
     assert sb.x0 == pytest.approx((A3, B3), abs=1e-9)
     assert sb.blocks[0] == sb.x0
@@ -99,8 +100,8 @@ def test_stratum_blocks_outer(ex3, cat3, seq3):
         assert img == pytest.approx(sb.x0, abs=1e-6)
 
 
-def test_stratum_blocks_overlap_at_most_point(ex3, cat3, seq3):
-    sb = stratum_blocks(ex3, 1, seq3.chain(), cat3)
+def test_stratum_blocks_overlap_at_most_point(an3):
+    sb = stratum_blocks(an3, 1)
     for i in range(len(sb.blocks)):
         for j in range(i + 1, len(sb.blocks)):
             lo = max(sb.blocks[i][0], sb.blocks[j][0])
@@ -116,10 +117,10 @@ def test_budgets_from_dict_integers_only():
             Budgets.from_dict(bad)
 
 
-def test_classify_examples(ex1, ex2, ex3):
-    assert classify_attractor(ex1).kind == "periodic_attractor"
-    assert classify_attractor(ex2).kind == "interval_cycle"
-    cls3 = classify_attractor(ex3)
+def test_classify_examples(an1, an2, an3):
+    assert classify_attractor(an1).kind == "periodic_attractor"
+    assert classify_attractor(an2).kind == "interval_cycle"
+    cls3 = classify_attractor(an3)
     assert cls3.kind == "periodic_attractor"
     assert cls3.evidence["orbit"]["period"] == 4
 
@@ -127,14 +128,14 @@ def test_classify_examples(ex1, ex2, ex3):
 def test_classify_solenoid_candidate():
     spec = embed_unimodal(logistic(3.569945671870944))
     budgets = Budgets(max_period=16, max_depth=3)
-    cls = classify_attractor(spec, budgets)
+    cls = classify_attractor(Analysis(spec, budgets))
     assert cls.kind == "solenoid"
     assert cls.confidence == "depth-capped"
 
 
 def test_classify_nonregular_case():
     spec = embed_unimodal(logistic(3.2))
-    cls = classify_attractor(spec, Budgets(max_period=8))
+    cls = classify_attractor(Analysis(spec, Budgets(max_period=8)))
     assert cls.kind == "periodic_attractor"
 
 
@@ -187,9 +188,9 @@ def test_experimental_annuli(dec3):
     assert level[-1][1] == pytest.approx(0.5665, abs=1e-9)
 
 
-def test_wild_is_never_asserted(ex1, ex2, ex3):
-    for spec in (ex1, ex2, ex3):
-        assert classify_attractor(spec).kind != "wild_candidate"
+def test_wild_is_never_asserted(an1, an2, an3):
+    for a in (an1, an2, an3):
+        assert classify_attractor(a).kind != "wild_candidate"
 
 
 def test_distinct_count_matches_unique(rng):
@@ -203,30 +204,61 @@ def test_distinct_count_matches_unique(rng):
         assert _distinct_count(codes.copy()) == np.unique(codes).size
 
 
-def test_decompose_uses_given_catalog_and_sequence(ex3, cat3, seq3, dec3, monkeypatch):
-    from lorenzlab import spectral
+def test_build_report_computes_each_object_once(monkeypatch):
+    # a one-level chain: the catalog, the sequence and the trapping region
+    # of the level are each computed once for the whole report
+    from lorenzlab import cli, orbits, periodic, renorm, return_maps, spectral
 
-    def recomputed(*args, **kwargs):
-        raise AssertionError("catalog or sequence computed again")
+    spec = embed_unimodal(logistic(3.6))
+    calls = {"find_periodic_points": 0, "find_renormalizations": 0, "trapping_region": 0}
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "find_periodic_points", recomputed)
-    monkeypatch.setattr(spectral, "find_renormalizations", recomputed)
-    assert spectral.decompose(ex3, Budgets(), cat3, seq3).to_dict() == dec3.to_dict()
+        return counted
+
+    for name in calls:
+        original = getattr(spectral, name)
+        for mod in (cli, orbits, periodic, renorm, return_maps, spectral):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting(name, original))
+    report = cli.build_report(spec, Budgets())
+    levels = len(report["renorm"]["chain"]) + (report["renorm"]["j_max"] is not None)
+    assert levels == 1
+    assert calls == {"find_periodic_points": 1, "find_renormalizations": 1, "trapping_region": levels}
 
 
-def test_decompose_computes_stratum_blocks_once_per_level(ex3, cat3, seq3, dec3, monkeypatch):
+def test_decompose_computes_stratum_blocks_once_per_level(an3, dec3, monkeypatch):
     from lorenzlab import spectral
 
     levels = []
     original = spectral.stratum_blocks
 
-    def counted(spec, s, *args, **kwargs):
+    def counted(a, s):
         levels.append(s)
-        return original(spec, s, *args, **kwargs)
+        return original(a, s)
 
     monkeypatch.setattr(spectral, "stratum_blocks", counted)
-    assert spectral.decompose(ex3, Budgets(), cat3, seq3).to_dict() == dec3.to_dict()
+    assert spectral.decompose(an3).to_dict() == dec3.to_dict()
     assert levels and len(levels) == len(set(levels))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [embed_unimodal(logistic(3.7)), quadratic_pair(3.75, 3.0), quadratic_pair(4.0, 3.0)],
+    ids=lambda spec: spec.name,
+)
+def test_classify_covers_the_core_without_chain(spec):
+    # a chaotic map with no renormalization has its attractor in the core
+    # [f(c+), f(c-)]: the near-critical orbits are measured against it, not
+    # against [0, 1]
+    a = Analysis(spec, Budgets())
+    assert not a.seq.chain()
+    cls = classify_attractor(a)
+    assert cls.kind == "interval_cycle"
+    lo, hi = _certified_core(spec)
+    assert all(lo <= u < v <= hi for (u, v) in cls.evidence["interval_cycle_support"])
 
 
 def ref_coverage_probe(spec, seed_interval, target_cells, resolution, horizon, component_cap=4096, stop_fraction=0.95):
