@@ -34,6 +34,10 @@ class MapValidationError(ValueError):
 
 
 BRANCH_KINDS = ("polynomial", "quadratic_logistic", "power_form")
+# embed_unimodal checks u(x) = u(1 - x) on this many grid points, and
+# u(0) = 0, to this tolerance
+EMBED_CHECK_GRID = 1024
+EMBED_CHECK_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -357,13 +361,13 @@ def deriv_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:
     return np.where(x < spec.c, dl, dr)
 
 
-def derivative(spec: LorenzMapSpec, x: float, order: int = 1) -> float:
+def derivative(spec: LorenzMapSpec, x: float) -> float:
     """Analytic branch derivative away from c."""
     c, tol = spec.c, spec.tolerance
     if abs(x - c) <= tol:
         raise CriticalPointError(f"derivative requested at the discontinuity x={x}")
     side = "left" if x < c else "right"
-    return branch_derivative(spec, side, x, order)
+    return branch_derivative(spec, side, x)
 
 
 def schwarzian(spec: LorenzMapSpec, x: float) -> float:
@@ -594,14 +598,14 @@ def logistic(a: float) -> UnimodalSpec:
     return UnimodalSpec(coefficients=(0.0, float(a), -float(a)), name=f"logistic{a:g}")
 
 
-def embed_unimodal(u: UnimodalSpec, tolerance: float = 1e-10, grid_size: int = 1024) -> LorenzMapSpec:
+def embed_unimodal(u: UnimodalSpec) -> LorenzMapSpec:
     """Two-branch map whose orbits shadow the unimodal orbits of u:
     left branch u(x) on [0, 1/2), right branch 1 - u(x) on (1/2, 1]."""
-    xs = np.linspace(0.0, 1.0, grid_size)
+    xs = np.linspace(0.0, 1.0, EMBED_CHECK_GRID)
     asym = float(np.max(np.abs(u(xs) - u(1.0 - xs))))
-    if asym > max(tolerance, 1e-9):
+    if asym > EMBED_CHECK_TOLERANCE:
         raise MapValidationError(f"unimodal input not symmetric: max |u(x)-u(1-x)| = {asym}")
-    if abs(float(u(0.0))) > max(tolerance, 1e-9):
+    if abs(float(u(0.0))) > EMBED_CHECK_TOLERANCE:
         raise MapValidationError("unimodal input must fix 0")
     cs = tuple(u.coefficients)
     flipped = (1.0 - cs[0],) + tuple(-v for v in cs[1:])
@@ -610,7 +614,6 @@ def embed_unimodal(u: UnimodalSpec, tolerance: float = 1e-10, grid_size: int = 1
         left=BranchSpec(kind="polynomial", domain_side="left", coefficients=cs),
         right=BranchSpec(kind="polynomial", domain_side="right", coefficients=flipped),
         name=f"{u.name}-embed" if u.name else "unimodal-embed",
-        tolerance=tolerance,
     )
 
 

@@ -25,6 +25,8 @@ from .map_core import (
 
 # the most points orbit_chunks hands back at once
 WALK_CHUNK = 4096
+# the cell grid of estimate_alpha_limit
+ALPHA_LIMIT_RESOLUTION = 1024
 
 
 @dataclass
@@ -36,9 +38,6 @@ class OrbitSegment:
     @property
     def length(self) -> int:
         return len(self.points)
-
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
 
 
 @dataclass
@@ -55,10 +54,6 @@ class LimitSetEstimate:
     sample_len: int
     contains_c: bool
     truncated: bool = False
-
-    def cell_intervals(self) -> list[tuple[float, float]]:
-        w = 1.0 / self.resolution
-        return [(i * w, (i + 1) * w) for i in self.cells]
 
 
 @dataclass
@@ -327,7 +322,6 @@ def estimate_alpha_limit(
     x: float,
     depth: int = 25,
     cap: int = 10**6,
-    resolution: int = 1024,
 ) -> AlphaLimitEstimate:
     """Breadth-first preimage tree of x.
 
@@ -355,17 +349,17 @@ def estimate_alpha_limit(
         if level.size == 0:
             break
     deep = [v for (d, v) in all_nodes if d >= depth / 2]
-    cells = tuple(sorted({min(int(v * resolution), resolution - 1) for v in deep}))
+    cells = tuple(sorted({min(int(v * ALPHA_LIMIT_RESOLUTION), ALPHA_LIMIT_RESOLUTION - 1) for v in deep}))
     below = [v for (_, v) in all_nodes if v <= spec.c - tol]
     above = [v for (_, v) in all_nodes if v >= spec.c + tol]
     lo = max(below) if below else 0.0
     hi = min(above) if above else 1.0
     j_x: tuple[float, float] | None = (lo, hi)
-    if hi - lo <= 2.0 / resolution:
+    if hi - lo <= 2.0 / ALPHA_LIMIT_RESOLUTION:
         j_x = None
     return AlphaLimitEstimate(
         cells=cells,
-        resolution=resolution,
+        resolution=ALPHA_LIMIT_RESOLUTION,
         depth=depth,
         node_count=len(all_nodes),
         j_x_est=j_x,

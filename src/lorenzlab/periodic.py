@@ -44,6 +44,10 @@ class VariationalPrincipleViolated(PeriodicSearchError):
 NEUTRAL_TOLERANCE = 1e-4
 # the longest period the catalog searches
 MAX_PERIOD = 20
+# the most lap boundaries `laps` collects
+LAP_BUDGET = 1 << 16
+# half-width of the bracket _polish_root searches around its start
+POLISH_HALF_WIDTH = 2e-5
 
 
 @dataclass
@@ -62,9 +66,6 @@ class PeriodicOrbitRecord:
     side_word: str
     neutral_attracting_probe: bool | None = None
 
-    def min_point(self) -> float:
-        return min(self.points)
-
     def intersects(self, lo: float, hi: float, tol: float = 0.0) -> bool:
         return any(lo - tol <= p <= hi + tol for p in self.points)
 
@@ -81,7 +82,7 @@ class PeriodicOrbitRecord:
         return d
 
 
-def laps(spec: LorenzMapSpec, n: int, budget: int = 1 << 16) -> list[Lap]:
+def laps(spec: LorenzMapSpec, n: int) -> list[Lap]:
     """Maximal intervals on which f^n is continuous and monotone.
 
     Boundaries are the preimages of c up to depth n-1, found by pulling c
@@ -98,9 +99,9 @@ def laps(spec: LorenzMapSpec, n: int, budget: int = 1 << 16) -> list[Lap]:
         level = level[~np.isnan(level)]
         level = np.unique(np.round(level, 14))
         boundaries.update(float(v) for v in level)
-        if len(boundaries) > budget:
+        if len(boundaries) > LAP_BUDGET:
             raise PeriodicSearchError(
-                f"lap budget {budget} exceeded at pullback depth with {len(boundaries)} boundaries"
+                f"lap budget {LAP_BUDGET} exceeded at pullback depth with {len(boundaries)} boundaries"
             )
     pts = sorted(boundaries)
     out = []
@@ -232,14 +233,14 @@ def _neutral_probe(spec: LorenzMapSpec, cycle: list[float], period: int) -> bool
     return len(pts) == n + 1 and min(abs(pts[n] - p) for p in cycle) < 1e-4
 
 
-def _polish_root(spec: LorenzMapSpec, x: float, n: int, h: float = 2e-5) -> float:
+def _polish_root(spec: LorenzMapSpec, x: float, n: int) -> float:
     """Refine a fixed point of f^n near x; handles tangential roots by
     minimizing |f^n - id| when there is no sign change."""
 
     def g(v: float) -> float | None:
         return _closure_gap(spec, v, n)
 
-    a, b = max(x - h, 0.0), min(x + h, 1.0)
+    a, b = max(x - POLISH_HALF_WIDTH, 0.0), min(x + POLISH_HALF_WIDTH, 1.0)
     ga, gb = g(a), g(b)
     if ga is None or gb is None:
         return x
@@ -426,9 +427,8 @@ def find_periodic_points(
     return merged
 
 
-def count_nonrepelling(spec: LorenzMapSpec, max_period: int = 12, resolution: int = 1 << 14) -> int:
-    """Number of distinct non-repelling orbits (attracting, neutral or super)."""
-    catalog = find_periodic_points(spec, max_period, resolution)
+def count_nonrepelling(catalog: list[PeriodicOrbitRecord]) -> int:
+    """Number of non-repelling orbits (attracting, neutral or super) in the catalog."""
     return sum(1 for r in catalog if r.kind in ("attracting", "neutral", "super"))
 
 
@@ -436,10 +436,11 @@ def minimal_period_orbit_in(
     spec: LorenzMapSpec,
     J: tuple[float, float],
     max_period: int = 12,
-    resolution: int = 1 << 14,
-    catalog: list[PeriodicOrbitRecord] | None = None,
+    *,
+    catalog: list[PeriodicOrbitRecord],
 ) -> PeriodicOrbitRecord:
-    """The unique minimal-period orbit meeting J (closure, at tolerance).
+    """The unique minimal-period orbit of the catalog meeting J (closure, at
+    tolerance); max_period names the catalog's period cap in the error.
 
     Raises VariationalPrincipleViolated when two distinct orbits tie: either
     the no-attractor hypothesis of the underlying uniqueness statement fails
@@ -447,8 +448,6 @@ def minimal_period_orbit_in(
     """
     lo, hi = J
     tol = spec.tolerance
-    if catalog is None:
-        catalog = find_periodic_points(spec, max_period, resolution)
     hits = [r for r in catalog if r.intersects(lo, hi, tol)]
     if not hits:
         raise NoPeriodicOrbitFound(f"none found (budget): no orbit of period <= {max_period} meets {J}")

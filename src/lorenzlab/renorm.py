@@ -23,8 +23,8 @@ import numpy as np
 
 from .map_core import LorenzMapSpec, branch_value, critical_values, pull_back
 from .orbits import orbit_chunks, orbit_list
-from .periodic import PeriodicOrbitRecord, find_periodic_points
-from .return_maps import is_nice, push_interval
+from .periodic import PeriodicOrbitRecord
+from .return_maps import interval_side, is_nice, push_interval, push_orbit
 
 
 @dataclass
@@ -106,13 +106,12 @@ def _one_sided_images(
     tol = spec.tolerance
 
     def track(iv: tuple[float, float], steps: int) -> tuple[float, float] | None:
-        for k in range(steps):
-            if k > 0 and iv[0] > a + tol and iv[1] < b - tol:
-                return None  # early return into J: not a single return branch
-            iv = push_interval(spec, iv, 1)
-            if iv is None:
-                return None
-        return iv
+        images = push_orbit(spec, iv, steps)
+        if len(images) <= steps:
+            return None
+        if any(u > a + tol and v < b - tol for u, v in images[1:steps]):
+            return None  # early return into J: not a single return branch
+        return images[-1]
 
     li = track((a, spec.c), la)
     ri = track((spec.c, b), rb)
@@ -278,16 +277,14 @@ def _orbit_points(spec: LorenzMapSpec, start: float, horizon: int) -> np.ndarray
 
 def detect_degenerate(
     spec: LorenzMapSpec,
-    max_period: int = 12,
+    *,
+    catalog: list[PeriodicOrbitRecord],
     horizon: int = 10_000,
-    catalog: list[PeriodicOrbitRecord] | None = None,
 ) -> DegenerateRecord | None:
-    """Widest half-interval (alpha, c) or (c, alpha) with f^period(alpha)
-    mapping it into itself while both the orbit of alpha and the opposite
-    one-sided critical orbit stay clear of it."""
+    """Widest half-interval (alpha, c) or (c, alpha), alpha a catalog point,
+    with f^period(alpha) mapping it into itself while both the orbit of
+    alpha and the opposite one-sided critical orbit stay clear of it."""
     c, tol = spec.c, spec.tolerance
-    if catalog is None:
-        catalog = find_periodic_points(spec, max_period)
     v0, v1 = critical_values(spec)
     orbit_v0 = _orbit_points(spec, v0, horizon)  # forward orbit of f(c+)
     orbit_v1 = _orbit_points(spec, v1, horizon)  # forward orbit of f(c-)
@@ -323,9 +320,11 @@ def find_renormalizations(
     max_period: int = 12,
     max_depth: int = 8,
     horizon: int = 10_000,
-    catalog: list[PeriodicOrbitRecord] | None = None,
+    *,
+    catalog: list[PeriodicOrbitRecord],
 ) -> NestedSequence:
-    """Nested sequence of certified renormalization intervals.
+    """Nested sequence of certified renormalization intervals with catalog
+    boundaries.
 
     Regular intervals are sorted by strict inclusion; if any non-regular
     interval certifies, their union re-certifies as the maximal non-regular
@@ -334,8 +333,6 @@ def find_renormalizations(
     still-shrinking diameters (an infinitely-renormalizable candidate at
     these budgets).
     """
-    if catalog is None:
-        catalog = find_periodic_points(spec, max_period)
     notes: list[str] = [f"budgets: max_period={max_period}, max_depth={max_depth}, horizon={horizon}"]
     regular: list[RenormalizationRecord] = []
     nonregular: list[RenormalizationRecord] = []
@@ -385,7 +382,7 @@ def find_renormalizations(
         if chain and not (chain[-1].J[0] < a and b < chain[-1].J[1]):
             notes.append("maximal non-regular interval not nested inside the deepest regular one")
     else:
-        degenerate = detect_degenerate(spec, max_period, horizon, catalog)
+        degenerate = detect_degenerate(spec, catalog=catalog, horizon=horizon)
     return NestedSequence(
         intervals=chain,
         maximal_nonregular=j_max,
@@ -396,20 +393,13 @@ def find_renormalizations(
 
 
 def renormalization_cycle(spec: LorenzMapSpec, rec: RenormalizationRecord) -> list[tuple[float, float]]:
-    """The period(a) forward images of (a,c) and period(b) images of (c,b)."""
+    """The period(a) forward images of (a,c) and period(b) images of (c,b);
+    past an image that straddles c, that image stands for the rest."""
     a, b = rec.J
-    c = spec.c
     comps: list[tuple[float, float]] = []
-    cur = (a, c)
-    for _ in range(rec.period_a):
-        comps.append(cur)
-        nxt = push_interval(spec, cur, 1)
-        cur = nxt if nxt is not None else cur
-    cur = (c, b)
-    for _ in range(rec.period_b):
-        comps.append(cur)
-        nxt = push_interval(spec, cur, 1)
-        cur = nxt if nxt is not None else cur
+    for start, period in (((a, spec.c), rec.period_a), ((spec.c, b), rec.period_b)):
+        images = push_orbit(spec, start, period - 1)
+        comps += [images[min(k, len(images) - 1)] for k in range(period)]
     # pairwise-disjointness audit (shared endpoints allowed)
     tol = max(spec.tolerance * 10, 1e-9)
     for i in range(len(comps)):
@@ -444,15 +434,9 @@ def trapping_region(
     comps: list[tuple[float, float]] = []
 
     def walk(start: tuple[float, float], period: int):
-        # forward pass: the side of each cycle component
-        sides: list[str] = []
-        cur = start
-        for _ in range(period):
-            sides.append("left" if cur[1] <= c + spec.tolerance else "right")
-            nxt = push_interval(spec, cur, 1)
-            if nxt is None:
-                break
-            cur = nxt
+        # forward pass: the side of each cycle component up to the first that
+        # straddles c, which (its upper end right of c) is pulled back as right
+        sides = [interval_side(spec, iv) or "right" for iv in push_orbit(spec, start, period - 1)]
         comps.append(rec.J)
         # component i maps into J through sides[i:]. One backward pass: its
         # gap is the gap of component i + 1 (J for the last) clipped into

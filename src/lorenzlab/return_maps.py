@@ -26,7 +26,7 @@ from .map_core import (
     pull_back,
 )
 from .orbits import orbit_chunks, orbit_list
-from .periodic import PeriodicOrbitRecord, find_periodic_points
+from .periodic import PeriodicOrbitRecord
 
 FULL_TOLERANCE = 1e-6
 MAX_HORIZON = 10**6
@@ -163,28 +163,45 @@ def is_nice(spec: LorenzMapSpec, J: tuple[float, float], horizon: int = 10_000) 
     )
 
 
-def push_interval(
-    spec: LorenzMapSpec, interval: tuple[float, float], steps: int
-) -> tuple[float, float] | None:
-    """Forward image of an interval under f^steps, tracked while monotone.
-
-    Returns None when an intermediate image straddles the break point, i.e.
-    the iterate is no longer monotone on the interval.
-    """
+def interval_side(spec: LorenzMapSpec, interval: tuple[float, float]) -> str | None:
+    """The branch an interval lies on: "left", "right", or None when it
+    straddles the break point (f is not monotone on it). An interval that
+    ends within tolerance of c lies on the branch of its other end."""
     u, v = interval
     c, tol = spec.c, spec.tolerance
+    if u + tol < c < v - tol:
+        return None
+    return "left" if v <= c + tol else "right"
+
+
+def push_orbit(
+    spec: LorenzMapSpec, interval: tuple[float, float], steps: int
+) -> list[tuple[float, float]]:
+    """The forward images [I, f(I), ..., f^steps(I)] of an interval, tracked
+    while monotone: the list ends early at the first image that straddles
+    the break point, which is its last entry."""
+    u, v = interval
+    out = [(u, v)]
     for _ in range(steps):
-        if u + tol < c < v - tol:
-            return None
-        if v <= c + tol:
-            side, lo_d, hi_d = "left", 0.0, c
-        else:
-            side, lo_d, hi_d = "right", c, 1.0
+        side = interval_side(spec, (u, v))
+        if side is None:
+            break
+        lo_d, hi_d = (0.0, spec.c) if side == "left" else (spec.c, 1.0)
         u = branch_value(spec, side, min(max(u, lo_d), hi_d))
         v = branch_value(spec, side, min(max(v, lo_d), hi_d))
         u = min(max(u, 0.0), 1.0)
         v = min(max(v, 0.0), 1.0)
-    return (u, v)
+        out.append((u, v))
+    return out
+
+
+def push_interval(
+    spec: LorenzMapSpec, interval: tuple[float, float], steps: int
+) -> tuple[float, float] | None:
+    """f^steps(I), the last image of `push_orbit`; None when an earlier
+    image straddles the break point."""
+    images = push_orbit(spec, interval, steps)
+    return images[-1] if len(images) > steps else None
 
 
 def order(spec: LorenzMapSpec, I: tuple[float, float], horizon: int = 1000) -> int | None:
@@ -578,15 +595,14 @@ def root_interval(
     spec: LorenzMapSpec,
     J: tuple[float, float],
     max_period: int = 12,
-    catalog: list[PeriodicOrbitRecord] | None = None,
+    *,
+    catalog: list[PeriodicOrbitRecord],
     horizon: int = 10_000,
 ) -> RootIntervalResult:
     """Smallest periodic nice interval strictly containing closure(J) with
     boundary periods bounded by J's own; (0,1) when no candidate exists."""
     lo, hi = J
     tol = spec.tolerance
-    if catalog is None:
-        catalog = find_periodic_points(spec, max_period)
     nice = is_nice(spec, J, horizon)
     notes = []
     if not nice.is_nice:

@@ -39,7 +39,7 @@ from .renorm import (
     renormalization_cycle,
     trapping_region,
 )
-from .return_maps import FULL_TOLERANCE, MAX_HORIZON, first_return_map, push_interval
+from .return_maps import FULL_TOLERANCE, MAX_HORIZON, first_return_map, interval_side, push_interval
 
 CRITICAL_VALUE_TOL = 1e-9
 
@@ -132,7 +132,7 @@ class Analysis:
     @cached_property
     def seq(self) -> NestedSequence:
         b = self.budgets
-        return find_renormalizations(self.spec, b.max_period, b.max_depth, b.horizon, self.catalog)
+        return find_renormalizations(self.spec, b.max_period, b.max_depth, b.horizon, catalog=self.catalog)
 
     @cached_property
     def trapping(self) -> tuple[list[list[tuple[float, float]]], list[str]]:
@@ -362,10 +362,7 @@ def _coverage_probe(
             break
         nxt: list[tuple[float, float]] = []
         for (u, v) in comps:
-            if u + tol < spec.c < v - tol:
-                pieces = [(u, spec.c), (spec.c, v)]
-            else:
-                pieces = [(u, v)]
+            pieces = [(u, v)] if interval_side(spec, (u, v)) else [(u, spec.c), (spec.c, v)]
             for (a, b) in pieces:
                 img = push_interval(spec, (a, b), 1)
                 if img is not None and img[1] - img[0] > tol:
@@ -632,7 +629,7 @@ def decompose(a: Analysis) -> DecompositionRecord:
     annuli: list[list[tuple[float, float]]] = []
     count = max(n_f, 1)
     for s in range(1, count + 1):
-        region = K[s - 1] if s - 1 < len(K) else K[-1]
+        region = K[s - 1]
         holes = K[s] if s < len(K) else []
         probed = set(_recurrent_cells(spec, region, holes, res, budgets.horizon))
         # certified periodic points are exact non-wandering members; add

@@ -14,6 +14,7 @@ from lorenzlab import (
     count_nonrepelling,
     embed_unimodal,
     entropy_estimate,
+    find_periodic_points,
     find_renormalizations,
     first_return_map,
     is_nice,
@@ -69,8 +70,8 @@ def test_criterion_2_omega0_table(ex1, ex2, ex3):
     verdict(2, got == want, f"omega0 table {got} == {want}")
 
 
-def test_criterion_3_renormalization_certification(ex1, ex2, ex3):
-    seq3 = find_renormalizations(ex3, 12, 8)
+def test_criterion_3_renormalization_certification(ex1, ex2, ex3, cat1, cat2, cat3):
+    seq3 = find_renormalizations(ex3, 12, 8, catalog=cat3)
     rec = seq3.intervals[0] if seq3.intervals else None
     ok = rec is not None
     if ok:
@@ -78,8 +79,8 @@ def test_criterion_3_renormalization_certification(ex1, ex2, ex3):
         b_true = 1 - 1 / 3.4
         ok &= abs(rec.J[0] - a_true) <= 1e-9 and abs(rec.J[1] - b_true) <= 1e-9
         ok &= rec.period_a == 2 and rec.period_b == 2 and rec.regular
-    seq1 = find_renormalizations(ex1, 12, 8)
-    seq2 = find_renormalizations(ex2, 12, 8)
+    seq1 = find_renormalizations(ex1, 12, 8, catalog=cat1)
+    seq2 = find_renormalizations(ex2, 12, 8, catalog=cat2)
     ok &= seq1.chain() == [] and seq2.chain() == []
     verdict(3, ok, "EX3 certifies (5/17, 12/17) with periods (2,2) regular; EX1, EX2 certify none")
 
@@ -90,7 +91,7 @@ def test_criterion_4_singer_sweep():
     for al in np.linspace(3.0, 4.0, 10):
         for ar in np.linspace(3.0, 4.0, 10):
             spec = quadratic_pair(float(al), float(ar))
-            worst = max(worst, count_nonrepelling(spec, 12))
+            worst = max(worst, count_nonrepelling(find_periodic_points(spec, 12)))
     elapsed = time.time() - t0
     ok = worst <= 2 and elapsed < 300
     verdict(4, ok, f"Singer sweep 10x10 on [3,4]^2: max non-repelling count {worst} <= 2, {elapsed:.0f}s")

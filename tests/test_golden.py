@@ -29,7 +29,11 @@ The return-map CSVs are SHA-256 of the outputs of
 
 The reports print floats with repr, so the digests hold for IEEE double
 arithmetic on the numpy and libm of the platform that generated them
-(x86-64, CPython 3.11, numpy 2.4).
+(x86-64, CPython 3.11, numpy 2.4). The three builtin maps are polynomial,
+and their digests also hold with numpy's AVX2 and AVX-512 kernels switched
+off (tests/test_dispatch.py). A report of a `power_form` map holds only per
+numpy dispatch path: its array kernel can round differently on another
+SIMD path, and catalog points and multipliers then move in their last bits.
 """
 
 import hashlib

@@ -208,7 +208,7 @@ def check(spec, catalog, max_period):
     got = renorm._candidate_pairs(spec, catalog)
     assert got == ref_candidates(spec, catalog)
     assert all(type(x) is float for t in got for x in t[:2]) and all(type(p) is int for t in got for p in t[2:])
-    assert repr(renorm.detect_degenerate(spec, max_period, catalog=catalog)) == repr(
+    assert repr(renorm.detect_degenerate(spec, catalog=catalog)) == repr(
         ref_detect_degenerate(spec, max_period, catalog=catalog)
     )
 
@@ -259,9 +259,9 @@ def test_constructed_catalogs_match_reference(ex1, cat1):
         pairs = ref_candidate_pairs(ex1, cat)
         assert len({b - a for a, b, _, _ in pairs}) < len(pairs) and len(pairs) > 100
     # super orbits never bound a degenerate half-interval
-    deg = renorm.detect_degenerate(ex1, 12, catalog=cat1)
+    deg = renorm.detect_degenerate(ex1, catalog=cat1)
     marked = [record(o.points, "super") if deg.boundary_point in o.points else o for o in cat1]
-    assert renorm.detect_degenerate(ex1, 12, catalog=marked) == ref_detect_degenerate(ex1, 12, catalog=marked) != deg
+    assert renorm.detect_degenerate(ex1, catalog=marked) == ref_detect_degenerate(ex1, 12, catalog=marked) != deg
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -294,7 +294,7 @@ def count_pushes(monkeypatch, spec, catalog):
         return push_interval(*args)
 
     monkeypatch.setattr(renorm, "push_interval", counting)
-    rec = renorm.detect_degenerate(spec, 12, catalog=catalog)
+    rec = renorm.detect_degenerate(spec, catalog=catalog)
     return calls, rec
 
 

@@ -16,6 +16,7 @@ from lorenzlab.map_core import (
     derivative,
 )
 from lorenzlab.orbits import WALK_CHUNK, estimate_omega_limit, lyapunov, orbit_chunks
+from lorenzlab.periodic import find_periodic_points
 
 
 def ref_lyapunov(spec, x0, n=10_000, tail_windows=10, side=Side.NONE):
@@ -248,9 +249,10 @@ def test_orbit_points_match_reference():
 
 def test_detect_degenerate_matches_reference(monkeypatch):
     specs = MAPS[:4] + [quadratic_pair(3.2, 3.9), quadratic_pair(3.95, 3.3)]
-    got = [renorm.detect_degenerate(s, 8, 10_000) for s in specs]
+    cats = [find_periodic_points(s, 8) for s in specs]
+    got = [renorm.detect_degenerate(s, catalog=cat) for s, cat in zip(specs, cats)]
     monkeypatch.setattr(renorm, "_orbit_points", ref_orbit_points)
-    want = [renorm.detect_degenerate(s, 8, 10_000) for s in specs]
+    want = [renorm.detect_degenerate(s, catalog=cat) for s, cat in zip(specs, cats)]
     assert got == want
     assert any(d is not None for d in want)
 

@@ -155,10 +155,10 @@ def test_multiplier_matches_lyapunov(ex1, cat1):
     assert math.exp(rec.period * est.value) == pytest.approx(abs(rec.multiplier), rel=1e-6)
 
 
-def test_count_nonrepelling(ex1, ex2, ex3):
-    assert count_nonrepelling(ex1, 12) == 1
-    assert count_nonrepelling(ex2, 12) == 0
-    assert count_nonrepelling(ex3, 12) == 1
+def test_count_nonrepelling(cat1, cat2, cat3):
+    assert count_nonrepelling(cat1) == 1
+    assert count_nonrepelling(cat2) == 0
+    assert count_nonrepelling(cat3) == 1
 
 
 def test_neutral_cycle_detection():
@@ -221,7 +221,7 @@ def test_singer_bound_small_sweep():
             from lorenzlab import quadratic_pair
 
             spec = quadratic_pair(al, ar)
-            assert count_nonrepelling(spec, 8) <= 2
+            assert count_nonrepelling(find_periodic_points(spec, 8)) <= 2
 
 
 def test_catalog_work_counts(ex2, monkeypatch):

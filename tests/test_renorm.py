@@ -41,25 +41,25 @@ def test_no_renormalization_examples(ex1, ex2):
         assert not ok2
 
 
-def test_find_renormalizations_chains(ex1, ex2, ex3):
-    seq1 = find_renormalizations(ex1, 12, 8)
+def test_find_renormalizations_chains(ex1, ex2, ex3, cat1, cat2, cat3):
+    seq1 = find_renormalizations(ex1, 12, 8, catalog=cat1)
     assert seq1.intervals == []
     assert seq1.maximal_nonregular is None
     assert seq1.degenerate is not None
 
-    seq2 = find_renormalizations(ex2, 12, 8)
+    seq2 = find_renormalizations(ex2, 12, 8, catalog=cat2)
     assert seq2.intervals == []
     assert seq2.maximal_nonregular is None
     assert seq2.degenerate is None
 
-    seq3 = find_renormalizations(ex3, 12, 8)
+    seq3 = find_renormalizations(ex3, 12, 8, catalog=cat3)
     assert len(seq3.chain()) >= 1
     assert seq3.chain()[0].J == pytest.approx((A3, B3), abs=1e-9)
     assert seq3.intervals[0].regular
 
 
 def test_degenerate_record(ex1, cat1):
-    rec = detect_degenerate(ex1, 12, 10_000, catalog=cat1)
+    rec = detect_degenerate(ex1, catalog=cat1, horizon=10_000)
     assert rec is not None
     lo, hi = rec.I
     assert hi == pytest.approx(0.5)
@@ -82,9 +82,10 @@ def test_degenerate_record(ex1, cat1):
     assert not (lo < 0.5 < hi) or hi == 0.5 or lo == 0.5
 
 
-def test_exclusivity(ex1, ex2, ex3):
-    for spec in (ex1, ex2, ex3, embed_unimodal(logistic(3.2))):
-        seq = find_renormalizations(spec, 12, 8)
+def test_exclusivity(ex1, ex2, ex3, cat1, cat2, cat3):
+    l32 = embed_unimodal(logistic(3.2))
+    for spec, cat in ((ex1, cat1), (ex2, cat2), (ex3, cat3), (l32, find_periodic_points(l32, 12))):
+        seq = find_renormalizations(spec, 12, 8, catalog=cat)
         assert not (seq.maximal_nonregular is not None and seq.degenerate is not None)
 
 
@@ -131,7 +132,8 @@ def test_nonregular_interval(ex3, seq3):
     # the embedded logistic-3.2 pair renormalizes non-regularly at the
     # 2-cycle spanning interval (0.3125, 0.6875) = (1 - x*, x*)
     spec = embed_unimodal(logistic(3.2))
-    seq = find_renormalizations(spec, 8, 8)
+    cat = find_periodic_points(spec, 8)
+    seq = find_renormalizations(spec, 8, 8, catalog=cat)
     assert seq.maximal_nonregular is not None
     jm = seq.maximal_nonregular
     xstar = 1 - 1 / 3.2
@@ -141,7 +143,6 @@ def test_nonregular_interval(ex3, seq3):
     assert jm.left_image[1] < 0.5
     assert jm.right_image[0] > 0.5
     # a non-regular interval holds a periodic attractor inside
-    cat = find_periodic_points(spec, 8)
     inside = [
         r
         for r in cat
@@ -170,7 +171,7 @@ def test_nested_chain_not_linked(ex3, seq3):
 
 def test_period_doubling_chain_shrinks():
     spec = embed_unimodal(logistic(FEIGENBAUM_A))
-    seq = find_renormalizations(spec, 16, 3)
+    seq = find_renormalizations(spec, 16, 3, catalog=find_periodic_points(spec, 16))
     chain = seq.chain()
     assert len(chain) == 3
     assert [r.period_a for r in chain] == [2, 4, 8]

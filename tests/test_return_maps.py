@@ -14,7 +14,8 @@ from lorenzlab import (
 )
 from lorenzlab import builtin_map
 from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, validate_map
-from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times, find_periodic_points
+from lorenzlab.periodic import find_periodic_points
+from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times
 from conftest import A3, B3, P_CYCLE
 
 # alpha = 2 on both sides: numpy's power and libm's pow then both round x*x

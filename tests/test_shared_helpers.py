@@ -572,6 +572,54 @@ def ref_invariance_probe(spec, uniq, rng, probe_points, probe_steps):
     return uniq
 
 
+def ref_push_interval(spec, interval, steps):
+    # return_maps.push_interval
+    u, v = interval
+    c, tol = spec.c, spec.tolerance
+    for _ in range(steps):
+        if u + tol < c < v - tol:
+            return None
+        if v <= c + tol:
+            side, lo_d, hi_d = "left", 0.0, c
+        else:
+            side, lo_d, hi_d = "right", c, 1.0
+        u = branch_value(spec, side, min(max(u, lo_d), hi_d))
+        v = branch_value(spec, side, min(max(v, lo_d), hi_d))
+        u = min(max(u, 0.0), 1.0)
+        v = min(max(v, 0.0), 1.0)
+    return (u, v)
+
+
+def ref_renormalization_cycle(spec, rec):
+    # renorm.renormalization_cycle
+    a, b = rec.J
+    c = spec.c
+    comps = []
+    cur = (a, c)
+    for _ in range(rec.period_a):
+        comps.append(cur)
+        nxt = return_maps.push_interval(spec, cur, 1)
+        cur = nxt if nxt is not None else cur
+    cur = (c, b)
+    for _ in range(rec.period_b):
+        comps.append(cur)
+        nxt = return_maps.push_interval(spec, cur, 1)
+        cur = nxt if nxt is not None else cur
+    # pairwise-disjointness audit (shared endpoints allowed)
+    tol = max(spec.tolerance * 10, 1e-9)
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            lo = max(comps[i][0], comps[j][0])
+            hi = min(comps[i][1], comps[j][1])
+            if hi - lo > tol and not (
+                abs(comps[i][0] - comps[j][0]) <= tol and abs(comps[i][1] - comps[j][1]) <= tol
+            ):
+                raise ValueError(
+                    f"cycle components {comps[i]} and {comps[j]} overlap beyond tolerance"
+                )
+    return comps
+
+
 def ref_entry_sides(spec, x, L, cap):
     tol = spec.tolerance
     sides = []
@@ -890,7 +938,7 @@ def test_short_orbit_matches_reference(spec):
 
 
 def test_trapping_region_probe_matches_reference(spec):
-    seq = renorm.find_renormalizations(spec, 8, 8, 10_000, list(catalog(spec)))
+    seq = renorm.find_renormalizations(spec, 8, 8, 10_000, catalog=list(catalog(spec)))
     c = spec.c
     recs = seq.chain() + [
         RenormalizationRecord(J=(c - 0.05, c + 0.07), period_a=2, period_b=3, regular=True,
@@ -910,6 +958,62 @@ def test_trapping_region_probe_matches_reference(spec):
             except ValueError as e:
                 want = str(e)
             assert got == want
+
+
+def made_record(J, period_a, period_b):
+    return RenormalizationRecord(J=J, period_a=period_a, period_b=period_b, regular=True,
+                                 left_image=(0, 0), right_image=(0, 0))  # fmt: skip
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def test_renormalization_cycle_matches_reference(spec):
+    c = spec.c
+    chain = renorm.find_renormalizations(spec, 8, 8, 10_000, catalog=list(catalog(spec))).chain()
+    made = [((c - 0.05, c + 0.07), 2, 3), ((c - 0.2, c + 0.1), 1, 2), ((c - 0.03, c + 0.04), 5, 4)]
+    made += [((c - 0.1, c + 0.02), 3, 6), ((c - 0.05, c + 0.05), 0, 1)]
+    # images that straddle c on several maps
+    made += [((c - 0.2, c + 0.2), 4, 4), ((c - 0.3, c + 0.25), 4, 2)]
+    for rec in chain + [made_record(*m) for m in made]:
+        got = outcome(renorm.renormalization_cycle, spec, rec)
+        assert got == outcome(ref_renormalization_cycle, spec, rec)
+        assert isinstance(got, str) or len(got) == rec.period_a + rec.period_b
+
+
+def test_renormalization_cycle_through_a_straddle_matches_reference():
+    # f^2((0.3, c)) = (0.4624, 1) straddles c: both versions repeat it and
+    # then find it overlapping f((0.3, c)) = (0.84, 1)
+    spec = builtin_map("logistic4-embed")
+    rec = made_record((0.3, 0.6), 4, 2)
+    images = return_maps.push_orbit(spec, (0.3, spec.c), 3)
+    assert len(images) == 3 and return_maps.interval_side(spec, images[-1]) is None
+    with pytest.raises(ValueError, match="overlap") as got:
+        renorm.renormalization_cycle(spec, rec)
+    with pytest.raises(ValueError, match="overlap") as want:
+        ref_renormalization_cycle(spec, rec)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(2.9, 4.0), st.floats(2.9, 4.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 12)
+)  # fmt: skip
+def test_push_orbit_property(a_left, a_right, x, y, n):
+    spec = quadratic_pair(a_left, a_right)
+    I = (min(x, y), max(x, y))
+    orbit = return_maps.push_orbit(spec, I, n)
+    assert 1 <= len(orbit) <= n + 1
+    # only the last image may straddle c, and it does when the push ended early
+    assert all(return_maps.interval_side(spec, iv) is not None for iv in orbit[:-1])
+    assert len(orbit) == n + 1 or return_maps.interval_side(spec, orbit[-1]) is None
+    for k in range(n + 1):
+        want = orbit[k] if k < len(orbit) else None
+        assert return_maps.push_interval(spec, I, k) == want == ref_push_interval(spec, I, k)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_solenoid_entropy_bound():
     from lorenzlab.spectral import solenoid_entropy_bound
 
     spec = embed_unimodal(logistic(3.569945671870944))
-    seq = find_renormalizations(spec, 16, 3)
+    seq = find_renormalizations(spec, 16, 3, catalog=find_periodic_points(spec, 16))
     bound = solenoid_entropy_bound(seq.chain())
     assert bound == pytest.approx(math.log(2.0) / 8)
     h = entropy_estimate(spec, 20, 20_000)
