@@ -52,6 +52,7 @@ from .spectral import (
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_INVALID_MAP = 3
+EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = "1"
 
@@ -78,6 +79,33 @@ def _int_in(lo: int, hi: int):
         return v
 
     return integer
+
+
+def _unit_float(text: str) -> float:
+    """An argparse type: a start point in [0, 1], the map's domain."""
+    v = float(text)
+    if not 0.0 <= v <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {v}")
+    return v
+
+
+def _floats(text: str, sep: str, flag: str) -> tuple[float, float]:
+    """The two numbers of a `lo<sep>hi` flag value."""
+    try:
+        lo, hi = (float(v) for v in text.split(sep))
+    except ValueError:
+        raise MapValidationError(f"{flag} must be lo{sep}hi, got {text!r}") from None
+    return lo, hi
+
+
+def _interval(text: str, spec: LorenzMapSpec | None = None) -> tuple[float, float]:
+    """--interval lo,hi with lo < hi, and with c inside when spec is given."""
+    lo, hi = _floats(text, ",", "--interval")
+    if not lo < hi:
+        raise MapValidationError(f"--interval needs lo < hi, got {text!r}")
+    if spec is not None and not lo < spec.c < hi:
+        raise MapValidationError(f"--interval must contain the break point c = {spec.c!r}")
+    return lo, hi
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -219,9 +247,9 @@ def _write_branches(buf: io.StringIO, rec: ReturnMapRec) -> None:
 
 def cmd_returnmap(args: argparse.Namespace) -> int:
     spec = load_map(args.map)
-    lo, hi = (float(v) for v in args.interval.split(","))
-    nice = is_nice(spec, (lo, hi), args.horizon)
-    rec = first_return_map(spec, (lo, hi), args.horizon, args.resolution)
+    J = _interval(args.interval, spec)
+    nice = is_nice(spec, J, args.horizon)
+    rec = first_return_map(spec, J, args.horizon, args.resolution)
     buf = io.StringIO()
     _write_branches(buf, rec)
     if not nice.is_nice:
@@ -246,15 +274,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
+    """One sweep row: the attractor class, n_f and one Lyapunov walk; no
+    stratum probe runs, since the row prints none of them."""
     try:
         spec = quadratic_pair(a_left, a_right)
-        dec = decompose(Analysis(spec, budgets))
+        a = Analysis(spec, budgets)
+        kind = classify_attractor(a).kind
         est = lyapunov(spec, 0.6180339887498949, max(budgets.horizon, 1000))
         return {
             "a_left": a_left,
             "a_right": a_right,
-            "final_class": dec.final_class.kind,
-            "n_f": dec.n_f,
+            "final_class": kind,
+            "n_f": a.n_f,
             "lyapunov": est.value,
             "status": "ok",
         }
@@ -270,8 +301,8 @@ def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    lo_l, hi_l = (float(v) for v in args.a_left.split(":"))
-    lo_r, hi_r = (float(v) for v in args.a_right.split(":"))
+    lo_l, hi_l = _floats(args.a_left, ":", "--a-left")
+    lo_r, hi_r = _floats(args.a_right, ":", "--a-right")
     for v in (lo_l, hi_l, lo_r, hi_r):
         if not (2.5 <= v <= 4.0):
             raise MapValidationError("sweep ranges must lie within [2.5, 4.0]")
@@ -306,8 +337,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     elif args.kind == "returnmap":
         if not args.interval:
             raise MapValidationError("returnmap needs --interval lo,hi")
-        lo, hi = (float(v) for v in args.interval.split(","))
-        _write_branches(buf, first_return_map(spec, (lo, hi), args.horizon, args.resolution))
+        _write_branches(buf, first_return_map(spec, _interval(args.interval), args.horizon, args.resolution))
     elif args.kind == "strata":
         rec = decompose(Analysis(spec, _load_budgets(args)))
         buf.write("n,lo,hi,tag\n")
@@ -328,8 +358,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     elif args.kind == "phobic":
         if not args.interval:
             raise MapValidationError("phobic needs --interval lo,hi")
-        lo, hi = (float(v) for v in args.interval.split(","))
-        est = phobic_measure(spec, (lo, hi), args.steps, args.resolution)
+        est = phobic_measure(spec, _interval(args.interval, spec), args.steps, args.resolution)
         w = 1.0 / est.grid
         buf.write("cell_index,cell_lo,cell_hi\n")
         for cell in est.surviving_cells:
@@ -380,13 +409,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("returnmap", help="first-return branch CSV")
     add_common(p, "map", "out")
     p.add_argument("--interval", required=True, help="lo,hi")
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--resolution", type=int, default=1 << 12)
+    p.add_argument("--horizon", type=_int_in(1, MAX_HORIZON), default=1000)
+    p.add_argument("--resolution", type=_int_in(2, MAX_RESOLUTION), default=1 << 12)
     p.set_defaults(fn=cmd_returnmap)
 
     p = sub.add_parser("orbit", help="orbit CSV dump")
     add_common(p, "map", "out")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x0", type=_unit_float, required=True)
     p.add_argument("--side", default="none", choices=["minus", "plus", "none"])
     p.add_argument("--steps", type=_int_in(0, MAX_HORIZON), default=200)
     p.set_defaults(fn=cmd_orbit)
@@ -403,10 +432,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind", required=True, choices=["cobweb", "returnmap", "strata", "limitset", "phobic"]
     )
-    p.add_argument("--x0", type=float, default=None)
+    p.add_argument("--x0", type=_unit_float, default=None)
     p.add_argument("--steps", type=_int_in(0, MAX_HORIZON), default=200)
     p.add_argument("--interval", default=None)
-    p.add_argument("--horizon", type=int, default=1000)
+    p.add_argument("--horizon", type=_int_in(1, MAX_HORIZON), default=1000)
     p.add_argument("--resolution", type=_int_in(2, MAX_RESOLUTION), default=1 << 12)
     p.set_defaults(fn=cmd_plotdata)
 
@@ -425,9 +454,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_CONFIG if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (MapValidationError, KeyError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (MapValidationError, KeyError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_BAD_CONFIG
+    except ValueError as e:
+        # the input passed its checks, so a stage failed
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

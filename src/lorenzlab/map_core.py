@@ -656,4 +656,10 @@ def load_map(source: str) -> LorenzMapSpec:
     except KeyError:
         pass
     with open(source, "r", encoding="utf-8") as fh:
-        return LorenzMapSpec.from_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        return LorenzMapSpec.from_dict(d)
+    except MapValidationError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise MapValidationError(f"map config {source}: {e}") from e

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .map_core import LorenzMapSpec, critical_values, eval_array, pull_back
+from .map_core import LorenzMapSpec, MapValidationError, critical_values, eval_array, pull_back
 from .orbits import (
     estimate_omega_limit,
     orbit_chunks,
@@ -97,21 +97,21 @@ class Budgets:
     @staticmethod
     def from_dict(d: dict) -> "Budgets":
         if not isinstance(d, dict):
-            raise ValueError(f"budgets must be a JSON object, got {d!r}")
+            raise MapValidationError(f"budgets must be a JSON object, got {d!r}")
         b = Budgets()
         for k, v in d.items():
             if not hasattr(b, k):
                 raise KeyError(f"unknown budget field {k!r}")
             if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"budget {k} must be an integer, got {v!r}")
+                raise MapValidationError(f"budget {k} must be an integer, got {v!r}")
             setattr(b, k, v)
         for k, v in vars(b).items():
             if k != "seed" and v <= 0:
-                raise ValueError(f"budget {k} must be positive")
+                raise MapValidationError(f"budget {k} must be positive")
             if v > BUDGET_CAPS.get(k, v):
-                raise ValueError(f"budget {k} must be at most {BUDGET_CAPS[k]}, got {v}")
+                raise MapValidationError(f"budget {k} must be at most {BUDGET_CAPS[k]}, got {v}")
         if b.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise MapValidationError("seed must be non-negative")
         return b
 
 
@@ -119,8 +119,8 @@ class Budgets:
 class Analysis:
     """One map under one set of budgets, and the objects every stage of a
     report reads, each computed on first use and then kept: the periodic
-    catalog, the renormalization sequence and the trapping regions of its
-    chain."""
+    catalog, the renormalization sequence, the number of strata n_f and the
+    trapping regions of its chain."""
 
     spec: LorenzMapSpec
     budgets: Budgets
@@ -133,6 +133,13 @@ class Analysis:
     def seq(self) -> NestedSequence:
         b = self.budgets
         return find_renormalizations(self.spec, b.max_period, b.max_depth, b.horizon, catalog=self.catalog)
+
+    @cached_property
+    def n_f(self) -> int:
+        """The number of strata: one per chain level plus the outer one, and
+        0 when the critical values reach both ends (omega_0 is the full
+        interval)."""
+        return 0 if omega0(self.spec) == OMEGA0_FULL else len(self.seq.chain()) + 1
 
     @cached_property
     def trapping(self) -> tuple[list[list[tuple[float, float]]], list[str]]:
@@ -533,8 +540,8 @@ def stratum_blocks(a: Analysis, stratum_index: int) -> StratumBlocks:
     complement of the minimal-period orbit, plus the finitely many gaps of
     its avoiding set met by the enclosing renormalization cycle."""
     spec, catalog, chain = a.spec, a.catalog, a.seq.chain()
-    n_f = len(chain) + 1
-    if not (0 < stratum_index < n_f):
+    # a middle stratum lies between two chain levels, whatever omega_0 is
+    if not (0 < stratum_index <= len(chain)):
         raise ValueError("blocks are defined for middle strata only")
     tol = spec.tolerance
     chain_ext: list[tuple[float, float]] = [(0.0, 1.0)] + [r.J for r in chain]
@@ -618,7 +625,7 @@ def decompose(a: Analysis) -> DecompositionRecord:
     K, trap_notes = a.trapping
     notes = list(seq.notes) + trap_notes
 
-    n_f = 0 if om0 == OMEGA0_FULL else len(chain) + 1
+    n_f = a.n_f
     res = budgets.recurrence_resolution
     v0, v1 = critical_values(spec)
     tol = spec.tolerance

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from lorenzlab.cli import EXIT_BAD_CONFIG, EXIT_INVALID_MAP, EXIT_OK, main
+from lorenzlab.cli import EXIT_BAD_CONFIG, EXIT_INTERNAL, EXIT_INVALID_MAP, EXIT_OK, main
 from lorenzlab.return_maps import MAX_HORIZON, MAX_RESOLUTION
 
 FAST_BUDGETS = json.dumps(
@@ -222,10 +223,36 @@ def test_scan_cell_records_exception_type(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("probe failed")
 
-    monkeypatch.setattr(cli, "decompose", broken)
+    monkeypatch.setattr(cli, "classify_attractor", broken)
     row = cli._scan_cell(3.5, 4.0, Budgets())
     assert row["status"] == "error: ValueError: probe failed"
     assert (row["a_left"], row["a_right"], row["final_class"]) == (3.5, 4.0, "")
+
+
+# one cell per (class, n_f) of the 10 x 10 grid np.linspace(3, 4, 10) on
+# [3, 4]^2, as (a_left index, a_right index, class, n_f)
+SCAN_CLASSES = [
+    (9, 9, "interval_cycle", 0),
+    (6, 6, "interval_cycle", 2),
+    (3, 3, "periodic_attractor", 3),
+    (4, 5, "cherry", 2),
+    (5, 5, "cantor_chaotic_heuristic", 4),
+]
+
+
+@pytest.mark.parametrize("i, j, kind, n_f", SCAN_CLASSES)
+def test_scan_cell_matches_decompose(i, j, kind, n_f):
+    from lorenzlab import cli
+    from lorenzlab.map_core import quadratic_pair
+    from lorenzlab.spectral import Analysis, Budgets, decompose
+
+    # below the default budgets, and every cell keeps its class and n_f
+    budgets = Budgets(max_period=8, horizon=1000, recurrence_resolution=256)
+    a_left, a_right = (float(v) for v in np.linspace(3, 4, 10)[[i, j]])
+    row = cli._scan_cell(a_left, a_right, budgets)
+    dec = decompose(Analysis(quadratic_pair(a_left, a_right), budgets))
+    assert row["status"] == "ok"
+    assert (row["final_class"], row["n_f"]) == (dec.final_class.kind, dec.n_f) == (kind, n_f)
 
 
 def test_scan_rows_in_input_order(tmp_path):
@@ -320,6 +347,66 @@ SCAN = ["scan", "--a-left", "3.5:4.0", "--a-right", "3.5:4.0"]
 ORBIT = ["orbit", "--map", "paper-example", "--x0", "0.3"]
 COBWEB = ["plotdata", "--map", "paper-example", "--kind", "cobweb", "--x0", "0.3"]
 PHOBIC = ["plotdata", "--map", "paper-example", "--kind", "phobic", "--interval", "0.4,0.6"]
+
+
+def test_scan_runs_no_stratum_probe(tmp_path, monkeypatch):
+    # a row prints the class and n_f: one catalog per cell, and no
+    # decomposition, block or transitivity probe
+    from lorenzlab import cli, spectral
+
+    calls = dict.fromkeys(["decompose", "stratum_blocks", "_coverage_probe", "find_periodic_points"], 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
+    monkeypatch.setattr(cli, "decompose", spectral.decompose)
+    argv = [*SCAN, "--steps", "2", "--budgets", FAST_BUDGETS, "--out", str(tmp_path / "scan.csv")]
+    assert main(argv) == EXIT_OK
+    assert calls == {"decompose": 0, "stratum_blocks": 0, "_coverage_probe": 0, "find_periodic_points": 4}
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    # a ValueError from a stage, after every input check passed, is not a
+    # config error
+    from lorenzlab import cli
+
+    def broken(a):
+        raise ValueError("probe failed")
+
+    monkeypatch.setattr(cli, "classify_attractor", broken)
+    assert main(["classify", "--map", "paper-example"]) == EXIT_INTERNAL
+    assert "probe failed" in capsys.readouterr().err
+
+
+# malformed or out-of-range values of --interval, --a-left and --x0 (the
+# [:-1] commands end with that flag)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["returnmap", "--map", "paper-example", "--interval", "0.3"],
+        ["returnmap", "--map", "paper-example", "--interval", "0.6,0.3"],
+        ["returnmap", "--map", "paper-example", "--interval", "0.1,0.2"],
+        ["plotdata", "--map", "paper-example", "--kind", "returnmap", "--interval", "0.3,x"],
+        [*PHOBIC[:-1], "0.1,0.2"],
+        ["scan", "--a-left", "3.5-4.0", "--a-right", "3.5:4.0"],
+        [*ORBIT[:-1], "1.5"],
+        [*COBWEB[:-1], "-0.1"],
+    ],
+)
+def test_malformed_inputs_are_config_errors(argv):
+    assert main(argv) == EXIT_BAD_CONFIG
+
+
+def test_malformed_map_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({**BROKEN_MAP, "c": "half"}))
+    assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG
 
 
 @pytest.mark.parametrize(

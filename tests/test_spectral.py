@@ -109,6 +109,13 @@ def test_stratum_blocks_overlap_at_most_point(an3):
             assert hi - lo <= 1e-9
 
 
+def test_analysis_n_f(an1, an2, an3, dec1, dec2, dec3):
+    # logistic4-embed: omega_0 is the full interval, so there are no strata
+    assert an2.n_f == 0
+    assert an1.n_f == len(an1.seq.chain()) + 1
+    assert (an1.n_f, an2.n_f, an3.n_f) == (dec1.n_f, dec2.n_f, dec3.n_f)
+
+
 def test_budgets_from_dict_integers_only():
     b = Budgets.from_dict({"max_period": 8, "horizon": 2000, "seed": 0})
     assert (b.max_period, b.horizon, b.seed) == (8, 2000, 0)
