@@ -31,7 +31,7 @@ from .map_core import (
     quadratic_pair,
     validate_map,
 )
-from .orbits import estimate_omega_limit, iterate_orbit, lyapunov
+from .orbits import estimate_omega_limit, iterate_orbit, lyapunov, symbols
 from .return_maps import (
     MAX_HORIZON,
     MAX_RESOLUTION,
@@ -262,13 +262,13 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     spec = load_map(args.map)
     side = Side(args.side)
     seg = iterate_orbit(spec, args.x0, side, args.steps)
+    # the word ends at an undirected landing at c, whose row has no bit
+    word = symbols(spec, seg.points)
     buf = io.StringIO()
     buf.write("k,x,side,logDf,itin_bit\n")
     for k, p in enumerate(seg.points):
-        at_c = abs(p.x - spec.c) <= spec.tolerance
-        logdf = "" if at_c else repr(math.log(abs(derivative(spec, p.x))))
-        bit = "" if (at_c and p.side == Side.NONE) else ("0" if (p.x < spec.c or p.side == Side.MINUS) else "1")
-        buf.write(f"{k},{p.x!r},{p.side.value},{logdf},{bit}\n")
+        logdf = "" if abs(p.x - spec.c) <= spec.tolerance else repr(math.log(abs(derivative(spec, p.x))))
+        buf.write(f"{k},{p.x!r},{p.side.value},{logdf},{word[k:k + 1]}\n")
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

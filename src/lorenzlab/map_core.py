@@ -9,6 +9,7 @@ the dynamics, so points within tolerance of c must carry an approach side.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,6 +39,8 @@ BRANCH_KINDS = ("polynomial", "quadratic_logistic", "power_form")
 # u(0) = 0, to this tolerance
 EMBED_CHECK_GRID = 1024
 EMBED_CHECK_TOLERANCE = 1e-9
+# validate_map samples each branch on this many grid points
+VALIDATION_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,10 @@ class BranchSpec:
             raise MapValidationError(f"unknown branch kind {self.kind!r}")
         if self.domain_side not in ("left", "right"):
             raise MapValidationError(f"domain_side must be left/right, got {self.domain_side!r}")
+        for name in ("a", "alpha"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                raise MapValidationError(f"branch parameter {name} must be a real number, got {v!r}")
         if self.kind == "polynomial":
             if not self.coefficients:
                 raise MapValidationError("polynomial branch needs coefficients")
@@ -391,13 +398,12 @@ def critical_values(spec: LorenzMapSpec) -> tuple[float, float]:
     return (min(max(v0, 0.0), 1.0), min(max(v1, 0.0), 1.0))
 
 
-def validate_map(spec: LorenzMapSpec, grid_size: int = 512) -> ValidationReport:
-    """Grid audit of the defining conditions. All conclusions are numerical:
-    they hold on the sampled grid at the spec tolerance, nothing more."""
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
+def validate_map(spec: LorenzMapSpec) -> ValidationReport:
+    """Grid audit of the defining conditions, VALIDATION_GRID points a side.
+    All conclusions are numerical: they hold on the sampled grid at the spec
+    tolerance, nothing more."""
     tol = spec.tolerance
-    notes = [f"numerical check: grid_size={grid_size}, tolerance={tol}"]
+    notes = [f"numerical check: grid_size={VALIDATION_GRID}, tolerance={tol}"]
     ker = _kernels(spec)
     ok = True
 
@@ -411,8 +417,8 @@ def validate_map(spec: LorenzMapSpec, grid_size: int = 512) -> ValidationReport:
         notes.append(f"f(1)={f1} not fixed")
 
     grids = {
-        "left": np.linspace(0.0, spec.c, grid_size, endpoint=False)[1:],
-        "right": np.linspace(spec.c, 1.0, grid_size, endpoint=False)[1:],
+        "left": np.linspace(0.0, spec.c, VALIDATION_GRID, endpoint=False)[1:],
+        "right": np.linspace(spec.c, 1.0, VALIDATION_GRID, endpoint=False)[1:],
     }
     sf_neg = True
     for side, xs in grids.items():

@@ -20,19 +20,19 @@ from .map_core import (
     _kernels,
     apply_raw,
     branch_inverse_array,
-    derivative,
 )
 
 # the most points orbit_chunks hands back at once
 WALK_CHUNK = 4096
-# the cell grid of estimate_alpha_limit
+# the cell grid, the preimage depth and the node cap of estimate_alpha_limit
 ALPHA_LIMIT_RESOLUTION = 1024
+ALPHA_LIMIT_DEPTH = 25
+ALPHA_LIMIT_CAP = 10**6
 
 
 @dataclass
 class OrbitSegment:
     points: list[DirectedPoint]
-    log_derivative_sum: float
     hit_critical_at: int | None = None
 
     @property
@@ -43,7 +43,6 @@ class OrbitSegment:
 @dataclass
 class Itinerary:
     word: str
-    start: DirectedPoint
 
 
 @dataclass
@@ -60,7 +59,6 @@ class LimitSetEstimate:
 class AlphaLimitEstimate:
     cells: tuple[int, ...]
     resolution: int
-    depth: int
     node_count: int
     j_x_est: tuple[float, float] | None
     complete: bool
@@ -82,8 +80,7 @@ def iterate_orbit(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int
     """Forward orbit of up to n steps starting at (x0, side).
 
     The side applies to x0 only; later iterates landing within tolerance of c
-    stop the orbit with hit_critical_at set. log_derivative_sum accumulates
-    log|Df| over the steps taken, skipping a step made from the break point.
+    stop the orbit with hit_critical_at set.
     """
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 outside [0,1]")
@@ -95,28 +92,28 @@ def iterate_orbit(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int
         # examined
         if landed and len(xs) - 1 < max(n, 1):
             hit = len(xs) - 1
-    # every point but the last was stepped from; a directed start at c
-    # has no derivative
-    logsum = 0.0
-    for x in xs[:-1]:
-        if abs(x - spec.c) > spec.tolerance:
-            logsum += math.log(abs(derivative(spec, x)))
     points = [DirectedPoint(x0, side)] + [DirectedPoint(x) for x in xs[1:]]
-    return OrbitSegment(points, logsum, hit_critical_at=hit)
+    return OrbitSegment(points, hit_critical_at=hit)
 
 
-def itinerary(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int = 100) -> Itinerary:
-    """Binary word: 0 when the iterate is left of c (or at c with side minus)."""
-    seg = iterate_orbit(spec, x0, side, n)
+def symbols(spec: LorenzMapSpec, points: list[DirectedPoint]) -> str:
+    """The itinerary bits of points, one per point up to the first
+    undirected landing within tolerance of c, which ends the word: 0 left of
+    c or at c with side minus, 1 right of c or at c with side plus."""
     bits = []
-    for p in seg.points[:n]:
+    for p in points:
         if abs(p.x - spec.c) <= spec.tolerance:
             if p.side == Side.NONE:
                 break
             bits.append("0" if p.side == Side.MINUS else "1")
         else:
             bits.append("0" if p.x < spec.c else "1")
-    return Itinerary(word="".join(bits), start=DirectedPoint(x0, side))
+    return "".join(bits)
+
+
+def itinerary(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int = 100) -> Itinerary:
+    """The word of symbols() on the first n points of the orbit of (x0, side)."""
+    return Itinerary(word=symbols(spec, iterate_orbit(spec, x0, side, n).points[:n]))
 
 
 def orbit_chunks(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE):
@@ -317,38 +314,32 @@ def estimate_omega_limit(
     )
 
 
-def estimate_alpha_limit(
-    spec: LorenzMapSpec,
-    x: float,
-    depth: int = 25,
-    cap: int = 10**6,
-) -> AlphaLimitEstimate:
-    """Breadth-first preimage tree of x.
+def estimate_alpha_limit(spec: LorenzMapSpec, x: float) -> AlphaLimitEstimate:
+    """Breadth-first preimage tree of x, ALPHA_LIMIT_DEPTH levels deep and at
+    most ALPHA_LIMIT_CAP nodes.
 
     Cells of nodes in the deeper half approximate the alpha-limit set; the
     connected uncovered region around c (from all nodes) estimates the
     critical gap of the backward dynamics.
     """
-    if depth > 60:
-        raise ValueError("depth capped at 60")
     tol = spec.tolerance
     level = np.array([x])
     all_nodes: list[tuple[int, float]] = [(0, x)]
     complete = True
-    for d in range(1, depth + 1):
+    for d in range(1, ALPHA_LIMIT_DEPTH + 1):
         pre_l = branch_inverse_array(spec, "left", level)
         pre_r = branch_inverse_array(spec, "right", level)
         nxt = np.concatenate([pre_l, pre_r])
         nxt = nxt[~np.isnan(nxt)]
         nxt = np.unique(np.round(nxt, 13))
-        if len(all_nodes) + nxt.size > cap:
+        if len(all_nodes) + nxt.size > ALPHA_LIMIT_CAP:
             complete = False
             break
         all_nodes.extend((d, float(v)) for v in nxt)
         level = nxt
         if level.size == 0:
             break
-    deep = [v for (d, v) in all_nodes if d >= depth / 2]
+    deep = [v for (d, v) in all_nodes if d >= ALPHA_LIMIT_DEPTH / 2]
     cells = tuple(sorted({min(int(v * ALPHA_LIMIT_RESOLUTION), ALPHA_LIMIT_RESOLUTION - 1) for v in deep}))
     below = [v for (_, v) in all_nodes if v <= spec.c - tol]
     above = [v for (_, v) in all_nodes if v >= spec.c + tol]
@@ -360,7 +351,6 @@ def estimate_alpha_limit(
     return AlphaLimitEstimate(
         cells=cells,
         resolution=ALPHA_LIMIT_RESOLUTION,
-        depth=depth,
         node_count=len(all_nodes),
         j_x_est=j_x,
         complete=complete,

@@ -20,7 +20,6 @@ import numpy as np
 from .map_core import (
     LorenzMapSpec,
     Side,
-    bisect,
     bisect_array,
     branch_inverse_array,
     derivative,
@@ -46,8 +45,6 @@ NEUTRAL_TOLERANCE = 1e-4
 MAX_PERIOD = 20
 # the most lap boundaries `laps` collects
 LAP_BUDGET = 1 << 16
-# half-width of the bracket _polish_root searches around its start
-POLISH_HALF_WIDTH = 2e-5
 
 
 @dataclass
@@ -150,16 +147,13 @@ def _closure_gap(spec: LorenzMapSpec, x: float, n: int) -> float | None:
     return pts[n] - x if len(pts) == n + 1 else None
 
 
-def _ternary_min(h, a: float, b: float, rounds: int) -> float | None:
+def _ternary_min(h, a: float, b: float, rounds: int) -> float:
     """Ternary search for a minimum of |h| on [a, b]: the midpoint of the
-    bracket left after `rounds` rounds, or None as soon as h returns None."""
+    bracket left after `rounds` rounds."""
     for _ in range(rounds):
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
-        h1, h2 = h(m1), h(m2)
-        if h1 is None or h2 is None:
-            return None
-        if abs(h1) < abs(h2):
+        if abs(h(m1)) < abs(h(m2)):
             b = m2
         else:
             a = m1
@@ -231,29 +225,6 @@ def _neutral_probe(spec: LorenzMapSpec, cycle: list[float], period: int) -> bool
     n = 4000 * period
     pts = orbit_list(spec, x, n + 1)
     return len(pts) == n + 1 and min(abs(pts[n] - p) for p in cycle) < 1e-4
-
-
-def _polish_root(spec: LorenzMapSpec, x: float, n: int) -> float:
-    """Refine a fixed point of f^n near x; handles tangential roots by
-    minimizing |f^n - id| when there is no sign change."""
-
-    def g(v: float) -> float | None:
-        return _closure_gap(spec, v, n)
-
-    a, b = max(x - POLISH_HALF_WIDTH, 0.0), min(x + POLISH_HALF_WIDTH, 1.0)
-    ga, gb = g(a), g(b)
-    if ga is None or gb is None:
-        return x
-    if (ga < 0) != (gb < 0):
-
-        def same_sign(m: float) -> bool | None:
-            gm = g(m)
-            return None if gm is None else (gm < 0) == (ga < 0)
-
-        root = bisect(same_sign, a, b, 70)
-    else:
-        root = _ternary_min(g, a, b, 90)
-    return x if root is None else root
 
 
 def _merge_radius(rec: PeriodicOrbitRecord, tol: float) -> float:
@@ -329,11 +300,6 @@ def find_periodic_points(
                         break
                 if g is not None and abs(g) <= 10 * tol:
                     rebuilt = _directed_cycle(spec, x0, period)
-                    if rebuilt is not None:
-                        cycle = rebuilt
-                else:
-                    x1 = _polish_root(spec, cycle[0], period)
-                    rebuilt = _directed_cycle(spec, x1, period)
                     if rebuilt is not None:
                         cycle = rebuilt
         if is_super:
@@ -433,14 +399,10 @@ def count_nonrepelling(catalog: list[PeriodicOrbitRecord]) -> int:
 
 
 def minimal_period_orbit_in(
-    spec: LorenzMapSpec,
-    J: tuple[float, float],
-    max_period: int = 12,
-    *,
-    catalog: list[PeriodicOrbitRecord],
+    spec: LorenzMapSpec, J: tuple[float, float], *, catalog: list[PeriodicOrbitRecord]
 ) -> PeriodicOrbitRecord:
     """The unique minimal-period orbit of the catalog meeting J (closure, at
-    tolerance); max_period names the catalog's period cap in the error.
+    tolerance).
 
     Raises VariationalPrincipleViolated when two distinct orbits tie: either
     the no-attractor hypothesis of the underlying uniqueness statement fails
@@ -450,7 +412,7 @@ def minimal_period_orbit_in(
     tol = spec.tolerance
     hits = [r for r in catalog if r.intersects(lo, hi, tol)]
     if not hits:
-        raise NoPeriodicOrbitFound(f"none found (budget): no orbit of period <= {max_period} meets {J}")
+        raise NoPeriodicOrbitFound(f"none found (budget): no catalog orbit meets {J}")
     best = min(r.period for r in hits)
     winners = [r for r in hits if r.period == best]
     if len(winners) > 1:

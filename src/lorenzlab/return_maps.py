@@ -511,6 +511,19 @@ def gaps(
     return out
 
 
+def _stay_outside(spec: LorenzMapSpec, xs: np.ndarray, J: tuple[float, float], n: int) -> np.ndarray:
+    """Mask of the points of xs whose first n iterates (time 0 included)
+    stay outside the open interval J; an orbit that meets c does not."""
+    lo, hi = J
+    alive = ~((xs > lo) & (xs < hi))
+    y = xs.copy()
+    for _ in range(n):
+        y[alive] = eval_array(spec, y[alive])
+        alive &= ~np.isnan(y)
+        alive &= ~((y > lo) & (y < hi))
+    return alive
+
+
 def phobic_measure(
     spec: LorenzMapSpec,
     J: tuple[float, float],
@@ -519,16 +532,9 @@ def phobic_measure(
 ) -> PhobicEstimate:
     """Fraction of a uniform grid whose first n iterates (time 0 included)
     stay outside J."""
-    lo, hi = J
-    if not (lo < spec.c < hi):
+    if not (J[0] < spec.c < J[1]):
         raise ValueError("J must contain c")
-    xs = (np.arange(grid) + 0.5) / grid
-    alive = ~((xs > lo) & (xs < hi))
-    y = xs.copy()
-    for _ in range(n):
-        y[alive] = eval_array(spec, y[alive])
-        alive &= ~np.isnan(y)
-        alive &= ~((y > lo) & (y < hi))
+    alive = _stay_outside(spec, (np.arange(grid) + 0.5) / grid, J, n)
     cells = tuple(int(i) for i in np.nonzero(alive)[0])
     return PhobicEstimate(
         J=J,
@@ -553,16 +559,8 @@ def mane_expansion_check(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    lo, hi = J
     xs = rng.uniform(0.0, 1.0, samples)
-    xs = xs[(xs <= lo) | (xs >= hi)]
-    alive = np.ones(xs.shape, dtype=bool)
-    y = xs.copy()
-    for _ in range(n):
-        y[alive] = eval_array(spec, y[alive])
-        alive &= ~np.isnan(y)
-        alive &= ~((y > lo) & (y < hi))
-    survivors = xs[alive]
+    survivors = xs[_stay_outside(spec, xs, J, n)]
     if survivors.size < 10:
         raise ValueError(f"insufficient survivors: {survivors.size} < 10")
     # pooled regression of cumulative log-derivative against step count

@@ -393,22 +393,26 @@ def _coverage_probe(
 # classification
 
 
-def _absorbed_by_cycle(
-    spec: LorenzMapSpec, x0: float, cycle: list[float], horizon: int
-) -> bool:
-    """Does the forward orbit of x0 end up at the cycle (late-time distance
-    below 1e-3)?"""
-    # the distances of x_j, horizon - tail < j <= horizon, up to a landing at c
+def _late_points(spec: LorenzMapSpec, x0: float, horizon: int) -> np.ndarray:
+    """The late points of the forward orbit of x0: x_j for
+    horizon - tail < j <= horizon, tail = max(horizon // 10, 10), or else
+    the point where the orbit lands at c and ends. From a critical value,
+    such a landing makes c periodic: a superattracting cycle."""
     first = max(horizon - max(horizon // 10, 10) + 1, 1)
-    points = np.array(cycle)
-    best = math.inf
+    late: list[float] = []
     k = 0
-    for pts, _ in orbit_chunks(spec, x0, horizon + 1):
-        if k + len(pts) > first:
-            xs = np.array(pts[max(first - k, 0) :])
-            best = min(best, float(np.abs(xs[:, None] - points).min()))
+    for pts, landed in orbit_chunks(spec, x0, horizon + 1):
+        late += pts[max(first - k, 0) :]
         k += len(pts)
-    return best < 1e-3
+        if landed and not late:
+            late = pts[-1:]
+    return np.array(late)
+
+
+def _absorbed_by_cycle(late: np.ndarray, cycle: list[float]) -> bool:
+    """Does an orbit with these late points end up at the cycle (late-time
+    distance below 1e-3)?"""
+    return late.size > 0 and float(np.abs(late[:, None] - np.array(cycle)).min()) < 1e-3
 
 
 def classify_attractor(a: Analysis) -> AttractorClass:
@@ -429,9 +433,11 @@ def classify_attractor(a: Analysis) -> AttractorClass:
         if r.kind in ("attracting", "super")
         or (r.kind == "neutral" and r.neutral_attracting_probe)
     ]
+    # each critical orbit is walked once, and every candidate is tested
+    # against the same late points
+    late = [_late_points(spec, v, budgets.horizon) for v in (v0, v1)] if nonrep else []
     for rec in nonrep:
-        absorbed0 = _absorbed_by_cycle(spec, v0, rec.points, budgets.horizon)
-        absorbed1 = _absorbed_by_cycle(spec, v1, rec.points, budgets.horizon)
+        absorbed0, absorbed1 = (_absorbed_by_cycle(pts, rec.points) for pts in late)
         both = absorbed0 and absorbed1
         one_with_degenerate = (absorbed0 or absorbed1) and (
             seq.degenerate is not None or seq.maximal_nonregular is not None

@@ -3,12 +3,6 @@ import pytest
 
 from lorenzlab import Analysis, Budgets, builtin_map, decompose
 
-# the worked quadratic pair: left 3.4x(1-x), right 1-4x(1-x)
-P_CYCLE = 0.48880830755049054
-Q_CYCLE = 0.849574136468393
-A3 = 5.0 / 17.0
-B3 = 12.0 / 17.0
-
 
 @pytest.fixture(scope="session")
 def ex1():

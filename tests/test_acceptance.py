@@ -27,7 +27,7 @@ from lorenzlab import (
 )
 from lorenzlab.cli import build_report, main
 from lorenzlab.map_core import Side, apply_raw
-from conftest import P_CYCLE, Q_CYCLE
+from known_points import P_CYCLE, Q_CYCLE
 
 
 def verdict(num, ok, text):

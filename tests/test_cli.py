@@ -436,3 +436,72 @@ def test_integer_flags_at_lower_bounds(tmp_path):
     assert len(out.read_text().splitlines()) == 2
     assert main([*PHOBIC, "--steps", "0", "--resolution", "2", "--out", str(out)]) == EXIT_OK
     assert out.read_text().splitlines()[0] == "cell_index,cell_lo,cell_hi"
+
+
+def _csv_rows(path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_orbit_itin_bit_follows_itinerary(tmp_path):
+    from lorenzlab import builtin_map, itinerary
+    from lorenzlab.map_core import Side
+
+    out = tmp_path / "orb.csv"
+    # a directed start within tolerance of c takes the branch of its side
+    for x0, side, bit in (("0.49999999999", "plus", "1"), ("0.50000000001", "minus", "0")):
+        assert main([*ORBIT[:-1], x0, "--side", side, "--steps", "4", "--out", str(out)]) == EXIT_OK
+        assert _csv_rows(out)[0][4] == bit
+    rng = np.random.default_rng(8)
+    for name in ("paper-example", "logistic4-embed"):
+        spec = builtin_map(name)
+        # c without a side is an undirected landing: its row has no bit
+        for x0 in [spec.c, *rng.uniform(0.0, 1.0, 4)]:
+            for side in ("none", "minus", "plus"):
+                argv = ["orbit", "--map", name, "--x0", repr(float(x0)), "--side", side, "--steps", "60"]
+                assert main([*argv, "--out", str(out)]) == EXIT_OK
+                rows = _csv_rows(out)
+                word = itinerary(spec, float(x0), Side(side), len(rows)).word
+                assert "".join(row[4] for row in rows) == word
+
+
+@pytest.mark.parametrize(
+    "branch",
+    [
+        {"kind": "quadratic_logistic", "a": "x"},
+        {"kind": "quadratic_logistic", "a": [3.4]},
+        {"kind": "quadratic_logistic", "a": True},
+        {"kind": "power_form", "a": 0.9, "alpha": "2"},
+    ],
+)
+def test_non_numeric_branch_parameters_are_config_errors(tmp_path, capsys, branch):
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"c": 0.5, "left": branch, "right": {"kind": "quadratic_logistic", "a": 4.0}}))
+    assert main(["classify", "--map", str(cfg)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_plotdata_limitset_rows_are_the_omega_limit_cells(tmp_path):
+    from lorenzlab import builtin_map, estimate_omega_limit
+
+    out = tmp_path / "ls.csv"
+    argv = ["plotdata", "--map", "logistic4-embed", "--kind", "limitset", "--x0", "0.3", "--steps", "500"]
+    assert main([*argv, "--resolution", "256", "--out", str(out)]) == EXIT_OK
+    est = estimate_omega_limit(builtin_map("logistic4-embed"), 0.3, 1000, 500, 256)
+    w = 1.0 / 256
+    assert len(est.cells) > 1
+    assert out.read_text().splitlines()[0] == "cell_index,cell_lo,cell_hi"
+    assert _csv_rows(out) == [[str(c), repr(c * w), repr((c + 1) * w)] for c in est.cells]
+
+
+def test_plotdata_phobic_rows_are_the_surviving_cells(tmp_path):
+    from lorenzlab import builtin_map, phobic_measure
+
+    out = tmp_path / "ph.csv"
+    argv = ["plotdata", "--map", "logistic4-embed", "--kind", "phobic", "--interval", "0.4,0.6", "--steps", "8"]
+    assert main([*argv, "--resolution", "4096", "--out", str(out)]) == EXIT_OK
+    est = phobic_measure(builtin_map("logistic4-embed"), (0.4, 0.6), 8, 4096)
+    w = 1.0 / 4096
+    assert 0 < len(est.surviving_cells) < 4096
+    assert out.read_text().splitlines()[0] == "cell_index,cell_lo,cell_hi"
+    assert _csv_rows(out) == [[str(c), repr(c * w), repr((c + 1) * w)] for c in est.surviving_cells]

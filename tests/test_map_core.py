@@ -28,7 +28,7 @@ def quad_schwarzian(a, x, flip=False):
 
 
 def test_validate_paper_pair(ex1):
-    rep = validate_map(ex1, 512)
+    rep = validate_map(ex1)
     assert rep.is_lorenz
     assert rep.is_contracting
     assert rep.schwarzian_negative_sampled
@@ -51,7 +51,7 @@ def test_validate_rejects_bad_map():
         left=mc.BranchSpec(kind="polynomial", domain_side="left", coefficients=(0.0, 2.0, -3.0)),
         right=mc.BranchSpec(kind="polynomial", domain_side="right", coefficients=(1.0, -4.0, 4.0)),
     )
-    rep = validate_map(bad, 512)
+    rep = validate_map(bad)
     assert not rep.is_lorenz
     assert any("increasing" in n or "derivative" in n for n in rep.notes)
 
@@ -104,7 +104,7 @@ def test_power_form_branch_schwarzian():
         right=mc.BranchSpec(kind="power_form", domain_side="right", a=0.7, alpha=2.0),
         name="pf",
     )
-    rep = validate_map(spec, 512)
+    rep = validate_map(spec)
     assert rep.is_lorenz and rep.is_contracting and rep.schwarzian_negative_sampled
     # oracle: Sf = -(alpha^2 - 1) / (2 (c-x)^2) for the left normal form
     x = 0.1

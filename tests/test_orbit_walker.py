@@ -94,17 +94,15 @@ def ref_orbit_points(spec, start, horizon):
 
 
 def ref_absorbed_by_cycle(spec, x0, cycle, horizon):
-    x = x0
-    tol = spec.tolerance
+    # x_j for horizon - tail < j <= horizon, and a landing at c at any step
     tail = max(horizon // 10, 10)
-    best = math.inf
-    for k in range(horizon):
-        if abs(x - spec.c) <= tol:
-            break
-        x = apply_raw(spec, x, Side.NONE)
-        if k >= horizon - tail:
-            best = min(best, min(abs(x - p) for p in cycle))
-    return best < 1e-3
+    xs = [x0]
+    while len(xs) <= horizon and abs(xs[-1] - spec.c) > spec.tolerance:
+        xs.append(apply_raw(spec, xs[-1], Side.NONE))
+    late = xs[max(horizon - tail + 1, 1) :]
+    if abs(xs[-1] - spec.c) <= spec.tolerance:
+        late.append(xs[-1])
+    return any(abs(x - p) < 1e-3 for x in late for p in cycle)
 
 
 def power_map() -> LorenzMapSpec:
@@ -262,31 +260,29 @@ def test_absorbed_by_cycle_matches_reference():
         for x0, side in starts(spec):
             if side != Side.NONE:
                 continue
-            for cycle in ([0.0], [0.4888, 0.8496, 1.0]):
-                for horizon in (0, 1, 5, 11, 12, WALK_CHUNK, WALK_CHUNK + 1):
-                    got = spectral._absorbed_by_cycle(spec, x0, cycle, horizon)
+            for horizon in (0, 1, 5, 11, 12, WALK_CHUNK, WALK_CHUNK + 1):
+                late = spectral._late_points(spec, x0, horizon)
+                # the landing starts meet c long before the late window
+                for cycle in ([0.0], [0.4888, 0.8496, 1.0], [spec.c]):
+                    got = spectral._absorbed_by_cycle(late, cycle)
                     assert got == ref_absorbed_by_cycle(spec, x0, cycle, horizon)
 
 
 def ref_iterate_orbit(spec, x0, side=Side.NONE, n=100):
     tol = spec.tolerance
     pts = [(x0, side)]
-    logsum = 0.0
     hit = None
     x, s = x0, side
     if abs(x0 - spec.c) <= tol and s == Side.NONE:
-        return pts, 0.0, 0
+        return pts, 0
     for _ in range(n):
-        at_c = abs(x - spec.c) <= tol
-        if at_c and s == Side.NONE:
+        if abs(x - spec.c) <= tol and s == Side.NONE:
             hit = len(pts) - 1
             break
-        if not at_c:
-            logsum += math.log(abs(derivative(spec, x)))
         x = apply_raw(spec, x, s)
         s = Side.NONE
         pts.append((x, s))
-    return pts, logsum, hit
+    return pts, hit
 
 
 def test_iterate_orbit_matches_reference():
@@ -297,5 +293,5 @@ def test_iterate_orbit_matches_reference():
             # 5 and 9 end exactly on the landings at steps 5 and 9
             for n in (0, 1, 4, 5, 8, 9, 10, 300, WALK_CHUNK + 1):
                 seg = iterate_orbit(spec, x0, side, n)
-                got = ([(p.x, p.side) for p in seg.points], seg.log_derivative_sum, seg.hit_critical_at)
+                got = ([(p.x, p.side) for p in seg.points], seg.hit_critical_at)
                 assert got == ref_iterate_orbit(spec, x0, side, n)

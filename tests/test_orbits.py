@@ -13,7 +13,7 @@ from lorenzlab import (
     lyapunov,
     rotation_number,
 )
-from conftest import A3, B3, P_CYCLE, Q_CYCLE
+from known_points import A3, B3, P_CYCLE, Q_CYCLE
 
 
 def test_orbit_hand_arithmetic(ex2):
@@ -120,19 +120,19 @@ def test_omega_perfectness_proxy(ex2):
 
 
 def test_alpha_limit_full_map(ex2):
-    est = estimate_alpha_limit(ex2, 0.3, depth=25, cap=10**6)
+    est = estimate_alpha_limit(ex2, 0.3)
     assert len(est.cells) >= 0.95 * est.resolution
     assert est.j_x_est is None
 
 
 def test_alpha_limit_monotone_tail(ex1):
-    est = estimate_alpha_limit(ex1, 0.95, depth=25, cap=10**6)
+    est = estimate_alpha_limit(ex1, 0.95)
     # backward orbit climbs the right branch toward the fixed point 1
     assert min(est.cells) >= int(0.9 * est.resolution)
 
 
 def test_alpha_limit_renormalization_gap(ex3, seq3):
-    est = estimate_alpha_limit(ex3, B3, depth=25, cap=10**6)
+    est = estimate_alpha_limit(ex3, B3)
     assert est.j_x_est is not None
     lo, hi = est.j_x_est
     assert lo == pytest.approx(A3, abs=1e-6)

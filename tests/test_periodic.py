@@ -17,7 +17,7 @@ from lorenzlab.periodic import (
     NoPeriodicOrbitFound,
     VariationalPrincipleViolated,
 )
-from conftest import A3, B3, P_CYCLE, Q_CYCLE
+from known_points import A3, B3, P_CYCLE, Q_CYCLE
 
 
 def necklace(n):
@@ -185,16 +185,16 @@ def test_catalog_points_are_floats(cat2):
 
 
 def test_minimal_period_orbit(ex1, ex3, cat1, cat3):
-    rec = minimal_period_orbit_in(ex3, (A3, B3), 8, catalog=cat3)
+    rec = minimal_period_orbit_in(ex3, (A3, B3), catalog=cat3)
     assert rec.period == 2
     assert rec.points == pytest.approx([A3, B3], abs=1e-9)
 
-    rec1 = minimal_period_orbit_in(ex1, (0.45, 0.55), 8, catalog=cat1)
+    rec1 = minimal_period_orbit_in(ex1, (0.45, 0.55), catalog=cat1)
     assert rec1.period == 2
     assert rec1.kind == "attracting"
 
     # an interval reaching a fixed point returns it at period 1
-    rec0 = minimal_period_orbit_in(ex1, (-1e-9, 0.51), 8, catalog=cat1)
+    rec0 = minimal_period_orbit_in(ex1, (-1e-9, 0.51), catalog=cat1)
     assert rec0.period == 1
     assert rec0.points[0] == pytest.approx(0.0)
 
@@ -204,14 +204,14 @@ def test_minimal_period_tie_is_an_error(ex1, cat1):
     # around, the uniqueness statement's hypotheses fail and the tie is
     # reported rather than resolved
     with pytest.raises(VariationalPrincipleViolated):
-        minimal_period_orbit_in(ex1, (0.4, 0.6), 8, catalog=cat1)
+        minimal_period_orbit_in(ex1, (0.4, 0.6), catalog=cat1)
 
 
 def test_minimal_period_budget_error(ex1, cat1):
     # the catalog's nearest point to c sits ~4.9e-4 away; a narrower window
     # is periodic-point free at this budget
     with pytest.raises(NoPeriodicOrbitFound):
-        minimal_period_orbit_in(ex1, (0.4999, 0.5001), 8, catalog=cat1)
+        minimal_period_orbit_in(ex1, (0.4999, 0.5001), catalog=cat1)
 
 
 def test_singer_bound_small_sweep():

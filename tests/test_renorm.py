@@ -14,7 +14,7 @@ from lorenzlab import (
     trapping_region,
 )
 from lorenzlab.map_core import Side, apply_raw
-from conftest import A3, B3
+from known_points import A3, B3
 
 
 FEIGENBAUM_A = 3.569945671870944

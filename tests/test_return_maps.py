@@ -16,7 +16,7 @@ from lorenzlab import builtin_map
 from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, validate_map
 from lorenzlab.periodic import find_periodic_points
 from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times
-from conftest import A3, B3, P_CYCLE
+from known_points import A3, B3, P_CYCLE
 
 # alpha = 2 on both sides: numpy's power and libm's pow then both round x*x
 # correctly, so the vector and the scalar step agree bit for bit; for other

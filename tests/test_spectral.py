@@ -14,10 +14,10 @@ from lorenzlab import (
     omega0,
     quadratic_pair,
 )
-from lorenzlab.map_core import Side, apply_raw
+from lorenzlab.map_core import Side, apply_raw, critical_values
 from lorenzlab.spectral import _certified_core, stratum_blocks
 from lorenzlab.renorm import find_renormalizations
-from conftest import A3, B3, P_CYCLE, Q_CYCLE
+from known_points import A3, B3, P_CYCLE, Q_CYCLE
 
 
 def test_omega0_four_cases(ex1, ex2, ex3):
@@ -325,3 +325,50 @@ def test_coverage_probe_matches_reference(ex1, ex2, ex3):
                     for horizon in (0, 1, 5, 200):
                         got = spectral._coverage_probe(spec, seed, targets, res, horizon)
                         assert got == ref_coverage_probe(spec, seed, targets, res, horizon, stop_fraction=0.9)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        embed_unimodal(logistic(1 + math.sqrt(5))),
+        embed_unimodal(logistic(3.4985616993277016)),
+        quadratic_pair(1 + math.sqrt(5), 1 + math.sqrt(5)),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_superattracting_cycle_is_periodic(spec):
+    # centres of hyperbolic components: both critical orbits land within
+    # tolerance of c before the late window, and the landing point is then
+    # their one late point
+    from lorenzlab.spectral import _late_points
+
+    budgets = Budgets()
+    for v in critical_values(spec):
+        late = _late_points(spec, v, budgets.horizon)
+        assert late.size == 1 and abs(late[0] - spec.c) <= spec.tolerance
+    cls = classify_attractor(Analysis(spec, budgets))
+    assert cls.kind in ("periodic_attractor", "super_attractor")
+    assert cls.evidence["critical_orbits_absorbed"] == [True, True]
+
+
+def test_classify_walks_each_critical_orbit_once(monkeypatch):
+    # step (1) tests every candidate cycle against the same two walks
+    from lorenzlab import spectral
+    from lorenzlab.periodic import PeriodicOrbitRecord
+
+    a = Analysis(embed_unimodal(logistic(3.7)), Budgets(max_period=8))
+    a.seq  # the chain of the true catalog
+    # three made-up attracting candidates below the core [v0, v1] = [0.075,
+    # 0.925], where no late point lies
+    a.catalog = a.catalog + [PeriodicOrbitRecord([x], 1, 0.5, "attracting", "0") for x in (0.01, 0.02, 0.03)]
+    starts = []
+    walk = spectral.orbit_chunks
+
+    def counted(spec, x0, n, side=Side.NONE):
+        starts.append(x0)
+        return walk(spec, x0, n, side)
+
+    monkeypatch.setattr(spectral, "orbit_chunks", counted)
+    cls = classify_attractor(a)
+    assert "orbit" not in cls.evidence  # no candidate absorbed both walks
+    assert starts == list(critical_values(a.spec))
