@@ -287,9 +287,13 @@ def estimate_omega_limit(
     """Cells visited by the orbit after burn-in, on a dyadic grid."""
     if burn_in + sample_len > 10**8:
         raise ValueError("burn_in + sample_len too large")
+    # every later point is clamped into [0, 1]
+    if burn_in <= 0 and x0 < 0.0:
+        raise ValueError(f"orbit point {x0} lies below 0")
     truncated = False
     k = 0
-    cells: set[int] = set()
+    # one flag per cell: a point x marks cell min(int(x * resolution), resolution - 1)
+    visited = np.zeros(resolution, dtype=bool)
     contains_c = False
     cw = 1.0 / resolution
     for pts, landed in orbit_chunks(spec, x0, burn_in + sample_len, side):
@@ -299,13 +303,11 @@ def estimate_omega_limit(
         if xs.size:
             if not np.isfinite(xs).all():
                 raise ValueError("orbit point is not finite")
-            # min(int(x * resolution), resolution - 1) on the whole chunk
-            idx = np.minimum(xs * resolution, resolution - 1).astype(np.int64)
-            cells.update(np.unique(idx).tolist())
+            visited[np.minimum(xs * resolution, resolution - 1).astype(np.int64)] = True
             # a landing at c after burn-in counts as c in the limit set
             contains_c = contains_c or landed or bool(np.any(np.abs(xs - spec.c) <= cw))
     return LimitSetEstimate(
-        cells=tuple(sorted(cells)),
+        cells=tuple(np.flatnonzero(visited).tolist()),
         resolution=resolution,
         burn_in=burn_in,
         sample_len=sample_len,

@@ -1,12 +1,18 @@
 """Periodic orbit search and classification on monotone laps.
 
-The search scans a fine grid of sign changes of f^n(x) - x, bisects each
-bracket in a batch, and adds a minima fallback for tangential (saddle-node)
-roots that produce no sign change. Every accepted orbit is re-verified
-against |f^period(x) - x| <= 10 * tolerance, which also discards brackets
-that converged onto a discontinuity of f^n. A root of f^n - id within that
-same width of a point of an orbit already registered, whose period d divides
-n, and that closes up at d within that width too, is not registered again.
+The search steps f^n on a fine grid once per period and keeps, for each
+period, the sign changes of f^n(x) - x and the local minima of its modulus
+that nearly touch zero (tangential, saddle-node roots, which make no sign
+change). Then every period's sign changes are bisected in one lockstep call
+and every period's minima are refined by one lockstep ternary search,
+longest period first, so that each step is one array call on the brackets
+still stepping. A minimum that sits on an exact grid root is refined only
+after the shorter periods registered, once it is known not to be a point of
+an orbit already held. Every accepted orbit is re-verified against
+|f^period(x) - x| <= 10 * tolerance, which also discards brackets that
+converged onto a discontinuity of f^n. A root of f^n - id within that same
+width of a point of an orbit already registered, whose period d divides n,
+and that closes up at d within that width too, is not registered again.
 """
 
 from __future__ import annotations
@@ -111,10 +117,15 @@ def laps(spec: LorenzMapSpec, n: int) -> list[Lap]:
     return out
 
 
-def _iterate_array(spec: LorenzMapSpec, x: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(x, dtype=float).copy()
-    for _ in range(n):
-        y = eval_array(spec, y)
+def _iterate_by_period(spec: LorenzMapSpec, x: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """f^p(x) entry by entry, p the entry's period. The periods are sorted
+    longest first, so the entries still stepping at step k are a prefix and
+    each step is one eval_array call on it."""
+    y = np.array(x, dtype=float)
+    if y.size:
+        # how many periods exceed k, for k = 0 .. the longest period - 1
+        for live in np.searchsorted(-periods, -np.arange(periods[0]), side="left").tolist():
+            y[:live] = eval_array(spec, y[:live])
     return y
 
 
@@ -147,74 +158,135 @@ def _closure_gap(spec: LorenzMapSpec, x: float, n: int) -> float | None:
     return pts[n] - x if len(pts) == n + 1 else None
 
 
-def _ternary_min(h, a: float, b: float, rounds: int) -> float:
-    """Ternary search for a minimum of |h| on [a, b]: the midpoint of the
-    bracket left after `rounds` rounds."""
+def _tangential_roots(
+    spec: LorenzMapSpec, a: np.ndarray, b: np.ndarray, periods: np.ndarray, rounds: int = 80
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ternary search for a minimum of |f^p - id| on each bracket [a, b] in
+    lockstep, p the bracket's period (sorted longest first): the midpoints x
+    of the brackets left after `rounds` rounds, and whether
+    |f^p(x) - x| <= 10 * tolerance there."""
+    if not a.size:
+        return a, np.zeros(0, dtype=bool)
+    both = np.repeat(periods, 2)
     for _ in range(rounds):
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
-        if abs(h(m1)) < abs(h(m2)):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
+        # interleaved, the pairs keep the longest-first order
+        m = np.column_stack([m1, m2]).ravel()
+        g = np.abs(_iterate_by_period(spec, m, both) - m)
+        nearer = g[0::2] < g[1::2]
+        a, b = np.where(nearer, a, m1), np.where(nearer, m2, b)
+    x = 0.5 * (a + b)
+    return x, np.abs(_iterate_by_period(spec, x, periods) - x) <= 10 * spec.tolerance
 
 
-def _roots_for_period(
-    spec: LorenzMapSpec,
-    n: int,
-    resolution: int,
-    fn: np.ndarray,
-    known,
-) -> list[float]:
-    """Roots of f^n - id found on the grid of `resolution` cells, given f^n
-    on that grid as `fn`. A tangential candidate that is itself an exact
-    grid hit is not refined when known(x) says that it is a point of an
-    orbit already registered."""
+@dataclass
+class _GridRoots:
+    """The roots of f^n - id that the grid gives for one period n."""
+
+    n: int
+    hits: list[float]  # grid points where |f^n - id| <= 10 * tolerance
+    bisected: list[float]  # roots of the sign changes, in grid order
+    # tangential candidates in grid order: their brackets, their grid point
+    # when it is a hit (else None), and their root when it closes up (else
+    # None; not yet refined on a hit)
+    a: np.ndarray
+    b: np.ndarray
+    on_hit: list[float | None]
+    roots: list[float | None]
+
+    def tangential(self, spec: LorenzMapSpec, held) -> list[float]:
+        """The tangential roots in grid order. A candidate on a hit whose
+        grid point held(p) says is a point of an orbit already registered is
+        dropped; the other candidates on a hit are refined now, in one call,
+        since held can only be asked once the shorter periods registered."""
+        todo = [k for k, p in enumerate(self.on_hit) if p is not None and not held(p)]
+        if todo:
+            periods = np.full(len(todo), self.n)
+            x, closes = _tangential_roots(spec, self.a[todo], self.b[todo], periods)
+            self.settle(todo, x.tolist(), closes.tolist())
+        return [x for x in self.roots if x is not None]
+
+    def settle(self, todo: list[int], x: list[float], closes: list[bool]):
+        """Record the refined roots of the candidates `todo`."""
+        for k, v, ok in zip(todo, x, closes):
+            self.roots[k] = v if ok else None
+
+
+def _grid_roots(spec: LorenzMapSpec, max_period: int, resolution: int) -> list[_GridRoots]:
+    """The roots of f^n - id on the grid of `resolution` cells, for
+    n = 1 .. max_period.
+
+    f^n is stepped on the grid once per period, from the previous period's
+    grid, and each period keeps only its brackets: the sign changes of
+    f^n - id and the local minima of |f^n - id| below 1e-7 (tangential
+    roots, which make no sign change). Then every period's sign changes are
+    bisected in one lockstep call and every period's minima off a grid hit
+    are refined in another, longest period first. Each step is elementwise,
+    so a root gets the same operations whichever brackets share its arrays."""
+    if max_period < 1:
+        return []
+    tol = spec.tolerance
     grid = np.linspace(0.0, 1.0, resolution + 1)
-    g = fn - grid
-    ok = ~np.isnan(g)
-    roots: list[float] = []
+    fn = grid
+    out, signs = [], []
+    for n in range(1, max_period + 1):
+        fn = eval_array(spec, fn)
+        g = fn - grid
+        ok = ~np.isnan(g)
+        zero = ok & (np.abs(g) <= 10 * tol)
+        s = np.sign(g)
+        pair = ok[:-1] & ok[1:] & (s[:-1] * s[1:] < 0)
+        signs.append((grid[:-1][pair], grid[1:][pair], g[:-1][pair] < 0))
+        absg = np.abs(g)
+        cand = np.zeros(absg.shape, dtype=bool)
+        cand[1:-1] = (
+            ok[1:-1]
+            & ok[:-2]
+            & ok[2:]
+            & (absg[1:-1] <= absg[:-2])
+            & (absg[1:-1] <= absg[2:])
+            & (absg[1:-1] < 1e-7)
+        )
+        i = np.nonzero(cand)[0]
+        out.append(
+            _GridRoots(
+                n=n,
+                hits=[float(v) for v in grid[zero]],
+                bisected=[],
+                a=grid[i - 1],
+                b=grid[i + 1],
+                on_hit=[grid[k] if zero[k] else None for k in i],
+                roots=[None] * i.size,
+            )
+        )
 
-    # exact hits on the grid
-    zero = ok & (np.abs(g) <= 10 * spec.tolerance)
-    roots.extend(float(v) for v in grid[zero])
+    def longest_first(parts):
+        """The parts of every period joined longest period first, their
+        periods, and the inverse: such an array as one list per period."""
+        counts = [len(p[0]) for p in parts[::-1]]
+        joined = [np.concatenate(p[::-1]) for p in zip(*parts)]
+        periods = np.repeat(np.arange(max_period, 0, -1), counts)
 
-    s = np.sign(g)
-    pair = ok[:-1] & ok[1:] & (s[:-1] * s[1:] < 0)
-    lo = grid[:-1][pair].copy()
-    hi = grid[1:][pair].copy()
-    if lo.size:
+        def split(v: np.ndarray) -> list[list]:
+            return [u.tolist() for u in np.split(v, np.cumsum(counts)[:-1])[::-1]]
 
-        def same_sign_as_lo(m: np.ndarray, lo_neg: np.ndarray) -> np.ndarray:
-            return ((_iterate_array(spec, m, n) - m) < 0) == lo_neg
+        return joined, periods, split
 
-        lo, hi = bisect_array(same_sign_as_lo, lo, hi, 60, g[:-1][pair] < 0)
-        roots.extend(float(v) for v in 0.5 * (lo + hi))
+    def same_sign_as_lo(m: np.ndarray, lo_neg: np.ndarray, periods: np.ndarray) -> np.ndarray:
+        return ((_iterate_by_period(spec, m, periods) - m) < 0) == lo_neg
 
-    # tangential roots: local minima of |g| that nearly touch zero
-    absg = np.abs(g)
-    cand = np.zeros(absg.shape, dtype=bool)
-    cand[1:-1] = (
-        ok[1:-1]
-        & ok[:-2]
-        & ok[2:]
-        & (absg[1:-1] <= absg[:-2])
-        & (absg[1:-1] <= absg[2:])
-        & (absg[1:-1] < 1e-7)
-    )
+    (lo, hi, lo_neg), periods, split = longest_first(signs)
+    lo, hi = bisect_array(same_sign_as_lo, lo, hi, 60, lo_neg, periods)
+    for found, roots in zip(out, split(0.5 * (lo + hi))):
+        found.bisected = roots
 
-    def gap(v: float) -> float:
-        return float(_iterate_array(spec, np.array([v]), n)[0]) - v
-
-    for i in np.nonzero(cand)[0]:
-        if zero[i] and known(grid[i]):
-            continue
-        x = _ternary_min(gap, grid[i - 1], grid[i + 1], 80)
-        if abs(gap(x)) <= 10 * spec.tolerance:
-            # the grid ends make x an np.float64; the catalog holds floats
-            roots.append(float(x))
-    return roots
+    off_hit = [[k for k, p in enumerate(f.on_hit) if p is None] for f in out]
+    (a, b), periods, split = longest_first([(f.a[k], f.b[k]) for f, k in zip(out, off_hit)])
+    x, closes = _tangential_roots(spec, a, b, periods)
+    for found, todo, xs, oks in zip(out, off_hit, split(x), split(closes)):
+        found.settle(todo, xs, oks)
+    return out
 
 
 def _neutral_probe(spec: LorenzMapSpec, cycle: list[float], period: int) -> bool:
@@ -347,11 +419,11 @@ def find_periodic_points(
     # endpoint fixed points are part of the map's definition
     register(0.0, 1)
     register(1.0, 1)
-    # f^n on the grid, one step per period
-    fn = np.linspace(0.0, 1.0, resolution + 1)
-    for n in range(1, max_period + 1):
-        fn = eval_array(spec, fn)
-        for x in _roots_for_period(spec, n, resolution, fn, lambda v: known(v, n)):
+    for n, found in enumerate(_grid_roots(spec, max_period, resolution), 1):
+        # a tangential root whose grid point is a point of an orbit held
+        # before period n is dropped, and the roots then register in order
+        tangential = found.tangential(spec, lambda p: known(p, n))
+        for x in found.hits + found.bisected + tangential:
             if 0.0 < x < 1.0 and not known(x, n):
                 register(x, n)
 
@@ -398,26 +470,38 @@ def count_nonrepelling(catalog: list[PeriodicOrbitRecord]) -> int:
     return sum(1 for r in catalog if r.kind in ("attracting", "neutral", "super"))
 
 
+def minimal_period_orbit(
+    catalog: list[PeriodicOrbitRecord], meets, none: str, tie
+) -> PeriodicOrbitRecord:
+    """The unique orbit of least period among the catalog orbits r with
+    meets(r).
+
+    Raises NoPeriodicOrbitFound(none) when no orbit meets, and
+    VariationalPrincipleViolated(tie(count, period)) when `count` distinct
+    orbits of the least period tie: either the no-attractor hypothesis of
+    the underlying uniqueness statement fails for this map, or the catalog
+    holds a numerical duplicate.
+    """
+    hits = [r for r in catalog if meets(r)]
+    if not hits:
+        raise NoPeriodicOrbitFound(none)
+    best = min(r.period for r in hits)
+    winners = [r for r in hits if r.period == best]
+    if len(winners) > 1:
+        raise VariationalPrincipleViolated(tie(len(winners), best))
+    return winners[0]
+
+
 def minimal_period_orbit_in(
     spec: LorenzMapSpec, J: tuple[float, float], *, catalog: list[PeriodicOrbitRecord]
 ) -> PeriodicOrbitRecord:
     """The unique minimal-period orbit of the catalog meeting J (closure, at
-    tolerance).
-
-    Raises VariationalPrincipleViolated when two distinct orbits tie: either
-    the no-attractor hypothesis of the underlying uniqueness statement fails
-    for this map, or the catalog holds a numerical duplicate.
-    """
+    tolerance); see `minimal_period_orbit`."""
     lo, hi = J
-    tol = spec.tolerance
-    hits = [r for r in catalog if r.intersects(lo, hi, tol)]
-    if not hits:
-        raise NoPeriodicOrbitFound(f"none found (budget): no catalog orbit meets {J}")
-    best = min(r.period for r in hits)
-    winners = [r for r in hits if r.period == best]
-    if len(winners) > 1:
-        raise VariationalPrincipleViolated(
-            f"variational principle violated: {len(winners)} orbits of period {best} meet {J} "
-            "(hypothesis violation or numeric duplicate)"
-        )
-    return winners[0]
+    return minimal_period_orbit(
+        catalog,
+        lambda r: r.intersects(lo, hi, spec.tolerance),
+        f"none found (budget): no catalog orbit meets {J}",
+        lambda count, period: f"variational principle violated: {count} orbits of period {period} "
+        f"meet {J} (hypothesis violation or numeric duplicate)",
+    )

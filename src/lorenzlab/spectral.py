@@ -31,6 +31,7 @@ from .periodic import (
     PeriodicOrbitRecord,
     VariationalPrincipleViolated,
     find_periodic_points,
+    minimal_period_orbit,
 )
 from .renorm import (
     NestedSequence,
@@ -559,19 +560,13 @@ def stratum_blocks(a: Analysis, stratum_index: int) -> StratumBlocks:
         inside_next = I_next[0] + tol < p < I_next[1] - tol
         return inside_prev and not inside_next
 
-    candidates = [r for r in catalog if any(in_region(p) for p in r.points)]
-    if not candidates:
-        raise NoPeriodicOrbitFound(
-            f"none found (budget): no orbit meets stratum {stratum_index} region"
-        )
-    best = min(r.period for r in candidates)
-    winners = [r for r in candidates if r.period == best]
-    if len(winners) > 1:
-        raise VariationalPrincipleViolated(
-            f"variational principle violated on stratum {stratum_index}: "
-            f"{len(winners)} orbits of period {best}"
-        )
-    orbit = winners[0]
+    orbit = minimal_period_orbit(
+        catalog,
+        lambda r: any(in_region(p) for p in r.points),
+        f"none found (budget): no orbit meets stratum {stratum_index} region",
+        lambda count, period: f"variational principle violated on stratum {stratum_index}: "
+        f"{count} orbits of period {period}",
+    )
     below = [p for p in orbit.points if p < spec.c]
     above = [p for p in orbit.points if p > spec.c]
     if not below or not above:

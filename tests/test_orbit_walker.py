@@ -231,6 +231,10 @@ def test_omega_limit_truncation_around_burn_in():
     assert after.truncated and after.contains_c and len(after.cells) >= 1
     with pytest.raises(ValueError):
         estimate_omega_limit(spec, math.nan, burn_in=0, sample_len=10)
+    # a kept start below 0 has no cell
+    with pytest.raises(ValueError):
+        estimate_omega_limit(spec, -0.5, burn_in=0, sample_len=10)
+    assert estimate_omega_limit(spec, -0.5, burn_in=1, sample_len=10).cells
 
 
 def test_orbit_points_match_reference():

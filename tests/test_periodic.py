@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
+    Analysis,
     count_nonrepelling,
     embed_unimodal,
     find_periodic_points,
@@ -11,8 +15,11 @@ from lorenzlab import (
     logistic,
     lyapunov,
     minimal_period_orbit_in,
+    quadratic_pair,
 )
 from lorenzlab import periodic
+from lorenzlab.orbits import orbit_list
+from lorenzlab.spectral import stratum_blocks
 from lorenzlab.periodic import (
     NoPeriodicOrbitFound,
     VariationalPrincipleViolated,
@@ -214,6 +221,34 @@ def test_minimal_period_budget_error(ex1, cat1):
         minimal_period_orbit_in(ex1, (0.4999, 0.5001), catalog=cat1)
 
 
+def test_minimal_period_messages(ex1, cat1, an3):
+    # one rule serves both callers; decompose writes these texts into notes
+    with pytest.raises(VariationalPrincipleViolated) as e:
+        minimal_period_orbit_in(ex1, (0.4, 0.6), catalog=cat1)
+    assert str(e.value) == (
+        "variational principle violated: 2 orbits of period 2 meet (0.4, 0.6) "
+        "(hypothesis violation or numeric duplicate)"
+    )
+    with pytest.raises(NoPeriodicOrbitFound) as e:
+        minimal_period_orbit_in(ex1, (0.4999, 0.5001), catalog=cat1)
+    assert str(e.value) == "none found (budget): no catalog orbit meets (0.4999, 0.5001)"
+
+    orbit = stratum_blocks(an3, 1).minimal_orbit
+    for catalog, kind, text in (
+        ([], NoPeriodicOrbitFound, "none found (budget): no orbit meets stratum 1 region"),
+        (
+            [orbit, dataclasses.replace(orbit)],
+            VariationalPrincipleViolated,
+            "variational principle violated on stratum 1: 2 orbits of period 2",
+        ),
+    ):
+        a = Analysis(an3.spec, an3.budgets)
+        a.seq, a.catalog = an3.seq, catalog
+        with pytest.raises(kind) as e:
+            stratum_blocks(a, 1)
+        assert str(e.value) == text
+
+
 def test_singer_bound_small_sweep():
     # negative-Schwarzian pairs carry at most two non-repelling orbits
     for al in (3.0, 3.5, 4.0):
@@ -225,25 +260,28 @@ def test_singer_bound_small_sweep():
 
 
 def test_catalog_work_counts(ex2, monkeypatch):
-    # each orbit registered once, f^n stepped from the previous level's grid
-    # and collapsed brackets frozen; registering every root made 12,456
-    # _directed_cycle calls, 12 _ternary_min calls and 18,222 eval_array
-    # calls on 9.36 M elements
-    counts = {"_directed_cycle": 0, "_ternary_min": 0, "eval_array": 0, "elements": 0}
+    # each orbit registered once, f^n stepped from the previous level's grid,
+    # collapsed brackets frozen, and every period's brackets refined in one
+    # lockstep call; registering every root made 12,456 _directed_cycle
+    # calls, 12 tangency searches and 18,222 eval_array calls on 9.36 M
+    # elements, and one bisection per period made 4,379 eval_array calls
+    counts = {"_directed_cycle": 0, "tangential": 0, "eval_array": 0, "elements": 0}
 
-    def counted(name):
+    def counted(name, key, size_arg=None):
         fn = getattr(periodic, name)
 
         def wrapper(*args):
-            counts[name] += 1
+            counts[key] += 1 if size_arg is None else int(np.size(args[size_arg]))
             if name == "eval_array":
                 counts["elements"] += int(np.size(args[1]))
             return fn(*args)
 
         monkeypatch.setattr(periodic, name, wrapper)
 
-    for name in ("_directed_cycle", "_ternary_min", "eval_array"):
-        counted(name)
+    counted("_directed_cycle", "_directed_cycle")
+    # tangential candidates refined, one per bracket of each batched call
+    counted("_tangential_roots", "tangential", size_arg=1)
+    counted("eval_array", "eval_array")
     runs = []
     for _ in range(2):
         counts.update(dict.fromkeys(counts, 0))
@@ -251,6 +289,24 @@ def test_catalog_work_counts(ex2, monkeypatch):
         runs.append(dict(counts))
     assert runs[0] == runs[1]
     assert runs[0]["_directed_cycle"] <= 7_000
-    assert runs[0]["_ternary_min"] <= 2
-    assert runs[0]["eval_array"] <= 4_500
+    assert runs[0]["tangential"] <= 2
+    assert runs[0]["eval_array"] <= 1_500
     assert runs[0]["elements"] <= 6_000_000
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.floats(3.0, 4.0), st.floats(3.0, 4.0))
+def test_catalog_closure_and_minimal_periods(a_left, a_right):
+    # at the catalog's default grid, every record that avoids c closes up
+    # within 10 * tol at its period and at no proper divisor of it
+    spec = quadratic_pair(a_left, a_right)
+    tol = spec.tolerance
+    for r in find_periodic_points(spec, 6):
+        assert 1 <= r.period <= 6 and len(r.points) == r.period
+        if r.kind == "super":
+            continue
+        orbit = orbit_list(spec, r.points[0], r.period + 1)
+        assert len(orbit) == r.period + 1 and abs(orbit[-1] - orbit[0]) <= 10 * tol
+        for d in range(1, r.period):
+            if r.period % d == 0:
+                assert abs(orbit[d] - orbit[0]) > 10 * tol

@@ -23,6 +23,7 @@ from lorenzlab.map_core import (
     branch_inverse_array,
     branch_value,
     critical_values,
+    eval_array,
 )
 from lorenzlab.orbits import WALK_CHUNK, orbit_list
 from lorenzlab.renorm import RenormalizationRecord
@@ -230,8 +231,15 @@ def ref_polish_root(spec, x, n, h=2e-5):
     return 0.5 * (a + b)
 
 
+def ref_iterate_array(spec, x, n):
+    y = np.asarray(x, dtype=float).copy()
+    for _ in range(n):
+        y = eval_array(spec, y)
+    return y
+
+
 def ref_roots_for_period(spec, n, resolution):
-    _iterate_array = periodic._iterate_array
+    _iterate_array = ref_iterate_array
     grid = np.linspace(0.0, 1.0, resolution + 1)
     fn = _iterate_array(spec, grid, n)
     g = fn - grid
@@ -418,7 +426,7 @@ def ref_find_periodic_points(spec, max_period=12, resolution=1 << 14):
 
 
 def ref_tangency(spec, n, a, b):
-    _iterate_array = periodic._iterate_array
+    _iterate_array = ref_iterate_array
     for _ in range(80):
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
@@ -775,15 +783,19 @@ def test_branch_inverses_match_reference(spec):
 
 
 def test_ternary_min_matches_tangency_reference(spec):
+    # brackets of periods 1, 2 and 3 in one lockstep call, longest first
     rng = np.random.default_rng(5)
-    for n in (1, 2, 3):
-        grid = np.linspace(0.0, 1.0, 65)
-        for i in rng.integers(1, 64, 4):
-            def gap(v):
-                return float(periodic._iterate_array(spec, np.array([v]), n)[0]) - v
-
-            got = periodic._ternary_min(gap, grid[i - 1], grid[i + 1], 80)
-            assert got == ref_tangency(spec, n, grid[i - 1], grid[i + 1])
+    grid = np.linspace(0.0, 1.0, 65)
+    brackets = sorted(((n, int(i)) for n in (1, 2, 3) for i in rng.integers(1, 64, 4)), key=lambda b: -b[0])
+    periods = np.array([n for n, _ in brackets])
+    a = np.array([grid[i - 1] for _, i in brackets])
+    b = np.array([grid[i + 1] for _, i in brackets])
+    x, closes = periodic._tangential_roots(spec, a, b, periods)
+    for (n, i), got, ok in zip(brackets, x.tolist(), closes.tolist()):
+        want = ref_tangency(spec, n, grid[i - 1], grid[i + 1])
+        assert got == want
+        gap = float(ref_iterate_array(spec, np.array([want]), n)[0]) - want
+        assert ok == (abs(gap) <= 10 * spec.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +803,10 @@ def test_ternary_min_matches_tangency_reference(spec):
 
 
 def test_roots_for_period_match_reference(spec):
-    for n in range(1, 7):
-        fn = periodic._iterate_array(spec, np.linspace(0.0, 1.0, 1025), n)
-        got = periodic._roots_for_period(spec, n, 1024, fn, lambda x: False)
+    # every period's brackets refined together, each period's roots in the
+    # order of the one-period search (nothing held, so no candidate dropped)
+    for n, found in enumerate(periodic._grid_roots(spec, 6, 1024), 1):
+        got = found.hits + found.bisected + found.tangential(spec, lambda p: False)
         assert got == ref_roots_for_period(spec, n, 1024)
 
 
@@ -851,6 +864,28 @@ def test_neutral_catalog_matches_reference():
     spec = embed_unimodal(logistic(3.0))
     got = [r.to_dict() for r in periodic.find_periodic_points(spec, 12, 1 << 14)]
     assert got == [r.to_dict() for r in ref_find_periodic_points(spec, 12, 1 << 14)]
+
+
+# the 3 x 3 scan grid from the corner (3.375, 3.125) to (4, 4)
+SCAN_CELLS = [quadratic_pair(a, b) for a in (3.375, 3.6875, 4.0) for b in (3.125, 3.5625, 4.0)]
+
+
+@pytest.mark.parametrize(
+    "spec, max_period",
+    [(s, 8) for s in SCAN_CELLS] + [(MAPS[-2], 12)],
+    ids=[s.name for s in SCAN_CELLS] + [MAPS[-2].name],
+)
+def test_catalog_with_tangencies_matches_reference(spec, max_period):
+    # the scan cells have 16 tangential candidates between them, 8 of them
+    # on exact grid hits (their refinement waits for the known-point skip)
+    got = [r.to_dict() for r in periodic.find_periodic_points(spec, max_period)]
+    assert got == [r.to_dict() for r in ref_find_periodic_points(spec, max_period)]
+
+
+def test_scan_cells_have_tangential_candidates():
+    found = [f for s in SCAN_CELLS for f in periodic._grid_roots(s, 8, 1 << 14)]
+    on_hit = [p is not None for f in found for p in f.on_hit]
+    assert (len(on_hit), sum(on_hit)) == (16, 8)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
