@@ -9,6 +9,7 @@ config and seed. The sweep command runs its cells in input order.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -56,6 +57,8 @@ EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = "1"
 
+SCAN_COLUMNS = ("a_left", "a_right", "final_class", "n_f", "lyapunov", "status")
+
 
 def _load_budgets(args: argparse.Namespace) -> Budgets:
     """--budgets (inline JSON or a path), then --seed where the command has it."""
@@ -69,7 +72,7 @@ def _load_budgets(args: argparse.Namespace) -> Budgets:
     return budgets
 
 
-def _int_in(lo: int, hi: int):
+def _int_in(lo: int, hi: float):
     """An argparse type: an integer in [lo, hi], checked before any work."""
 
     def integer(text: str) -> int:
@@ -314,11 +317,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # made the sweep slower, so the cells run in order in this thread
     rows = [_scan_cell(al, ar, budgets) for al, ar in cells]
     buf = io.StringIO()
-    buf.write("a_left,a_right,final_class,n_f,lyapunov,status\n")
-    for r in rows:
-        buf.write(
-            f"{r['a_left']!r},{r['a_right']!r},{r['final_class']},{r['n_f']},{r['lyapunov']!r},{r['status']}\n"
-        )
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(SCAN_COLUMNS)
+    out.writerows([r[k] for k in SCAN_COLUMNS] for r in rows)
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
@@ -386,7 +387,7 @@ def make_parser() -> argparse.ArgumentParser:
         "map": dict(required=True, help=f"map config path or builtin: {', '.join(BUILTIN_NAMES)}"),
         "budgets": dict(default=None, help="budgets JSON (inline or path)"),
         "out": dict(default=None, help="output path (default stdout)"),
-        "seed": dict(type=int, default=None),
+        "seed": dict(type=_int_in(0, math.inf), default=None),
     }
 
     def add_common(p, *names):

@@ -9,6 +9,7 @@ the dynamics, so points within tolerance of c must carry an approach side.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -127,6 +128,8 @@ class LorenzMapSpec:
             raise MapValidationError("break point c must lie in (0,1)")
         if self.left.domain_side != "left" or self.right.domain_side != "right":
             raise MapValidationError("branch domain sides must be (left, right)")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise MapValidationError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
 
     def __getstate__(self) -> dict:
         # the kernel cache (see _kernels) holds closures, which do not pickle

@@ -359,22 +359,19 @@ def estimate_alpha_limit(spec: LorenzMapSpec, x: float) -> AlphaLimitEstimate:
     )
 
 
-def rotation_number(spec: LorenzMapSpec, returnmap, x0: float, n: int = 10_000) -> float:
-    """Frequency of left-component visits of a two-branch return map.
+def rotation_number(
+    spec: LorenzMapSpec, J: tuple[float, float], return_times: tuple[int, int], x0: float, n: int = 10_000
+) -> float:
+    """Frequency of left-component visits of the two-branch return map to
+    J whose branches left and right of c return at return_times.
 
     For the glued circle map of a renormalization return this is the
     classical rotation number. Periodic return orbits give the exact
     rational visits/period.
     """
-    branches = list(returnmap.branches)
-    if len(branches) != 2:
-        raise ValueError("rotation number needs a return map with exactly 2 branches")
-    if not all(b.touches_c for b in branches):
-        raise ValueError("rotation number needs both branches adjacent to c")
-    lo, hi = returnmap.J
+    lo, hi = J
     tol = spec.tolerance
-    left = min(branches, key=lambda b: b.domain[0])
-    right = max(branches, key=lambda b: b.domain[0])
+    t_left, t_right = return_times
     x = x0
     visits = 0
     for k in range(n):
@@ -385,9 +382,9 @@ def rotation_number(spec: LorenzMapSpec, returnmap, x0: float, n: int = 10_000) 
             break
         if x < spec.c:
             visits += 1
-            t = left.return_time
+            t = t_left
         else:
-            t = right.return_time
+            t = t_right
         for _ in range(t):
             x = apply_raw(spec, x, Side.NONE)
         if abs(x - x0) <= 10 * tol:

@@ -51,6 +51,8 @@ NEUTRAL_TOLERANCE = 1e-4
 MAX_PERIOD = 20
 # the most lap boundaries `laps` collects
 LAP_BUDGET = 1 << 16
+# the ternary-search rounds that refine a tangential root candidate
+TANGENTIAL_ROUNDS = 80
 
 
 @dataclass
@@ -159,16 +161,16 @@ def _closure_gap(spec: LorenzMapSpec, x: float, n: int) -> float | None:
 
 
 def _tangential_roots(
-    spec: LorenzMapSpec, a: np.ndarray, b: np.ndarray, periods: np.ndarray, rounds: int = 80
+    spec: LorenzMapSpec, a: np.ndarray, b: np.ndarray, periods: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ternary search for a minimum of |f^p - id| on each bracket [a, b] in
     lockstep, p the bracket's period (sorted longest first): the midpoints x
-    of the brackets left after `rounds` rounds, and whether
+    of the brackets left after TANGENTIAL_ROUNDS rounds, and whether
     |f^p(x) - x| <= 10 * tolerance there."""
     if not a.size:
         return a, np.zeros(0, dtype=bool)
     both = np.repeat(periods, 2)
-    for _ in range(rounds):
+    for _ in range(TANGENTIAL_ROUNDS):
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
         # interleaved, the pairs keep the longest-first order

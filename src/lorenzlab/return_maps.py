@@ -41,15 +41,6 @@ class NiceInterval:
     boundary_periodic: tuple[int | None, int | None]
     undetermined: bool = False  # a boundary orbit hit the break point
 
-    def to_dict(self) -> dict:
-        return {
-            "interval": list(self.interval),
-            "horizon": self.horizon,
-            "is_nice": self.is_nice,
-            "boundary_periodic": list(self.boundary_periodic),
-            "undetermined": self.undetermined,
-        }
-
 
 @dataclass
 class ReturnMapBranch:
@@ -59,28 +50,12 @@ class ReturnMapBranch:
     is_full: bool
     touches_c: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "domain": list(self.domain),
-            "return_time": self.return_time,
-            "image": list(self.image),
-            "is_full": self.is_full,
-            "touches_c": self.touches_c,
-        }
-
 
 @dataclass
 class ReturnMapRec:
     J: tuple[float, float]
     branches: list[ReturnMapBranch]
     uncovered_measure: float
-
-    def to_dict(self) -> dict:
-        return {
-            "J": list(self.J),
-            "branches": [b.to_dict() for b in self.branches],
-            "uncovered_measure": self.uncovered_measure,
-        }
 
 
 @dataclass
@@ -341,18 +316,12 @@ def first_return_map(
 
     # maximal runs of equal positive return time, split at the break point
     # (the two sides of c can share a return time yet belong to different
-    # monotone branches)
-    branches: list[ReturnMapBranch] = []
-    runs: list[tuple[int, int, int]] = []
-    i = 0
-    while i < len(xs):
-        t = times[i]
-        j = i
-        while j + 1 < len(xs) and times[j + 1] == t and not (xs[j] < spec.c <= xs[j + 1]):
-            j += 1
-        if t > 0:
-            runs.append((i, j, int(t)))
-        i = j + 1
+    # monotone branches): a run ends wherever the time changes or c falls
+    # between two grid points
+    n = len(xs)
+    cut = (times[1:] != times[:-1]) | ((xs[:-1] < spec.c) & (spec.c <= xs[1:]))
+    first = np.concatenate(([0], np.flatnonzero(cut) + 1))
+    last = np.append(first[1:] - 1, n - 1)
 
     # drop unresolvably thin runs: within a branch of width w the tolerance
     # ball around c smears images by about |J|/w * tolerance, so image
@@ -361,12 +330,9 @@ def first_return_map(
     # outer grid neighbours, so a run they already bound below the width is
     # dropped without refining it.
     thin = max(2 * tol, (hi - lo) * 10 * tol / FULL_TOLERANCE)
-    n = len(xs)
-    runs = [
-        (i, j, t)
-        for (i, j, t) in runs
-        if (xs[j + 1] if j + 1 < n else hi) - (xs[i - 1] if i > 0 else lo) > thin
-    ]
+    outer = np.append(xs[1:], hi)[last] - np.append(lo, xs[:-1])[first]
+    keep = (times[first] > 0) & (outer > thin)
+    runs = list(zip(first[keep].tolist(), last[keep].tolist(), times[first[keep]].tolist()))
 
     # each edge is the break point, an end of J claimed by a probe just
     # inside it, or the x_in of a bisection bracket (x_in, x_out) whose x_in
@@ -416,6 +382,7 @@ def first_return_map(
     audit = (_return_times(spec, samples.ravel(), J, st) == st).reshape(-1, 3).all(axis=1)
     live = [r for r, ok in zip(live, audit) if ok]
 
+    branches: list[ReturnMapBranch] = []
     covered = 0.0
     for r in live:
         (left, right), (left_out, right_out), t = edges[r], outs[r], runs[r][2]

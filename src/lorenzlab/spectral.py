@@ -40,7 +40,7 @@ from .renorm import (
     renormalization_cycle,
     trapping_region,
 )
-from .return_maps import FULL_TOLERANCE, MAX_HORIZON, first_return_map, interval_side, push_interval
+from .return_maps import FULL_TOLERANCE, MAX_HORIZON, interval_side, push_interval
 
 CRITICAL_VALUE_TOL = 1e-9
 
@@ -464,21 +464,20 @@ def classify_attractor(a: Analysis) -> AttractorClass:
         if any(deepest[0] + tol < p < deepest[1] - tol for p in r.points)
     ]
     if not interior_orbits:
+        # the return times of the two branches next to c, as certified for
+        # the deepest chain interval; each half of [0, 1] returns at once
+        times = (chain[-1].period_a, chain[-1].period_b) if chain else (1, 1)
         try:
-            frm = first_return_map(spec, deepest, budgets.horizon, 1 << 10)
-            two = [b for b in frm.branches if b.touches_c]
-            if len(two) == 2:
-                probe_rec = type(frm)(J=frm.J, branches=two, uncovered_measure=0.0)
-                x0 = spec.c - (deepest[1] - deepest[0]) / 1000.0
-                rot = rotation_number(spec, probe_rec, x0, min(budgets.horizon, 10_000))
-                evidence["rotation_estimate"] = rot
-                far = all(
-                    abs(rot - p / q) > 1e-4
-                    for q in range(1, 51)
-                    for p in range(0, q + 1)
-                )
-                if far:
-                    return AttractorClass(kind="cherry", evidence=evidence)
+            x0 = spec.c - (deepest[1] - deepest[0]) / 1000.0
+            rot = rotation_number(spec, deepest, times, x0, min(budgets.horizon, 10_000))
+            evidence["rotation_estimate"] = rot
+            far = all(
+                abs(rot - p / q) > 1e-4
+                for q in range(1, 51)
+                for p in range(0, q + 1)
+            )
+            if far:
+                return AttractorClass(kind="cherry", evidence=evidence)
         except ValueError as e:
             evidence["rotation_probe_error"] = str(e)
 

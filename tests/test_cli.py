@@ -505,3 +505,55 @@ def test_plotdata_phobic_rows_are_the_surviving_cells(tmp_path):
     assert 0 < len(est.surviving_cells) < 4096
     assert out.read_text().splitlines()[0] == "cell_index,cell_lo,cell_hi"
     assert _csv_rows(out) == [[str(c), repr(c * w), repr((c + 1) * w)] for c in est.surviving_cells]
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "decompose"])
+def test_negative_seed_rejected_at_parse_time(tmp_path, monkeypatch, capsys, command):
+    from lorenzlab import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a stage ran with a negative seed")
+
+    monkeypatch.setattr(cli, "Analysis", no_work)
+    out = tmp_path / "out.json"
+    assert main([command, "--map", "paper-example", "--seed", "-3", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert "must lie in" in capsys.readouterr().err
+
+
+def test_scan_error_row_keeps_six_columns(tmp_path, monkeypatch):
+    import csv
+
+    from lorenzlab import cli
+
+    def broken(a):
+        raise ValueError("orbits (0.1, 0.2), (0.3, 0.4) did not close")
+
+    monkeypatch.setattr(cli, "classify_attractor", broken)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--a-left", "3.5:3.5", "--a-right", "3.5:3.5", "--steps", "1", "--out", str(out)]) == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["a_left", "a_right", "final_class", "n_f", "lyapunov", "status"]
+    assert [list(r) for r in rows] == [reader.fieldnames]
+    assert rows[0]["status"] == "error: ValueError: orbits (0.1, 0.2), (0.3, 0.4) did not close"
+    assert (rows[0]["final_class"], rows[0]["n_f"], rows[0]["lyapunov"]) == ("", "", "")
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-10])
+def test_bad_tolerance_is_a_config_error(tmp_path, capsys, tolerance):
+    # rejected when the config is read, before the validation grid runs
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({**BROKEN_MAP, "tolerance": tolerance}))
+    assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-3, 0.49])
+def test_tolerance_in_range_is_accepted(tmp_path, tolerance):
+    from lorenzlab.map_core import load_map
+
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({**BROKEN_MAP, "tolerance": tolerance}))
+    assert load_map(str(cfg)).tolerance == tolerance

@@ -7,7 +7,6 @@ from lorenzlab import (
     estimate_alpha_limit,
     estimate_omega_limit,
     evaluate,
-    first_return_map,
     iterate_orbit,
     itinerary,
     lyapunov,
@@ -144,9 +143,8 @@ def test_alpha_limit_renormalization_gap(ex3, seq3):
 
 
 def test_rotation_number_two_cycle(ex1):
-    rec = first_return_map(ex1, (0.0, 1.0), horizon=10, resolution=1 << 10)
-    assert len(rec.branches) == 2
-    rot = rotation_number(ex1, rec, P_CYCLE, 1000)
+    # each half of [0, 1] returns to [0, 1] at once
+    rot = rotation_number(ex1, (0.0, 1.0), (1, 1), P_CYCLE, 1000)
     assert rot == pytest.approx(0.5, abs=1e-12)
 
 
@@ -155,24 +153,16 @@ def test_rotation_number_periodic_exact(ex2, cat2):
     rec5 = next(
         r for r in cat2 if r.period == 5 and sum(1 for p in r.points if p < 0.5) == 2
     )
-    rec = first_return_map(ex2, (0.0, 1.0), horizon=10, resolution=1 << 10)
-    rot = rotation_number(ex2, rec, rec5.points[0], 1000)
+    rot = rotation_number(ex2, (0.0, 1.0), (1, 1), rec5.points[0], 1000)
     assert rot == pytest.approx(2.0 / 5.0, abs=1e-12)
 
 
 def test_rotation_number_renormalized(ex3, seq3):
-    J = seq3.intervals[0].J
-    rec = first_return_map(ex3, J, horizon=100, resolution=1 << 10)
-    two = [b for b in rec.branches if b.touches_c]
-    assert len(two) == 2
-    rot = rotation_number(ex3, rec, 0.5 - 1e-3, 10_000)
+    rec = seq3.intervals[0]
+    rot = rotation_number(ex3, rec.J, (rec.period_a, rec.period_b), 0.5 - 1e-3, 10_000)
     assert rot == pytest.approx(0.5, abs=1e-3)
 
 
 def test_rotation_number_escape_error(ex1):
-    rec = first_return_map(ex1, (0.0, 1.0), horizon=10, resolution=1 << 10)
-    import dataclasses
-
-    shrunk = dataclasses.replace(rec, J=(0.4, 0.6))
     with pytest.raises(ValueError, match="not forward invariant"):
-        rotation_number(ex1, shrunk, 0.45, 1000)
+        rotation_number(ex1, (0.4, 0.6), (1, 1), 0.45, 1000)

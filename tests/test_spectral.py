@@ -372,3 +372,54 @@ def test_classify_walks_each_critical_orbit_once(monkeypatch):
     cls = classify_attractor(a)
     assert "orbit" not in cls.evidence  # no candidate absorbed both walks
     assert starts == list(critical_values(a.spec))
+
+
+# the maps whose classification reaches step (3), the rotation probe: the
+# three cherry cells of the 10 x 10 grid np.linspace(3, 4, 10) on [3, 4]^2
+# at default budgets, and the bench scan-corner cell (3.375, 3.125) at
+# max_period 8, which has no chain
+GRID = np.linspace(3, 4, 10)
+ROTATION_CELLS = [
+    (float(GRID[2]), float(GRID[4]), {}),
+    (float(GRID[4]), float(GRID[5]), {}),
+    (float(GRID[5]), float(GRID[4]), {}),
+    (3.375, 3.125, {"max_period": 8}),
+]
+
+
+def _grid_rotation(spec, J, horizon, x0, n):
+    """Reference: the return times of the two branches next to c of the
+    grid return map to J, and the rotation number they give."""
+    from lorenzlab import first_return_map, rotation_number
+
+    two = sorted(
+        (b for b in first_return_map(spec, J, horizon, 1 << 10).branches if b.touches_c),
+        key=lambda b: b.domain[0],
+    )
+    assert len(two) == 2
+    times = (two[0].return_time, two[1].return_time)
+    return times, rotation_number(spec, J, times, x0, n)
+
+
+@pytest.mark.parametrize("a_left, a_right, budgets", ROTATION_CELLS)
+def test_rotation_probe_reads_the_certified_record(monkeypatch, a_left, a_right, budgets):
+    from lorenzlab import return_maps, spectral
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("classification built a grid return map")
+
+    assert not hasattr(spectral, "first_return_map")
+    monkeypatch.setattr(return_maps, "first_return_map", no_grid)
+    spec = quadratic_pair(a_left, a_right)
+    a = Analysis(spec, Budgets(**budgets))
+    got = classify_attractor(a)
+    monkeypatch.undo()
+
+    chain = a.seq.chain()
+    J = chain[-1].J if chain else (0.0, 1.0)
+    record = (chain[-1].period_a, chain[-1].period_b) if chain else (1, 1)
+    x0 = spec.c - (J[1] - J[0]) / 1000.0
+    times, rot = _grid_rotation(spec, J, a.budgets.horizon, x0, min(a.budgets.horizon, 10_000))
+    assert times == record
+    assert got.kind == "cherry"
+    assert got.evidence["rotation_estimate"] == rot
