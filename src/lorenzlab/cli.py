@@ -102,10 +102,11 @@ def _floats(text: str, sep: str, flag: str) -> tuple[float, float]:
 
 
 def _interval(text: str, spec: LorenzMapSpec | None = None) -> tuple[float, float]:
-    """--interval lo,hi with lo < hi, and with c inside when spec is given."""
+    """--interval lo,hi with 0 <= lo < hi <= 1, and with c inside when spec
+    is given."""
     lo, hi = _floats(text, ",", "--interval")
-    if not lo < hi:
-        raise MapValidationError(f"--interval needs lo < hi, got {text!r}")
+    if not 0.0 <= lo < hi <= 1.0:
+        raise MapValidationError(f"--interval needs 0 <= lo < hi <= 1, got {text!r}")
     if spec is not None and not lo < spec.c < hi:
         raise MapValidationError(f"--interval must contain the break point c = {spec.c!r}")
     return lo, hi
@@ -218,14 +219,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_INVALID_MAP if "error" in report else EXIT_OK
 
 
+def _refused(spec: LorenzMapSpec, out: str | None) -> bool:
+    """Does spec fail validation? Then analyze's error report is written."""
+    head = _validated(spec)
+    if "error" in head:
+        _emit(_dump_json(head), out)
+    return "error" in head
+
+
 def _analysis_command(args: argparse.Namespace, key: str, stage) -> int:
     """classify and decompose: the map, then {key: stage(analysis)}; a map
     that fails validation gets analyze's error report and exit code."""
     spec = load_map(args.map)
     budgets = _load_budgets(args)
-    out = _validated(spec)
-    if "error" in out:
-        _emit(_dump_json(out), args.out)
+    if _refused(spec, args.out):
         return EXIT_INVALID_MAP
     _emit(_dump_json({"map": spec.to_dict(), key: stage(Analysis(spec, budgets)).to_dict()}), args.out)
     return EXIT_OK
@@ -340,7 +347,10 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
             raise MapValidationError("returnmap needs --interval lo,hi")
         _write_branches(buf, first_return_map(spec, _interval(args.interval), args.horizon, args.resolution))
     elif args.kind == "strata":
-        rec = decompose(Analysis(spec, _load_budgets(args)))
+        budgets = _load_budgets(args)
+        if _refused(spec, args.out):
+            return EXIT_INVALID_MAP
+        rec = decompose(Analysis(spec, budgets))
         buf.write("n,lo,hi,tag\n")
         for s in rec.strata:
             for (lo, hi) in s.K_n:

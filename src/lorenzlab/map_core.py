@@ -44,6 +44,13 @@ EMBED_CHECK_TOLERANCE = 1e-9
 VALIDATION_GRID = 512
 
 
+def _real(name: str, v) -> float:
+    """v as a float when it is a real number: a string or a bool is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise MapValidationError(f"{name} must be a real number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class BranchSpec:
     """One monotone branch formula plus the side of c it lives on.
@@ -69,12 +76,12 @@ class BranchSpec:
             raise MapValidationError(f"domain_side must be left/right, got {self.domain_side!r}")
         for name in ("a", "alpha"):
             v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-                raise MapValidationError(f"branch parameter {name} must be a real number, got {v!r}")
+            if v is not None:
+                _real(f"branch parameter {name}", v)
         if self.kind == "polynomial":
             if not self.coefficients:
                 raise MapValidationError("polynomial branch needs coefficients")
-            object.__setattr__(self, "coefficients", tuple(float(v) for v in self.coefficients))
+            object.__setattr__(self, "coefficients", tuple(_real("coefficient", v) for v in self.coefficients))
         elif self.kind == "quadratic_logistic":
             if self.a is None:
                 raise MapValidationError("quadratic_logistic branch needs parameter a")
@@ -124,6 +131,8 @@ class LorenzMapSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _real("break point c", self.c))
+        object.__setattr__(self, "tolerance", _real("tolerance", self.tolerance))
         if not (0.0 < self.c < 1.0):
             raise MapValidationError("break point c must lie in (0,1)")
         if self.left.domain_side != "left" or self.right.domain_side != "right":
@@ -149,11 +158,11 @@ class LorenzMapSpec:
     @staticmethod
     def from_dict(d: dict) -> "LorenzMapSpec":
         return LorenzMapSpec(
-            c=float(d["c"]),
+            c=d["c"],
             left=BranchSpec.from_dict(d["left"], "left"),
             right=BranchSpec.from_dict(d["right"], "right"),
             name=d.get("name", ""),
-            tolerance=float(d.get("tolerance", 1e-10)),
+            tolerance=d.get("tolerance", 1e-10),
         )
 
 

@@ -155,66 +155,6 @@ def orbit_chunks(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE)
         yield pts, False
 
 
-def recurrence_tail(
-    spec: LorenzMapSpec,
-    starts: list[float],
-    xs: list[float],
-    far: list[bool],
-    steps: int,
-    cw: float,
-    core: tuple[float, float],
-    cycle_every: int,
-) -> list[bool]:
-    """Whether each point comes back: True when one of the next `steps`
-    iterates of xs[i] lies within cw of starts[i].
-
-    The sparse tail of the recurrence probe (spectral._recurrent_cells),
-    with every exact exit of its block loop tested at each step:
-    - an iterate within cw of the start: the point comes back;
-    - the current point within tolerance of c: its next iterate is the
-      NaN of eval_array, which never comes back;
-    - an iterate equal, bit for bit, to the value saved every
-      `cycle_every` steps: the float orbit is periodic and each later
-      iterate repeats one already tested;
-    - far[i] and an iterate inside core = [lo, hi], the certified core:
-      every later iterate stays in the core, which the start window misses.
-    Each exit only ends a walk whose verdict is already known, so the
-    verdict is the one the full `steps` give. A step is the step of
-    orbit_chunks, apply_raw's expression with the kernels resolved once; on
-    polynomial branches it is eval_array's step bit for bit, up to the sign
-    of a zero (numpy's maximum may turn -0.0 into 0.0), which no exit can
-    tell apart.
-
-    This is a loop of its own and not a walk on orbit_chunks: a chunk holds
-    up to WALK_CHUNK points, so the exits could be tested only once per
-    chunk, and a point that comes back early would still step to the end of
-    its chunk.
-    """
-    c, tol = spec.c, spec.tolerance
-    ker = _kernels(spec)
-    left, right = ker["left"][0][0], ker["right"][0][0]
-    lo, hi = core
-
-    def comes_back(s: float, x: float, trapped: bool) -> bool:
-        todo = steps
-        while todo > 0:
-            saved = x
-            block = min(cycle_every, todo)
-            for _ in range(block):
-                if abs(x - c) <= tol:
-                    return False
-                y = left(x) if x < c else right(x)
-                x = 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
-                if abs(x - s) <= cw:
-                    return True
-                if x == saved or (trapped and lo <= x <= hi):
-                    return False
-            todo -= block
-        return False
-
-    return [comes_back(s, x, t) for s, x, t in zip(starts, xs, far)]
-
-
 def orbit_list(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE) -> list[float]:
     """The points of orbit_chunks(spec, x0, n, side) in one list: n points,
     or fewer when the orbit lands at c before its n-th point, which is then

@@ -1,4 +1,4 @@
-"""Periodic orbit search and classification on monotone laps.
+"""Periodic orbit search and classification.
 
 The search steps f^n on a fine grid once per period and keeps, for each
 period, the sign changes of f^n(x) - x and the local minima of its modulus

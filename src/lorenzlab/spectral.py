@@ -18,13 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .map_core import LorenzMapSpec, MapValidationError, critical_values, eval_array, pull_back
-from .orbits import (
-    estimate_omega_limit,
-    orbit_chunks,
-    orbit_list,
-    recurrence_tail,
-    rotation_number,
-)
+from .orbits import estimate_omega_limit, orbit_chunks, orbit_list, rotation_number
 from .periodic import (
     MAX_PERIOD,
     NoPeriodicOrbitFound,
@@ -48,9 +42,9 @@ CRITICAL_VALUE_TOL = 1e-9
 # block and this many floats in all (steps x live points)
 RECURRENCE_BLOCK_STEPS = 256
 RECURRENCE_BLOCK_FLOATS = 1 << 16
-# on polynomial maps, at most this many live points finish on the scalar
-# step (about 0.2 us a point-step) instead of the array step (about 18 us a
-# call, whatever its size)
+# on polynomial maps, at most this many live points fill their blocks on
+# the scalar step (about 0.2 us a point-step) instead of the array step
+# (about 18 us a call, whatever its size)
 RECURRENCE_TAIL_POINTS = 64
 # margin of the core's invariance certificate, far above the kernel's rounding
 CORE_MARGIN = 1e-9
@@ -312,23 +306,24 @@ def _recurrent_cells(
     # is recurrent iff some iterate x_k, k <= horizon, lies within cw of its
     # start, and an orbit that met c stays NaN (never within cw)
     buf = np.empty(min(idx.size * RECURRENCE_BLOCK_STEPS, max(idx.size, RECURRENCE_BLOCK_FLOATS)))
-    # the scalar tail finishes the last few points on polynomial branches
-    # only, where the scalar and array steps agree; on power_form branches
-    # they differ in the last bit, so those maps keep the blocks
+    # few points on polynomial branches fill the block on the scalar step,
+    # where the scalar and array steps agree; on power_form branches they
+    # differ in the last bit, so those maps keep the array step
     polynomial = all(br.poly_coefficients() is not None for br in (spec.left, spec.right))
     while idx.size and done < horizon:
-        if polynomial and idx.size <= RECURRENCE_TAIL_POINTS:
-            back = recurrence_tail(
-                spec, start.tolist(), x.tolist(), far.tolist(),
-                horizon - done, cw, (lo, hi), RECURRENCE_BLOCK_STEPS,
-            )
-            found.append(idx[np.array(back, dtype=bool)])
-            break
         k = min(RECURRENCE_BLOCK_STEPS, max(1, RECURRENCE_BLOCK_FLOATS // idx.size), horizon - done)
         traj = buf[: k * idx.size].reshape(k, idx.size)
-        y = x
-        for j in range(k):
-            y = traj[j] = eval_array(spec, y)
+        if polynomial and idx.size <= RECURRENCE_TAIL_POINTS:
+            # one walk per point, NaN after a landing at c: the array step's NaN
+            traj.fill(np.nan)
+            for i, x0 in enumerate(x.tolist()):
+                walk = orbit_list(spec, x0, k + 1)[1:]
+                traj[: len(walk), i] = walk
+        else:
+            for j in range(k):
+                traj[j] = eval_array(spec, traj[j - 1] if j else x)
+        # a copy: the buffer is overwritten in place below
+        y = traj[-1].copy()
         # exact float-cycle exit: an iterate equal to the block's first
         # value makes the float orbit periodic, so every later iterate is
         # one already tested in this block

@@ -70,19 +70,29 @@ def test_invalid_map_exit_code(tmp_path):
     assert "error" in json.loads(out.read_text())
 
 
+# f(x) = x on the left branch: not a Lorenz map
+IDENTITY_LEFT_MAP = {
+    **BROKEN_MAP,
+    "name": "identity-left",
+    "left": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+}
+
+
 def test_one_validation_gate(tmp_path):
-    # analyze, classify and decompose stop at the same check with the same
-    # error report, validation included
-    cfg = tmp_path / "m.json"
-    cfg.write_text(json.dumps(BROKEN_MAP))
-    reports = []
-    for command in ("analyze", "classify", "decompose"):
-        out = tmp_path / f"{command}.json"
-        assert main([command, "--map", str(cfg), "--out", str(out)]) == EXIT_INVALID_MAP
-        reports.append(json.loads(out.read_text()))
-    assert reports[0]["error"] == "map failed validation"
-    assert "validation" in reports[0]
-    assert reports[0] == reports[1] == reports[2]
+    # analyze, classify, decompose and plotdata --kind strata stop at the
+    # same check with the same error report, validation included
+    commands = (["analyze"], ["classify"], ["decompose"], ["plotdata", "--kind", "strata"])
+    for config in (BROKEN_MAP, IDENTITY_LEFT_MAP):
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps(config))
+        reports = []
+        for command in commands:
+            out = tmp_path / f"{command[0]}.json"
+            assert main([*command, "--map", str(cfg), "--out", str(out)]) == EXIT_INVALID_MAP
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["error"] == "map failed validation"
+        assert "validation" in reports[0]
+        assert all(r == reports[0] for r in reports)
 
 
 def test_classify_command(tmp_path):
@@ -397,6 +407,10 @@ def test_internal_error_exit_code(monkeypatch, capsys):
         ["scan", "--a-left", "3.5-4.0", "--a-right", "3.5:4.0"],
         [*ORBIT[:-1], "1.5"],
         [*COBWEB[:-1], "-0.1"],
+        # interval ends outside [0, 1], the map's domain
+        ["returnmap", "--map", "paper-example", "--interval=-0.5,0.6", "--horizon", "50", "--resolution", "64"],
+        ["plotdata", "--map", "paper-example", "--kind", "returnmap", "--interval=-3,-1"],
+        [*PHOBIC[:-1], "0.4,1.5"],
     ],
 )
 def test_malformed_inputs_are_config_errors(argv):
@@ -404,9 +418,12 @@ def test_malformed_inputs_are_config_errors(argv):
 
 
 def test_malformed_map_config_is_a_config_error(tmp_path):
+    # a numeric field must be a JSON number: a numeric string or a bool is
+    # not coerced
     cfg = tmp_path / "m.json"
-    cfg.write_text(json.dumps({**BROKEN_MAP, "c": "half"}))
-    assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG
+    for bad in ({"c": "half"}, {"c": "0.5"}, {"tolerance": True}, {"tolerance": "1e-10"}):
+        cfg.write_text(json.dumps({**BROKEN_MAP, **bad}))
+        assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG, bad
 
 
 @pytest.mark.parametrize(
@@ -471,6 +488,8 @@ def test_orbit_itin_bit_follows_itinerary(tmp_path):
         {"kind": "quadratic_logistic", "a": [3.4]},
         {"kind": "quadratic_logistic", "a": True},
         {"kind": "power_form", "a": 0.9, "alpha": "2"},
+        {"kind": "polynomial", "coefficients": "034"},
+        {"kind": "polynomial", "coefficients": [True, -4, 4]},
     ],
 )
 def test_non_numeric_branch_parameters_are_config_errors(tmp_path, capsys, branch):

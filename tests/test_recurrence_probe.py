@@ -1,6 +1,6 @@
 """The block-stepped recurrence probe `spectral._recurrent_cells`, with its
-scalar tail, against the per-step loop it replaced, kept here verbatim as
-the reference."""
+scalar block fill, against the per-step loop it replaced, kept here verbatim
+as the reference."""
 
 import struct
 
@@ -18,7 +18,7 @@ from lorenzlab.map_core import (
     critical_values,
     eval_array,
 )
-from lorenzlab.orbits import orbit_list, recurrence_tail
+from lorenzlab.orbits import orbit_list
 from lorenzlab.spectral import (
     CORE_MARGIN,
     RECURRENCE_BLOCK_FLOATS,
@@ -206,17 +206,23 @@ def test_core_exit_fires(monkeypatch):
     assert cells == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
 
 
-def spy_tail(monkeypatch) -> list:
-    """Record (starts, steps) of every scalar tail the probe runs."""
+def spy_fill(monkeypatch) -> list:
+    """Record (x0, n) of every scalar walk the probe's block fill makes."""
     calls = []
-    tail = spectral.recurrence_tail
+    walk = spectral.orbit_list
 
-    def spy(spec, starts, xs, far, steps, *rest):
-        calls.append((starts, steps))
-        return tail(spec, starts, xs, far, steps, *rest)
+    def spy(spec, x0, n, *rest):
+        calls.append((x0, n))
+        return walk(spec, x0, n, *rest)
 
-    monkeypatch.setattr(spectral, "recurrence_tail", spy)
+    monkeypatch.setattr(spectral, "orbit_list", spy)
     return calls
+
+
+def first_return(spec, s: float, cw: float, horizon: int) -> int:
+    """The first k in 1..horizon with x_k within cw of s."""
+    orbit = orbit_list(spec, s, horizon + 1)
+    return next(k for k in range(1, len(orbit)) if abs(orbit[k] - s) <= cw)
 
 
 @pytest.mark.parametrize("pair", [(3.875, 3.5), (3.75, 3.0)])
@@ -225,50 +231,61 @@ def test_scalar_tail_fires_and_matches_reference(monkeypatch, pair):
     # run the whole horizon and come back only after it
     spec = quadratic_pair(*pair)
     resolution, horizon = 1024, 10_000
-    calls = spy_tail(monkeypatch)
+    whole = [(0.0, 1.0)]
+    walks = spy_fill(monkeypatch)
     steps = []
 
     def counting(spec, x):
         steps.append(np.size(x))
         return eval_array(spec, x)
 
-    monkeypatch.setattr(spectral, "eval_array", counting)
-    cells = _recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
-    assert len(calls) == 1
-    starts, tail_steps = calls[0]
-    assert 0 < len(starts) <= RECURRENCE_TAIL_POINTS
-    # without the tail every step up to the horizon is an array call
-    assert len(steps) < horizon // 2
-    assert cells == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, horizon)
+    def array_steps() -> int:
+        # every array step carries more live points than the fill takes;
+        # the one smaller call is the core certificate's
+        return sum(n > RECURRENCE_TAIL_POINTS for n in steps)
 
-    # horizons around the step t0 where the tail takes over: t0 itself ends
-    # on that block boundary before the tail runs; the others end inside
-    # the tail, one of them on the tail's own cycle-save boundary, and two
-    # on the first return of a tail point and one step before it
-    t0 = horizon - tail_steps
+    monkeypatch.setattr(spectral, "eval_array", counting)
+    cells = _recurrent_cells(spec, whole, [], resolution, horizon)
+    # the array steps end at the step t0 where the scalar fill takes over;
+    # without the fill every step up to the horizon is an array call
+    t0 = array_steps()
+    assert walks
+    assert len(steps) < horizon // 2
+    assert cells == reference_recurrent_cells(spec, whole, [], resolution, horizon)
+
+    # horizons around t0: t0 itself ends on that block boundary before the
+    # fill runs; the others end inside the fill, one of them on the end of
+    # its first block, and two on the first return of a point live at t0
+    # and one step before it
     cw = 1.0 / resolution
-    returns = []
-    for s in starts:
-        orbit = orbit_list(spec, s, horizon + 1)
-        returns += [k for k in range(t0 + 1, len(orbit)) if abs(orbit[k] - s) <= cw][:1]
-    t1 = min(returns)
+    late = set(cells) - set(reference_recurrent_cells(spec, whole, [], resolution, t0))
+    t1 = min(first_return(spec, (i + 0.5) / resolution, cw, horizon) for i in late)
+    assert t0 < t1
     horizons = (t0, t0 + 1, t0 + RECURRENCE_BLOCK_STEPS, t0 + RECURRENCE_BLOCK_STEPS + 1, t1 - 1, t1)
     for h in horizons:
-        calls.clear()
-        got = _recurrent_cells(spec, [(0.0, 1.0)], [], resolution, h)
-        assert [steps for _, steps in calls] == ([] if h == t0 else [h - t0])
-        assert got == reference_recurrent_cells(spec, [(0.0, 1.0)], [], resolution, h), h
+        walks.clear()
+        steps.clear()
+        got = _recurrent_cells(spec, whole, [], resolution, h)
+        assert array_steps() == t0, h
+        if h == t0:
+            assert walks == []
+        else:
+            # the fill's first block: one walk per point live at t0
+            assert walks[0][1] == min(RECURRENCE_BLOCK_STEPS, h - t0) + 1, h
+        if h == t0 + 1:
+            assert 0 < len(walks) <= RECURRENCE_TAIL_POINTS
+        assert got == reference_recurrent_cells(spec, whole, [], resolution, h), h
 
 
 def test_power_form_never_enters_the_tail(monkeypatch):
     # the two kernel families differ in the last bit on power_form branches,
     # so their live points stay on the array step even when few are left
     spec = power_map()
-    calls = spy_tail(monkeypatch)
+    calls = spy_fill(monkeypatch)
     for region, resolution in (([(0.0, 1.0)], 1024), ([(0.4, 0.5)], 256)):
         check(spec, region, [], resolution, [3_000])
     assert calls == []
-    # a quadratic pair on the same small region does take the tail
+    # a quadratic pair on the same small region does take the scalar fill
     check(quadratic_pair(3.875, 3.5), [(0.4, 0.5)], [], 256, [3_000])
     assert calls
 
@@ -326,7 +343,7 @@ CLAMPING = LorenzMapSpec(
     near_c=st.lists(st.floats(-3.0, 3.0), max_size=20),
 )
 def test_scalar_step_equals_array_step_on_polynomial_maps(spec, xs, near_c):
-    # the fact the scalar tail rests on: one apply_raw step is eval_array's
+    # the fact the scalar fill rests on: one apply_raw step is eval_array's
     # step bit for bit, and eval_array's NaN is exactly |x - c| <= tol
     c, tol = spec.c, spec.tolerance
     points = xs + [0.0, -0.0, 1.0] + [min(max(c + u * tol, 0.0), 1.0) for u in near_c]
@@ -355,21 +372,32 @@ def test_clamps_and_signed_zero_are_exercised():
     assert bits(apply_raw(spec, -0.0)) == bits(eval_array(spec, np.array([-0.0]))[0]) == bits(0.0)
 
 
-def test_recurrence_tail_counts_the_last_step_and_the_cell_edge():
-    # the closest approach of a short orbit to its start, at step k: a
-    # window of exactly that distance catches it at step k, not before
-    spec = quadratic_pair(3.875, 3.5)
-    s = 0.3
-    orbit = orbit_list(spec, s, 60)
-    dist = [abs(x - s) for x in orbit]
-    k = min(range(1, 60), key=dist.__getitem__)
-    d = dist[k]
-    whole = (0.0, 1.0)
-    assert recurrence_tail(spec, [s], [s], [False], k, d, whole, RECURRENCE_BLOCK_STEPS) == [True]
-    assert recurrence_tail(spec, [s], [s], [False], k - 1, d, whole, RECURRENCE_BLOCK_STEPS) == [False]
-    narrower = np.nextafter(d, 0.0)
-    assert recurrence_tail(spec, [s], [s], [False], 59, narrower, whole, RECURRENCE_BLOCK_STEPS) == [False]
-    # resumed from its j-th iterate, the walk counts steps from there
-    j = k // 2
-    assert recurrence_tail(spec, [s], [orbit[j]], [False], k - j, d, whole, 4) == [True]
-    assert recurrence_tail(spec, [s], [orbit[j]], [False], k - j - 1, d, whole, 4) == [False]
+def shift_map(shift: float) -> LorenzMapSpec:
+    """x + 1/2 left of c = 1/2, x - 1/2 + shift right of it: a start s below
+    1/2 - shift is at s + shift after two steps."""
+    return LorenzMapSpec(
+        c=0.5,
+        left=BranchSpec(kind="polynomial", domain_side="left", coefficients=(0.5, 1.0)),
+        right=BranchSpec(kind="polynomial", domain_side="right", coefficients=(shift - 0.5, 1.0)),
+    )
+
+
+@pytest.mark.parametrize("region", [[(0.1, 0.2)], [(0.0, 0.45)]], ids=["fill", "array"])
+def test_recurrent_cells_count_the_last_step_and_the_cell_edge(monkeypatch, region):
+    # every start's second iterate lies exactly one cell width away (on the
+    # edge: comes back) or one bit further (past it: does not); 26 cells
+    # take the scalar fill, 115 the array step
+    resolution = 256
+    cw = 1.0 / resolution
+    centers = (np.arange(resolution) + 0.5) / resolution
+    inside = tuple(int(i) for i in np.nonzero(_in_any(centers, region))[0])
+    walks = spy_fill(monkeypatch)
+    for shift, comes_back in ((cw, True), (cw + 2.0**-54, False)):
+        spec = shift_map(shift)
+        for i in inside:
+            s = centers[i]
+            assert orbit_list(spec, s, 3)[2] - s == shift
+        assert _recurrent_cells(spec, region, [], resolution, 1) == ()
+        assert _recurrent_cells(spec, region, [], resolution, 2) == (inside if comes_back else ())
+        check(spec, region, [], resolution, [1, 2, 3])
+    assert bool(walks) == (len(inside) <= RECURRENCE_TAIL_POINTS)
