@@ -42,6 +42,7 @@ from .return_maps import (
     phobic_measure,
 )
 from .spectral import (
+    ENTROPY_WORD_LENGTH,
     Analysis,
     Budgets,
     classify_attractor,
@@ -168,12 +169,12 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
         )
     report["lyapunov_samples"] = samples
 
-    h = entropy_estimate(spec, 20, max(budgets.samples, 10_000), rng=np.random.default_rng(budgets.seed))
+    h = entropy_estimate(spec, max(budgets.samples, 10_000), rng=np.random.default_rng(budgets.seed))
     report["entropy"] = {
-        "word_length": 20,
+        "word_length": ENTROPY_WORD_LENGTH,
         "samples": max(budgets.samples, 10_000),
         "estimate": h,
-        "upper_bound": math.log(2.0) + 2.0 / 20,
+        "upper_bound": math.log(2.0) + 2.0 / ENTROPY_WORD_LENGTH,
         "solenoid_bound": solenoid_entropy_bound(a.seq.chain()),
     }
     report["provenance"] = {"budgets": budgets.to_dict(), "seed": budgets.seed}
@@ -361,7 +362,7 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     elif args.kind == "limitset":
         if args.x0 is None:
             raise MapValidationError("limitset needs --x0")
-        est = estimate_omega_limit(spec, args.x0, 1000, args.steps, args.resolution)
+        est = estimate_omega_limit(spec, args.x0, args.steps, args.resolution)
         w = 1.0 / est.resolution
         buf.write("cell_index,cell_lo,cell_hi\n")
         for cell in est.cells:
@@ -410,11 +411,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("classify", help="attractor class only")
-    add_common(p, "map", "budgets", "out", "seed")
+    add_common(p, "map", "budgets", "out")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("decompose", help="strata decomposition")
-    add_common(p, "map", "budgets", "out", "seed")
+    add_common(p, "map", "budgets", "out")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("returnmap", help="first-return branch CSV")

@@ -35,7 +35,12 @@ class MapValidationError(ValueError):
     pass
 
 
-BRANCH_KINDS = ("polynomial", "quadratic_logistic", "power_form")
+# each branch kind and the config keys it reads besides kind and domain_side
+BRANCH_PARAMETERS = {
+    "polynomial": ("coefficients",),
+    "quadratic_logistic": ("a",),
+    "power_form": ("a", "alpha"),
+}
 # embed_unimodal checks u(x) = u(1 - x) on this many grid points, and
 # u(0) = 0, to this tolerance
 EMBED_CHECK_GRID = 1024
@@ -49,6 +54,13 @@ def _real(name: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise MapValidationError(f"{name} must be a real number, got {v!r}")
     return float(v)
+
+
+def _known_keys(what: str, d: dict, keys) -> None:
+    """Reject a config key that nothing reads, such as a misspelled one."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise MapValidationError(f"unknown {what} key(s) {unknown}; expected some of {sorted(keys)}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ class BranchSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in BRANCH_KINDS:
+        if self.kind not in BRANCH_PARAMETERS:
             raise MapValidationError(f"unknown branch kind {self.kind!r}")
         if self.domain_side not in ("left", "right"):
             raise MapValidationError(f"domain_side must be left/right, got {self.domain_side!r}")
@@ -111,13 +123,18 @@ class BranchSpec:
 
     @staticmethod
     def from_dict(d: dict, domain_side: str) -> "BranchSpec":
-        return BranchSpec(
+        spec = BranchSpec(
             kind=d["kind"],
             domain_side=d.get("domain_side", domain_side),
             coefficients=tuple(d["coefficients"]) if "coefficients" in d else None,
             a=d.get("a"),
             alpha=d.get("alpha"),
         )
+        _known_keys(f"{spec.kind} branch", d, ("kind", "domain_side", *BRANCH_PARAMETERS[spec.kind]))
+        # NaN and Infinity, which json.load accepts, are no JSON numbers
+        if not all(math.isfinite(v) for v in (*(spec.coefficients or ()), spec.a, spec.alpha) if v is not None):
+            raise MapValidationError(f"{spec.kind} branch parameters must be finite, got {d!r}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -137,8 +154,8 @@ class LorenzMapSpec:
             raise MapValidationError("break point c must lie in (0,1)")
         if self.left.domain_side != "left" or self.right.domain_side != "right":
             raise MapValidationError("branch domain sides must be (left, right)")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
-            raise MapValidationError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise MapValidationError(f"tolerance must be finite and positive, got {self.tolerance!r}")
 
     def __getstate__(self) -> dict:
         # the kernel cache (see _kernels) holds closures, which do not pickle
@@ -157,13 +174,15 @@ class LorenzMapSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LorenzMapSpec":
-        return LorenzMapSpec(
+        spec = LorenzMapSpec(
             c=d["c"],
             left=BranchSpec.from_dict(d["left"], "left"),
             right=BranchSpec.from_dict(d["right"], "right"),
             name=d.get("name", ""),
             tolerance=d.get("tolerance", 1e-10),
         )
+        _known_keys("map config", d, ("name", "c", "left", "right", "tolerance"))
+        return spec
 
 
 @dataclass(frozen=True)
@@ -278,9 +297,10 @@ def _power_funcs(a: float, alpha: float, c: float, side: str):
 
         s2, s3 = 1.0, 1.0
 
+    # divide by scale once per order: a power of a tiny scale underflows to 0
     k1 = a * alpha / scale
-    k2 = a * alpha * (alpha - 1.0) / scale**2
-    k3 = a * alpha * (alpha - 1.0) * (alpha - 2.0) / scale**3
+    k2 = k1 * (alpha - 1.0) / scale
+    k3 = k2 * (alpha - 2.0) / scale
 
     def f1(x):
         return k1 * u(x) ** (alpha - 1.0)
@@ -477,18 +497,14 @@ def validate_map(spec: LorenzMapSpec) -> ValidationReport:
 # bisection and preimages
 
 
-def bisect(pred, a: float, b: float, rounds: int) -> float | None:
-    """Midpoint of the bracket left after `rounds` bisection rounds, or None.
+def bisect(pred, a: float, b: float, rounds: int) -> float:
+    """Midpoint of the bracket left after `rounds` bisection rounds.
 
     Each round keeps the half where pred holds at the midpoint m: a = m when
-    pred(m) is true, b = m when it is false (a may lie on either side of b).
-    A pred that returns None ends the search with None."""
+    pred(m) is true, b = m when it is false (a may lie on either side of b)."""
     for _ in range(rounds):
         m = 0.5 * (a + b)
-        keep = pred(m)
-        if keep is None:
-            return None
-        if keep:
+        if pred(m):
             a = m
         else:
             b = m
@@ -679,5 +695,5 @@ def load_map(source: str) -> LorenzMapSpec:
         return LorenzMapSpec.from_dict(d)
     except MapValidationError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MapValidationError(f"map config {source}: {e}") from e

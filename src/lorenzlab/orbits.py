@@ -28,6 +28,10 @@ WALK_CHUNK = 4096
 ALPHA_LIMIT_RESOLUTION = 1024
 ALPHA_LIMIT_DEPTH = 25
 ALPHA_LIMIT_CAP = 10**6
+# lyapunov takes the min over this many trailing running averages
+LYAPUNOV_TAIL_WINDOWS = 10
+# estimate_omega_limit drops this many orbit points before it samples
+OMEGA_BURN_IN = 1000
 
 
 @dataclass
@@ -49,7 +53,6 @@ class Itinerary:
 class LimitSetEstimate:
     cells: tuple[int, ...]
     resolution: int
-    burn_in: int
     sample_len: int
     contains_c: bool
     truncated: bool = False
@@ -69,7 +72,6 @@ class LyapunovEstimate:
     value: float
     window_averages: list[float]
     steps: int
-    tail_windows: int
     hit_critical: bool = False
 
     def __float__(self):
@@ -165,40 +167,30 @@ def orbit_list(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE) -
     return pts
 
 
-def lyapunov(
-    spec: LorenzMapSpec,
-    x0: float,
-    n: int = 10_000,
-    tail_windows: int = 10,
-    side: Side = Side.NONE,
-) -> LyapunovEstimate:
-    """Lower Lyapunov exponent estimate: minimum of the trailing running
-    averages of log|Df| (the liminf is approximated by a min over windows)."""
+def lyapunov(spec: LorenzMapSpec, x0: float, n: int = 10_000) -> LyapunovEstimate:
+    """Lower Lyapunov exponent estimate: minimum of the last
+    LYAPUNOV_TAIL_WINDOWS running averages of log|Df| (the liminf is
+    approximated by a min over windows). A point within tolerance of c ends
+    the walk with hit_critical."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
     c, tol = spec.c, spec.tolerance
     ker = _kernels(spec)
     d_left, d_right = ker["left"][0][1], ker["right"][0][1]
     stride = max(1, n // 100)
-    checkpoints = sorted({n - j * stride for j in range(tail_windows)} | {n})
+    checkpoints = sorted({n - j * stride for j in range(LYAPUNOV_TAIL_WINDOWS)} | {n})
     averages: list[float] = []
     total = 0.0
     k = 0
     hit = False
     nxt = 0
-    for pts, _ in orbit_chunks(spec, x0, n, side):
+    for pts, _ in orbit_chunks(spec, x0, n):
         for x in pts:
-            if abs(x - c) <= tol:
-                # only a directed start may sit at c; it adds no log term
-                if k or side == Side.NONE:
-                    hit = True
-                    break
-            else:
-                d = abs(d_left(x) if x < c else d_right(x))
-                if d <= 0:
-                    hit = True
-                    break
-                total += math.log(d)
+            d = 0.0 if abs(x - c) <= tol else abs(d_left(x) if x < c else d_right(x))
+            if d <= 0:
+                hit = True
+                break
+            total += math.log(d)
             k += 1
             if nxt < len(checkpoints) and k == checkpoints[nxt]:
                 averages.append(total / k)
@@ -211,34 +203,27 @@ def lyapunov(
         value=min(averages),
         window_averages=averages,
         steps=k,
-        tail_windows=tail_windows,
         hit_critical=hit,
     )
 
 
 def estimate_omega_limit(
-    spec: LorenzMapSpec,
-    x0: float,
-    burn_in: int = 1000,
-    sample_len: int = 10_000,
-    resolution: int = 1024,
-    side: Side = Side.NONE,
+    spec: LorenzMapSpec, x0: float, sample_len: int = 10_000, resolution: int = 1024
 ) -> LimitSetEstimate:
-    """Cells visited by the orbit after burn-in, on a dyadic grid."""
-    if burn_in + sample_len > 10**8:
-        raise ValueError("burn_in + sample_len too large")
-    # every later point is clamped into [0, 1]
-    if burn_in <= 0 and x0 < 0.0:
-        raise ValueError(f"orbit point {x0} lies below 0")
+    """Cells visited by the orbit after OMEGA_BURN_IN steps, on a dyadic
+    grid. Every sampled point is an image of the map step, so it lies in
+    [0, 1]."""
+    if OMEGA_BURN_IN + sample_len > 10**8:
+        raise ValueError("sample_len too large")
     truncated = False
     k = 0
     # one flag per cell: a point x marks cell min(int(x * resolution), resolution - 1)
     visited = np.zeros(resolution, dtype=bool)
     contains_c = False
     cw = 1.0 / resolution
-    for pts, landed in orbit_chunks(spec, x0, burn_in + sample_len, side):
+    for pts, landed in orbit_chunks(spec, x0, OMEGA_BURN_IN + sample_len):
         truncated = landed
-        xs = np.array(pts[max(burn_in - k, 0) :])
+        xs = np.array(pts[max(OMEGA_BURN_IN - k, 0) :])
         k += len(pts)
         if xs.size:
             if not np.isfinite(xs).all():
@@ -249,7 +234,6 @@ def estimate_omega_limit(
     return LimitSetEstimate(
         cells=tuple(np.flatnonzero(visited).tolist()),
         resolution=resolution,
-        burn_in=burn_in,
         sample_len=sample_len,
         contains_c=contains_c,
         truncated=truncated,

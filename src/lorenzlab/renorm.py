@@ -26,6 +26,11 @@ from .orbits import orbit_chunks, orbit_list
 from .periodic import PeriodicOrbitRecord
 from .return_maps import interval_side, is_nice, push_interval, push_orbit
 
+# trapping_region's invariance probe walks this many random points of the
+# region (seeded 0), this many steps each
+TRAP_PROBE_POINTS = 100
+TRAP_PROBE_STEPS = 100
+
 
 @dataclass
 class RenormalizationRecord:
@@ -415,19 +420,13 @@ def renormalization_cycle(spec: LorenzMapSpec, rec: RenormalizationRecord) -> li
     return comps
 
 
-def trapping_region(
-    spec: LorenzMapSpec,
-    rec: RenormalizationRecord,
-    probe_points: int = 100,
-    probe_steps: int = 100,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[float, float]]:
+def trapping_region(spec: LorenzMapSpec, rec: RenormalizationRecord) -> list[tuple[float, float]]:
     """Union of gaps enclosing the renormalization cycle components.
 
     The gap around the cycle component at age i is the monotone pullback of
     J along the branches the component still has to traverse before landing
-    in J; a forward-invariance spot check runs on random points of the
-    union.
+    in J; a forward-invariance spot check walks TRAP_PROBE_POINTS random
+    points of the union TRAP_PROBE_STEPS steps each.
     """
     a, b = rec.J
     c = spec.c
@@ -461,13 +460,12 @@ def trapping_region(
             uniq.append(iv)
     uniq.sort()
 
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(probe_points):
+    rng = np.random.default_rng(0)
+    for _ in range(TRAP_PROBE_POINTS):
         k = int(rng.integers(0, len(uniq)))
         lo, hi = uniq[k]
         # the orbit up to a landing at c, that point included
-        for x in orbit_list(spec, float(rng.uniform(lo, hi)), probe_steps + 1)[1:]:
+        for x in orbit_list(spec, float(rng.uniform(lo, hi)), TRAP_PROBE_STEPS + 1)[1:]:
             if not any(u[0] - 1e-9 <= x <= u[1] + 1e-9 for u in uniq):
                 raise ValueError(f"invariance probe left the trapping region at x={x}")
     return uniq

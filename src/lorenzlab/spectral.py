@@ -48,7 +48,12 @@ RECURRENCE_BLOCK_FLOATS = 1 << 16
 RECURRENCE_TAIL_POINTS = 64
 # margin of the core's invariance certificate, far above the kernel's rounding
 CORE_MARGIN = 1e-9
-# entropy_estimate merges bit-equal float orbits every this many burn-in steps
+# entropy_estimate counts words of this many symbols, read in this many
+# windows per orbit after this many burn-in steps, and merges bit-equal
+# float orbits every ENTROPY_MERGE_STEPS burn-in steps
+ENTROPY_WORD_LENGTH = 20
+ENTROPY_WINDOWS = 32
+ENTROPY_BURN_IN = 512
 ENTROPY_MERGE_STEPS = 64
 # the coverage probe keeps at most this many merged image components and
 # stops once this share of its target cells is covered, the share a
@@ -485,9 +490,7 @@ def classify_attractor(a: Analysis) -> AttractorClass:
     cover: set[int] = set()
     truncated = False
     for x0 in (spec.c - h, spec.c + h):
-        est = estimate_omega_limit(
-            spec, x0, burn_in=1000, sample_len=budgets.samples // 2, resolution=res
-        )
+        est = estimate_omega_limit(spec, x0, sample_len=budgets.samples // 2, resolution=res)
         truncated |= est.truncated
         cover.update(est.cells)
     coverage = len(cover & trap_cells) / max(len(trap_cells), 1)
@@ -726,15 +729,11 @@ def decompose(a: Analysis) -> DecompositionRecord:
 
 
 def entropy_estimate(
-    spec: LorenzMapSpec,
-    n: int = 20,
-    samples: int = 100_000,
-    rng: np.random.Generator | None = None,
-    burn_in: int = 512,
-    windows_per_orbit: int = 32,
+    spec: LorenzMapSpec, samples: int = 100_000, rng: np.random.Generator | None = None
 ) -> float:
     """Word-count entropy: (1/n) log of the number of distinct length-n
-    itinerary words observed along sampled orbits after a burn-in.
+    itinerary words, n = ENTROPY_WORD_LENGTH, observed in ENTROPY_WINDOWS
+    windows of each sampled orbit after ENTROPY_BURN_IN steps.
 
     An orbit that meets c up to one step past its last window is dropped.
     Bit-equal float iterates share all later ones, so the burn-in merges
@@ -742,18 +741,13 @@ def entropy_estimate(
     the set of words. The count is capped by 2^n, so the estimate never
     exceeds log 2.
     """
-    if not 1 <= n <= 30:
-        raise ValueError("word length must lie in [1, 30]")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
-    if windows_per_orbit < 1:
-        raise ValueError("need at least one window per orbit")
-    if burn_in < 0:
-        raise ValueError("burn_in must be non-negative")
+    n, windows = ENTROPY_WORD_LENGTH, ENTROPY_WINDOWS
     if rng is None:
         rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, samples)
-    for k in range(burn_in):
+    for k in range(ENTROPY_BURN_IN):
         if k and k % ENTROPY_MERGE_STEPS == 0:
             x = _merge_equal_orbits(x)
         x = eval_array(spec, x)
@@ -762,8 +756,8 @@ def entropy_estimate(
     # rolling n-bit codes; NaN (an orbit that met c) propagates to the end
     mask = np.uint64((1 << n) - 1)
     code = np.zeros(x.size, dtype=np.uint64)
-    words = np.empty((windows_per_orbit, x.size), dtype=np.uint64)
-    for j in range(n + windows_per_orbit - 1):
+    words = np.empty((windows, x.size), dtype=np.uint64)
+    for j in range(n + windows - 1):
         code <<= np.uint64(1)
         code |= x >= spec.c
         code &= mask

@@ -211,9 +211,9 @@ def test_criterion_7_embedding_invariants(rng):
 
 def test_criterion_8_entropy_bounds(ex1, ex2, ex3):
     bound = math.log(2.0) + 2.0 / 20
-    h1 = entropy_estimate(ex1, 20, 100_000)
-    h2 = entropy_estimate(ex2, 20, 100_000)
-    h3 = entropy_estimate(ex3, 20, 100_000)
+    h1 = entropy_estimate(ex1, 100_000)
+    h2 = entropy_estimate(ex2, 100_000)
+    h3 = entropy_estimate(ex3, 100_000)
     ok = all(h <= bound for h in (h1, h2, h3)) and h2 >= 0.6 and h1 <= 0.05
     verdict(8, ok, f"entropy: EX1 {h1:.4f} <= 0.05, EX2 {h2:.4f} >= 0.6, all <= log2 + 0.1")
 

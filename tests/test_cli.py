@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from lorenzlab.cli import EXIT_BAD_CONFIG, EXIT_INTERNAL, EXIT_INVALID_MAP, EXIT_OK, main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lorenzlab.cli import EXIT_BAD_CONFIG, EXIT_INTERNAL, EXIT_INVALID_MAP, EXIT_OK, _dump_json, _validated, main
+from lorenzlab.map_core import MapValidationError, load_map
 from lorenzlab.return_maps import MAX_HORIZON, MAX_RESOLUTION
 
 FAST_BUDGETS = json.dumps(
@@ -301,8 +305,8 @@ def test_report_is_strict_json_with_non_finite_paths(tmp_path, monkeypatch):
     from lorenzlab import cli
     from lorenzlab.orbits import LyapunovEstimate
 
-    def nan_lyapunov(spec, x0, n=10_000, tail_windows=10, side=None):
-        return LyapunovEstimate(math.nan, [math.nan], n, tail_windows)
+    def nan_lyapunov(spec, x0, n=10_000):
+        return LyapunovEstimate(math.nan, [math.nan], n)
 
     monkeypatch.setattr(cli, "lyapunov", nan_lyapunov)
     out = tmp_path / "rep.json"
@@ -340,8 +344,10 @@ def test_unread_flags_rejected():
         "plotdata": ["--map", "paper-example", "--kind", "cobweb", "--x0", "0.3"],
         "scan": ["--a-left", "3.5:4.0", "--a-right", "3.5:4.0", "--steps", "1"],
     }
+    common["classify"] = common["decompose"] = ["--map", "paper-example"]
     unread = [("returnmap", "--budgets", "{}"), ("returnmap", "--seed", "1"), ("orbit", "--budgets", "{}"),
-              ("orbit", "--seed", "1"), ("plotdata", "--seed", "1"), ("scan", "--seed", "1")]  # fmt: skip
+              ("orbit", "--seed", "1"), ("plotdata", "--seed", "1"), ("scan", "--seed", "1"),
+              ("classify", "--seed", "1"), ("decompose", "--seed", "1")]  # fmt: skip
     for cmd, flag, value in unread:
         assert main([cmd, *common[cmd], flag, value]) == EXIT_BAD_CONFIG, (cmd, flag)
 
@@ -417,13 +423,71 @@ def test_malformed_inputs_are_config_errors(argv):
     assert main(argv) == EXIT_BAD_CONFIG
 
 
+def load_map_text(path, config: dict):
+    path.write_text(json.dumps(config))
+    return load_map(str(path))
+
+
 def test_malformed_map_config_is_a_config_error(tmp_path):
-    # a numeric field must be a JSON number: a numeric string or a bool is
-    # not coerced
+    # a numeric field must be a finite JSON number: a numeric string, a bool,
+    # NaN or an infinity is not coerced, and an integer beyond any float fails
     cfg = tmp_path / "m.json"
-    for bad in ({"c": "half"}, {"c": "0.5"}, {"tolerance": True}, {"tolerance": "1e-10"}):
+    for bad in ({"c": "half"}, {"c": "0.5"}, {"tolerance": True}, {"tolerance": "1e-10"}, {"c": 10**400}):
         cfg.write_text(json.dumps({**BROKEN_MAP, **bad}))
         assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG, bad
+    # a key that nothing reads, misspelled or not read by the branch kind
+    good = {"c": 0.5, "left": {"kind": "quadratic_logistic", "a": 3.4}, "right": {"kind": "quadratic_logistic", "a": 4.0}}
+    poly = {"kind": "polynomial", "coefficients": [0.0, 3.4, -3.4]}
+    power = {"kind": "power_form", "a": 0.9, "alpha": 2.0}
+    for bad in (
+        {"tolerence": 1e-6},
+        {"left": {**good["left"], "alpha_typo": 2.0}},
+        {"left": {**good["left"], "coefficients": [0.0, 3.4, -3.4]}},
+        {"left": {**good["left"], "alpha": 2.0}},
+        {"left": {**poly, "a": 3.4}},
+        {"left": {**poly, "alpha": 2.0}},
+        {"right": {**power, "coefficients": [1.0]}},
+        {"right": {"kind": "quadratic_logistic", "a": math.nan}},
+        {"right": {**power, "alpha": math.inf}},
+        {"left": {"kind": "polynomial", "coefficients": [0.0, -math.inf]}},
+    ):
+        cfg.write_text(json.dumps({**good, **bad}))
+        assert main(["classify", "--map", str(cfg)]) == EXIT_BAD_CONFIG, bad
+    # the keys each kind reads load, and so does every to_dict output
+    from lorenzlab import builtin_map, embed_unimodal, logistic
+
+    loaded = [load_map_text(cfg, {**good, "left": branch}) for branch in (poly, power)]
+    assert [spec.left.kind for spec in loaded] == ["polynomial", "power_form"]
+    for spec in (builtin_map("paper-example"), embed_unimodal(logistic(3.6)), *loaded):
+        assert load_map_text(cfg, spec.to_dict()) == spec
+
+
+# any float (NaN and the infinities included, which the JSON reader
+# accepts), small ones, and the edge values of the config rules
+NUMBER = st.one_of(st.floats(), st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1e-10, 0.5, 1.0, 2.0]))
+BRANCH = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("polynomial"), "coefficients": st.lists(NUMBER, min_size=1, max_size=5)}),
+    st.fixed_dictionaries({"kind": st.just("quadratic_logistic"), "a": NUMBER}),
+    st.fixed_dictionaries({"kind": st.just("power_form"), "a": NUMBER, "alpha": NUMBER}),
+)
+MAP_CONFIG = st.fixed_dictionaries(
+    {"c": NUMBER, "left": BRANCH, "right": BRANCH}, optional={"name": st.text(max_size=8), "tolerance": NUMBER}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MAP_CONFIG)
+def test_accepted_map_configs_give_schema_valid_reports(tmp_path_factory, config):
+    # the report head of every config load_map accepts validates
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as res
+
+    try:
+        spec = load_map_text(tmp_path_factory.getbasetemp() / "map_config.json", config)
+    except MapValidationError:
+        return
+    schema = json.loads(res.files("lorenzlab").joinpath("schemas/map_report.schema.json").read_text())
+    jsonschema.validate(json.loads(_dump_json(_validated(spec))), schema)
 
 
 @pytest.mark.parametrize(
@@ -506,7 +570,7 @@ def test_plotdata_limitset_rows_are_the_omega_limit_cells(tmp_path):
     out = tmp_path / "ls.csv"
     argv = ["plotdata", "--map", "logistic4-embed", "--kind", "limitset", "--x0", "0.3", "--steps", "500"]
     assert main([*argv, "--resolution", "256", "--out", str(out)]) == EXIT_OK
-    est = estimate_omega_limit(builtin_map("logistic4-embed"), 0.3, 1000, 500, 256)
+    est = estimate_omega_limit(builtin_map("logistic4-embed"), 0.3, 500, 256)
     w = 1.0 / 256
     assert len(est.cells) > 1
     assert out.read_text().splitlines()[0] == "cell_index,cell_lo,cell_hi"
@@ -526,7 +590,7 @@ def test_plotdata_phobic_rows_are_the_surviving_cells(tmp_path):
     assert _csv_rows(out) == [[str(c), repr(c * w), repr((c + 1) * w)] for c in est.surviving_cells]
 
 
-@pytest.mark.parametrize("command", ["analyze", "classify", "decompose"])
+@pytest.mark.parametrize("command", ["analyze"])
 def test_negative_seed_rejected_at_parse_time(tmp_path, monkeypatch, capsys, command):
     from lorenzlab import cli
 
@@ -560,7 +624,7 @@ def test_scan_error_row_keeps_six_columns(tmp_path, monkeypatch):
     assert (rows[0]["final_class"], rows[0]["n_f"], rows[0]["lyapunov"]) == ("", "", "")
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-10])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-10, 0.0, -0.0])
 def test_bad_tolerance_is_a_config_error(tmp_path, capsys, tolerance):
     # rejected when the config is read, before the validation grid runs
     cfg = tmp_path / "m.json"
@@ -569,7 +633,7 @@ def test_bad_tolerance_is_a_config_error(tmp_path, capsys, tolerance):
     assert "tolerance" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tolerance", [0.0, 1e-3, 0.49])
+@pytest.mark.parametrize("tolerance", [1e-3, 0.49])
 def test_tolerance_in_range_is_accepted(tmp_path, tolerance):
     from lorenzlab.map_core import load_map
 

@@ -15,7 +15,8 @@ The scan CSV is guarded the same way: SHA-256 of the output of
     PYTHONPATH=src python -m lorenzlab.cli scan --a-left 3.75:4 --a-right 3:4 \
         --steps 2 --budgets '{"max_period": 8}'
 
-(four quadratic pairs through decompose, classification and Lyapunov).
+(four quadratic pairs through classification, n_f and Lyapunov; a row
+runs no decomposition).
 
 The return-map CSVs are SHA-256 of the outputs of
 
@@ -37,6 +38,8 @@ SIMD path, and catalog points and multipliers then move in their last bits.
 """
 
 import hashlib
+import importlib.resources
+import json
 
 import pytest
 
@@ -54,6 +57,9 @@ def test_golden_report_bytes(tmp_path, name):
     out = tmp_path / "report.json"
     assert main(["analyze", "--map", name, "--seed", "0", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = importlib.resources.files("lorenzlab").joinpath("schemas/map_report.schema.json").read_text()
+    jsonschema.validate(json.loads(out.read_text()), json.loads(schema))
 
 
 GOLDEN_SCAN_SHA256 = "8aa4e97114eb2289aa7f49c86ff9c16f9e0b4723764edb00f58143f41d469e6f"

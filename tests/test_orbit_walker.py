@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lorenzlab import builtin_map, quadratic_pair, renorm, spectral
+from lorenzlab import builtin_map, orbits, quadratic_pair, renorm, spectral
 from lorenzlab.map_core import (
     BranchSpec,
     LorenzMapSpec,
@@ -184,37 +184,45 @@ def test_orbit_chunks_match_apply_raw():
     assert list(orbit_chunks(MAPS[0], 0.3, 0)) == []
 
 
-def test_lyapunov_matches_reference():
+def undirected_starts(spec):
+    """The start points of starts(spec), each once, without a side."""
+    return sorted({x0 for x0, _ in starts(spec)})
+
+
+def test_lyapunov_matches_reference(monkeypatch):
     for spec in MAPS:
-        for x0, side in starts(spec):
+        for x0 in undirected_starts(spec):
             for n in (1000, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1):
-                est = lyapunov(spec, x0, n, side=side)
-                want = ref_lyapunov(spec, x0, n, side=side)
-                assert (est.value, est.window_averages, est.steps, est.hit_critical) == want
-        # more tail windows than checkpoints above zero
-        est = lyapunov(spec, 0.3141592653589793, 1000, tail_windows=150)
+                est = lyapunov(spec, x0, n)
+                assert (est.value, est.window_averages, est.steps, est.hit_critical) == ref_lyapunov(spec, x0, n)
+    # more tail windows than checkpoints above zero
+    monkeypatch.setattr(orbits, "LYAPUNOV_TAIL_WINDOWS", 150)
+    for spec in MAPS:
+        est = lyapunov(spec, 0.3141592653589793, 1000)
         assert (est.value, est.window_averages, est.steps, est.hit_critical) == ref_lyapunov(
             spec, 0.3141592653589793, 1000, tail_windows=150
         )
 
 
 @pytest.mark.parametrize("sample_len", [WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1])
-def test_omega_limit_matches_reference(sample_len):
+def test_omega_limit_matches_reference(sample_len, monkeypatch):
     for spec in MAPS:
-        for x0, side in starts(spec):
+        for x0 in undirected_starts(spec):
             # burn-in 0 and 3 end before the landings at steps 5 and 9, and
             # 7 ends between them
             for burn_in, resolution in ((0, 256), (3, 1000), (7, 1024)):
-                est = estimate_omega_limit(spec, x0, burn_in, sample_len, resolution, side)
-                want = ref_omega_limit(spec, x0, burn_in, sample_len, resolution, side)
+                monkeypatch.setattr(orbits, "OMEGA_BURN_IN", burn_in)
+                est = estimate_omega_limit(spec, x0, sample_len, resolution)
+                want = ref_omega_limit(spec, x0, burn_in, sample_len, resolution)
                 assert (est.cells, est.contains_c, est.truncated) == want
 
 
-def test_omega_limit_matches_reference_across_chunks():
+def test_omega_limit_matches_reference_across_chunks(monkeypatch):
     spec = MAPS[3]
     for burn_in in (WALK_CHUNK - 2, WALK_CHUNK, 2 * WALK_CHUNK + 1):
+        monkeypatch.setattr(orbits, "OMEGA_BURN_IN", burn_in)
         for sample_len in (1, WALK_CHUNK + 1, 10_000):
-            est = estimate_omega_limit(spec, 0.3141592653589793, burn_in, sample_len, 1000)
+            est = estimate_omega_limit(spec, 0.3141592653589793, sample_len, 1000)
             want = ref_omega_limit(spec, 0.3141592653589793, burn_in, sample_len, 1000)
             assert (est.cells, est.contains_c, est.truncated) == want
     est = lyapunov(spec, 0.3141592653589793, 10_000)
@@ -222,19 +230,21 @@ def test_omega_limit_matches_reference_across_chunks():
     assert (est.value, est.window_averages, est.steps, est.hit_critical) == want
 
 
-def test_omega_limit_truncation_around_burn_in():
+def test_omega_limit_truncation_around_burn_in(monkeypatch):
     spec = builtin_map("paper-example")
     x0 = landing_start(spec, 9)
-    before = estimate_omega_limit(spec, x0, burn_in=20, sample_len=100)
-    after = estimate_omega_limit(spec, x0, burn_in=4, sample_len=100)
+    monkeypatch.setattr(orbits, "OMEGA_BURN_IN", 20)
+    before = estimate_omega_limit(spec, x0, sample_len=100)
+    monkeypatch.setattr(orbits, "OMEGA_BURN_IN", 4)
+    after = estimate_omega_limit(spec, x0, sample_len=100)
     assert before.truncated and not before.cells and not before.contains_c
     assert after.truncated and after.contains_c and len(after.cells) >= 1
+    monkeypatch.setattr(orbits, "OMEGA_BURN_IN", 0)
     with pytest.raises(ValueError):
-        estimate_omega_limit(spec, math.nan, burn_in=0, sample_len=10)
-    # a kept start below 0 has no cell
-    with pytest.raises(ValueError):
-        estimate_omega_limit(spec, -0.5, burn_in=0, sample_len=10)
-    assert estimate_omega_limit(spec, -0.5, burn_in=1, sample_len=10).cells
+        estimate_omega_limit(spec, math.nan, sample_len=10)
+    # a start below 0 is clamped by the first step
+    monkeypatch.setattr(orbits, "OMEGA_BURN_IN", 1)
+    assert estimate_omega_limit(spec, -0.5, sample_len=10).cells
 
 
 def test_orbit_points_match_reference():

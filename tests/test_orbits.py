@@ -91,26 +91,26 @@ def test_lyapunov_full_shift(ex2):
 
 
 def test_omega_limit_two_cycle(ex1):
-    est = estimate_omega_limit(ex1, 0.3, 1000, 10_000, 1024)
+    est = estimate_omega_limit(ex1, 0.3, 10_000, 1024)
     expect = {min(int(P_CYCLE * 1024), 1023), min(int(Q_CYCLE * 1024), 1023)}
     assert set(est.cells) == expect
     assert not est.contains_c
 
 
 def test_omega_limit_fixed_point(ex1):
-    est = estimate_omega_limit(ex1, 0.0, 100, 1000, 1024)
+    est = estimate_omega_limit(ex1, 0.0, 1000, 1024)
     assert est.cells == (0,)
 
 
 def test_omega_limit_full_map(ex2):
-    est = estimate_omega_limit(ex2, 0.3, 1000, 100_000, 256)
+    est = estimate_omega_limit(ex2, 0.3, 100_000, 256)
     assert len(est.cells) >= 0.95 * 256
 
 
 def test_omega_perfectness_proxy(ex2):
     # a non-periodic recurrent orbit: every occupied cell at doubled
     # resolution has an occupied neighbor
-    est = estimate_omega_limit(ex2, 0.3, 1000, 200_000, 512)
+    est = estimate_omega_limit(ex2, 0.3, 200_000, 512)
     cells = set(est.cells)
     x0_cell = min(int(0.3 * 512), 511)
     assert x0_cell in cells  # x0 is in its own limit estimate

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from lorenzlab import builtin_map, embed_unimodal, logistic, map_core, quadratic_pair
+from lorenzlab import builtin_map, embed_unimodal, logistic, map_core, quadratic_pair, renorm
 from lorenzlab.map_core import (
     BranchSpec,
     LorenzMapSpec,
@@ -105,7 +105,7 @@ def ref_branch_inverse_array(spec, side, y):
 
 
 def ref_trapping_region(spec, rec):
-    """trapping_region(spec, rec, probe_points=0)."""
+    """trapping_region(spec, rec) with renorm.TRAP_PROBE_POINTS = 0."""
     branch_inverse_array = ref_branch_inverse_array
     a, b = rec.J
     c = spec.c
@@ -241,9 +241,10 @@ def counted():
 # equivalence
 
 
-def test_trapping_region_matches_reference(spec):
+def test_trapping_region_matches_reference(spec, monkeypatch):
+    monkeypatch.setattr(renorm, "TRAP_PROBE_POINTS", 0)
     for rec in records(spec):
-        assert outcome(trapping_region, spec, rec, 0) == outcome(ref_trapping_region, spec, rec)
+        assert outcome(trapping_region, spec, rec) == outcome(ref_trapping_region, spec, rec)
 
 
 def test_stratum_blocks_match_reference(spec):
@@ -338,9 +339,10 @@ def test_gaps_respect_budget():
 def test_trapping_region_one_inversion_per_component(spec, monkeypatch):
     wrapper, calls = counted()
     monkeypatch.setattr(map_core, "branch_inverse_array", wrapper)
+    monkeypatch.setattr(renorm, "TRAP_PROBE_POINTS", 0)
     for rec in records(spec):
         calls[0] = 0
-        trapping_region(spec, rec, probe_points=0)
+        trapping_region(spec, rec)
         assert calls[0] <= (rec.period_a - 1) + (rec.period_b - 1)
 
 
@@ -350,7 +352,8 @@ def test_trapping_region_work_on_doubling_chain(monkeypatch):
     assert [(r.period_a, r.period_b) for r in recs] == [(2, 2), (4, 4), (8, 8)]
     wrapper, calls = counted()
     monkeypatch.setattr(map_core, "branch_inverse_array", wrapper)
+    monkeypatch.setattr(renorm, "TRAP_PROBE_POINTS", 0)
     calls[0] = 0
     for rec in recs:
-        trapping_region(spec, rec, probe_points=0)
+        trapping_region(spec, rec)
     assert calls[0] == 22

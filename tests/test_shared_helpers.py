@@ -725,7 +725,6 @@ def test_bisect_helpers_both_orientations():
         assert bisect(keep, a, b, 60) == 0.5 * (want_a + want_b)
         lo, hi = bisect_array(lambda m: np.vectorize(keep)(m), np.array([a]), np.array([b]), 60)
         assert (lo[0], hi[0]) == (want_a, want_b)
-    assert bisect(lambda m: None if m > 0.7 else True, 0.0, 1.0, 10) is None
     assert bisect(lambda m: True, 0.0, 1.0, 0) == 0.5
 
 
@@ -964,7 +963,7 @@ def test_short_orbit_matches_reference(spec):
                 assert orbit_list(spec, x, steps + 1) == ref_short_orbit(spec, x, steps)
 
 
-def test_trapping_region_probe_matches_reference(spec):
+def test_trapping_region_probe_matches_reference(spec, monkeypatch):
     seq = renorm.find_renormalizations(spec, 8, 8, 10_000, catalog=list(catalog(spec)))
     c = spec.c
     recs = seq.chain() + [
@@ -974,14 +973,17 @@ def test_trapping_region_probe_matches_reference(spec):
                               left_image=(0, 0), right_image=(0, 0)),
     ]  # fmt: skip
     for rec in recs:
-        uniq = renorm.trapping_region(spec, rec, probe_points=0)
-        for seed, points, steps in ((0, 100, 100), (1, 30, WALK_CHUNK + 1), (2, 50, 1), (3, 50, 2), (4, 50, 3)):
+        monkeypatch.setattr(renorm, "TRAP_PROBE_POINTS", 0)
+        uniq = renorm.trapping_region(spec, rec)
+        for points, steps in ((100, 100), (30, WALK_CHUNK + 1), (50, 1), (50, 2), (50, 3)):
+            monkeypatch.setattr(renorm, "TRAP_PROBE_POINTS", points)
+            monkeypatch.setattr(renorm, "TRAP_PROBE_STEPS", steps)
             try:
-                got = renorm.trapping_region(spec, rec, points, steps, np.random.default_rng(seed))
+                got = renorm.trapping_region(spec, rec)
             except ValueError as e:
                 got = str(e)
             try:
-                want = ref_invariance_probe(spec, uniq, np.random.default_rng(seed), points, steps)
+                want = ref_invariance_probe(spec, uniq, np.random.default_rng(0), points, steps)
             except ValueError as e:
                 want = str(e)
             assert got == want

@@ -148,14 +148,14 @@ def test_classify_nonregular_case():
 
 def test_entropy_bounds(ex1, ex2, ex3):
     for spec in (ex1, ex2, ex3):
-        h = entropy_estimate(spec, 20, 20_000)
+        h = entropy_estimate(spec, 20_000)
         assert h <= math.log(2.0) + 2.0 / 20
-    assert entropy_estimate(ex1, 20, 100_000) <= 0.05
-    assert entropy_estimate(ex2, 20, 100_000) >= 0.6
+    assert entropy_estimate(ex1, 100_000) <= 0.05
+    assert entropy_estimate(ex2, 100_000) >= 0.6
 
 
 def test_entropy_attracting_four_cycle(ex3):
-    h = entropy_estimate(ex3, 20, 50_000)
+    h = entropy_estimate(ex3, 50_000)
     # four itinerary phases of the 4-cycle
     assert h <= math.log(4.0) / 20 + 1e-9
 
@@ -181,7 +181,7 @@ def test_solenoid_entropy_bound():
     seq = find_renormalizations(spec, 16, 3, catalog=find_periodic_points(spec, 16))
     bound = solenoid_entropy_bound(seq.chain())
     assert bound == pytest.approx(math.log(2.0) / 8)
-    h = entropy_estimate(spec, 20, 20_000)
+    h = entropy_estimate(spec, 20_000)
     assert h <= math.log(2.0) + 2.0 / 20
     assert h < 0.35  # far below a chaotic word count even with transients
 
