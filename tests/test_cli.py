@@ -590,8 +590,14 @@ def test_plotdata_phobic_rows_are_the_surviving_cells(tmp_path):
     assert _csv_rows(out) == [[str(c), repr(c * w), repr((c + 1) * w)] for c in est.surviving_cells]
 
 
-@pytest.mark.parametrize("command", ["analyze"])
-def test_negative_seed_rejected_at_parse_time(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [("analyze", "must lie in"), ("classify", "unrecognized arguments: --seed"),
+     ("decompose", "unrecognized arguments: --seed")],  # fmt: skip
+    ids=["analyze", "classify", "decompose"],
+)
+def test_negative_seed_rejected_at_parse_time(tmp_path, monkeypatch, capsys, command, message):
+    # analyze range-checks --seed; classify and decompose read no seed and refuse the flag
     from lorenzlab import cli
 
     def no_work(*args, **kwargs):
@@ -601,7 +607,7 @@ def test_negative_seed_rejected_at_parse_time(tmp_path, monkeypatch, capsys, com
     out = tmp_path / "out.json"
     assert main([command, "--map", "paper-example", "--seed", "-3", "--out", str(out)]) == EXIT_BAD_CONFIG
     assert not out.exists()
-    assert "must lie in" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_scan_error_row_keeps_six_columns(tmp_path, monkeypatch):
