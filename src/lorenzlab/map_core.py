@@ -50,9 +50,10 @@ VALIDATION_GRID = 512
 
 
 def _real(name: str, v) -> float:
-    """v as a float when it is a real number: a string or a bool is not."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise MapValidationError(f"{name} must be a real number, got {v!r}")
+    """v as a float when it is a finite real number: a string, a bool, NaN
+    and the infinities (which json.load accepts) are not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise MapValidationError(f"{name} must be a finite real number, got {v!r}")
     return float(v)
 
 
@@ -131,9 +132,6 @@ class BranchSpec:
             alpha=d.get("alpha"),
         )
         _known_keys(f"{spec.kind} branch", d, ("kind", "domain_side", *BRANCH_PARAMETERS[spec.kind]))
-        # NaN and Infinity, which json.load accepts, are no JSON numbers
-        if not all(math.isfinite(v) for v in (*(spec.coefficients or ()), spec.a, spec.alpha) if v is not None):
-            raise MapValidationError(f"{spec.kind} branch parameters must be finite, got {d!r}")
         return spec
 
 
@@ -154,8 +152,10 @@ class LorenzMapSpec:
             raise MapValidationError("break point c must lie in (0,1)")
         if self.left.domain_side != "left" or self.right.domain_side != "right":
             raise MapValidationError("branch domain sides must be (left, right)")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise MapValidationError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if not self.tolerance > 0.0:
+            raise MapValidationError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not isinstance(self.name, str):
+            raise MapValidationError(f"map name must be a string, got {self.name!r}")
 
     def __getstate__(self) -> dict:
         # the kernel cache (see _kernels) holds closures, which do not pickle
@@ -623,6 +623,9 @@ class UnimodalSpec:
 
     coefficients: tuple[float, ...]
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(_real("coefficient", v) for v in self.coefficients))
 
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients))

@@ -18,7 +18,6 @@ from .map_core import (
     LorenzMapSpec,
     Side,
     apply_raw,
-    bisect,
     bisect_array,
     branch_value,
     deriv_array,
@@ -227,23 +226,6 @@ def _apply_path(spec: LorenzMapSpec, x: float, path: list[str]) -> float:
     return x
 
 
-def _polish_edge(
-    spec: LorenzMapSpec, x_in: float, x_out: float, path: list[str], target: float
-) -> float:
-    """Solve f^t(x) = target along the frozen branch path between x_in and
-    x_out; x_in when the path's values there do not bracket the target.
-
-    The return-time bisection stops at the numerical dead zone around
-    orbits that graze c; the branch composition extends continuously and
-    monotonically across the true edge."""
-    v_in = _apply_path(spec, x_in, path)
-    v_out = _apply_path(spec, x_out, path)
-    if not (min(v_in, v_out) - 1e-12 <= target <= max(v_in, v_out) + 1e-12):
-        return x_in
-    below = v_in < target
-    return bisect(lambda m: (_apply_path(spec, m, path) < target) == below, x_in, x_out, 70)
-
-
 def _first_return_time(spec: LorenzMapSpec, x: float, J: tuple[float, float], horizon: int) -> int:
     """First return time of x to J: -1 when the orbit meets c first, 0 when
     it has not returned within the horizon. Scalar reference of
@@ -339,7 +321,6 @@ def first_return_map(
     # returns at the run's time and whose x_out does not
     eps = (xs[1] - xs[0]) * 1e-6
     edges: list[list] = [[None, None] for _ in runs]
-    outs: list[list] = [[None, None] for _ in runs]
     probes: list[tuple[int, int, float, float, float]] = []  # (run, side, probe, end, x_in)
     brackets: list[tuple[int, int, float, float]] = []  # (run, side, x_in, x_out)
     for r, (i, j, _) in enumerate(runs):
@@ -367,9 +348,9 @@ def first_return_map(
     x_in = np.array([b[2] for b in brackets], dtype=float)
     x_out = np.array([b[3] for b in brackets], dtype=float)
     bt = np.array([runs[b[0]][2] for b in brackets], dtype=np.int64)
-    x_in, x_out = bisect_array(lambda m, t: _return_times(spec, m, J, t) == t, x_in, x_out, 60, bt)
-    for (r, e, _, _), a, b in zip(brackets, x_in.tolist(), x_out.tolist()):
-        edges[r][e], outs[r][e] = a, b
+    x_in, _ = bisect_array(lambda m, t: _return_times(spec, m, J, t) == t, x_in, x_out, 60, bt)
+    for (r, e, _, _), a in zip(brackets, x_in.tolist()):
+        edges[r][e] = a
 
     # constant-return-time audit on interior samples; a failure means the
     # run still holds branch structure below grid resolution (plateaus
@@ -385,7 +366,7 @@ def first_return_map(
     branches: list[ReturnMapBranch] = []
     covered = 0.0
     for r in live:
-        (left, right), (left_out, right_out), t = edges[r], outs[r], runs[r][2]
+        (left, right), t = edges[r], runs[r][2]
         # a branch is a single monotone composition: all of the run must
         # share one branch path, else it is a conglomerate of equal-time
         # pieces with sub-resolution gaps and is dropped as uncovered
@@ -401,10 +382,6 @@ def first_return_map(
         if len(paths) < 2 or any(p != paths[0] for p in paths[1:]):
             continue
         path = paths[0]
-        if left_out is not None:
-            left = _polish_edge(spec, left, left_out, path, lo)
-        if right_out is not None:
-            right = _polish_edge(spec, right, right_out, path, hi)
         img_lo = _apply_path(spec, left, path) if abs(left - spec.c) > 10 * tol else _directed_iterate(
             spec, spec.c, Side.PLUS, t
         )

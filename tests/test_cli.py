@@ -230,6 +230,15 @@ def test_embed_unimodal_command(tmp_path, capsys):
     assert rep["right"]["coefficients"] == [1.0, -3.4, 3.4]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_embed_unimodal_refuses_non_finite(capsys, value):
+    # refused before any array is evaluated: no numpy warning, no output
+    assert main(["embed-unimodal", f"--logistic={value}"]) == EXIT_BAD_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err and "Warning" not in err
+
+
 def test_scan_cell_records_exception_type(monkeypatch):
     from lorenzlab import cli
     from lorenzlab.spectral import Budgets
@@ -326,6 +335,59 @@ def test_report_is_strict_json_with_non_finite_paths(tmp_path, monkeypatch):
         res.files("lorenzlab").joinpath("schemas/map_report.schema.json").read_text()
     )
     jsonschema.validate(rep, schema)
+
+
+def _schema_valid_report(spec) -> dict:
+    """build_report of spec at FAST_BUDGETS, checked against the schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as res
+
+    from lorenzlab.cli import build_report
+    from lorenzlab.spectral import Budgets
+
+    rep = json.loads(_dump_json(build_report(spec, Budgets(**json.loads(FAST_BUDGETS)))))
+    schema = json.loads(res.files("lorenzlab").joinpath("schemas/map_report.schema.json").read_text())
+    jsonschema.validate(rep, schema)
+    return rep
+
+
+def _fails(*args, **kwargs):
+    raise ValueError("stage failed")
+
+
+def test_failed_trapping_probe_falls_back_to_J(monkeypatch):
+    from lorenzlab import builtin_map, spectral
+
+    monkeypatch.setattr(spectral, "trapping_region", _fails)
+    rep = _schema_valid_report(builtin_map("logistic3.4-embed"))
+    # the chain: the renormalization interval (5/17, 12/17) and j_max
+    renorm = rep["renorm"]
+    chain = [(r["a"], r["b"]) for r in (*renorm["chain"], renorm["j_max"])]
+    assert [n for n in rep["decomposition"]["notes"] if "invariance probe" in n] == [
+        f"trapping region of {J} failed its invariance probe: stage failed" for J in chain
+    ]
+    # so the K_n of each chain level is its interval J
+    assert [s["K_n"] for s in rep["decomposition"]["strata"]] == [[[0.0, 1.0]]] + [[list(J)] for J in chain]
+
+
+def test_failed_rotation_probe_is_evidence(monkeypatch):
+    from lorenzlab import quadratic_pair, spectral
+
+    spec = quadratic_pair(3.2222222222222223, 3.4444444444444446)
+    assert _schema_valid_report(spec)["decomposition"]["final_class"]["kind"] == "cherry"
+    monkeypatch.setattr(spectral, "rotation_number", _fails)
+    evidence = _schema_valid_report(spec)["decomposition"]["final_class"]["evidence"]
+    assert evidence["rotation_probe_error"] == "stage failed"
+    assert "rotation_estimate" not in evidence
+
+
+def test_failed_block_decomposition_is_a_stratum_note(monkeypatch):
+    from lorenzlab import builtin_map, spectral
+
+    monkeypatch.setattr(spectral, "stratum_blocks", _fails)
+    strata = _schema_valid_report(builtin_map("logistic3.4-embed"))["decomposition"]["strata"]
+    assert [s["notes"] for s in strata] == [["block decomposition unavailable: stage failed"]] * 2 + [[]]
+    assert all(s["block_decomposition"] is None for s in strata)
 
 
 def test_finite_reports_have_no_non_finite_key():
@@ -435,6 +497,10 @@ def test_malformed_map_config_is_a_config_error(tmp_path):
     for bad in ({"c": "half"}, {"c": "0.5"}, {"tolerance": True}, {"tolerance": "1e-10"}, {"c": 10**400}):
         cfg.write_text(json.dumps({**BROKEN_MAP, **bad}))
         assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG, bad
+    # the name is a string, as the report schema has it
+    for bad in ({"name": 5}, {"name": None}, {"name": True}, {"name": ["a"]}):
+        cfg.write_text(json.dumps({**BROKEN_MAP, **bad}))
+        assert main(["analyze", "--map", str(cfg)]) == EXIT_BAD_CONFIG, bad
     # a key that nothing reads, misspelled or not read by the branch kind
     good = {"c": 0.5, "left": {"kind": "quadratic_logistic", "a": 3.4}, "right": {"kind": "quadratic_logistic", "a": 4.0}}
     poly = {"kind": "polynomial", "coefficients": [0.0, 3.4, -3.4]}
@@ -470,8 +536,9 @@ BRANCH = st.one_of(
     st.fixed_dictionaries({"kind": st.just("quadratic_logistic"), "a": NUMBER}),
     st.fixed_dictionaries({"kind": st.just("power_form"), "a": NUMBER, "alpha": NUMBER}),
 )
+NAME = st.one_of(st.text(max_size=8), st.none(), st.booleans(), NUMBER, st.lists(st.text(max_size=2), max_size=2))
 MAP_CONFIG = st.fixed_dictionaries(
-    {"c": NUMBER, "left": BRANCH, "right": BRANCH}, optional={"name": st.text(max_size=8), "tolerance": NUMBER}
+    {"c": NUMBER, "left": BRANCH, "right": BRANCH}, optional={"name": NAME, "tolerance": NUMBER}
 )
 
 

@@ -25,7 +25,7 @@ The return-map CSVs are SHA-256 of the outputs of
     PYTHONPATH=src python -m lorenzlab.cli returnmap --map logistic4-embed \
         --interval 0.25,0.75
 
-(the edge bisections, edge polish, branch paths and niceness probe of
+(the edge bisections, branch paths and niceness probe of
 `first_return_map` and `is_nice`).
 
 The reports print floats with repr, so the digests hold for IEEE double

@@ -175,6 +175,17 @@ def test_embed_commutation(rng):
         assert abs(lhs - rhs) < 1e-12
 
 
+def test_non_finite_parameters_are_refused():
+    # every construction path reads its numbers through one finite gate
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(mc.MapValidationError, match="finite"):
+            mc.quadratic_pair(bad, 3.0)
+        with pytest.raises(mc.MapValidationError, match="finite"):
+            mc.quadratic_pair(3.4, bad)
+        with pytest.raises(mc.MapValidationError, match="finite"):
+            mc.logistic(bad)
+
+
 def test_embed_rejects_asymmetric():
     crooked = mc.UnimodalSpec(coefficients=(0.0, 3.9, -4.0))
     with pytest.raises(mc.MapValidationError):
@@ -338,10 +349,13 @@ def test_clamp_matches_min_max():
         want = min(max(y, 0.0), 1.0)
         spec = mc.LorenzMapSpec(
             c=0.5,
-            left=mc.BranchSpec("polynomial", "left", coefficients=(y, -0.0)),
+            left=mc.BranchSpec("polynomial", "left", coefficients=(0.0, -0.0)),
             right=mc.BranchSpec("polynomial", "right", coefficients=(0.25, -0.0)),
         )
-        # the second derivative kernel of a non-finite constant is NaN
+        # a spec refuses a non-finite coefficient, so the kernels of the
+        # left branch y - 0.0 * x go into its kernel cache directly (the
+        # second derivative kernel of a non-finite constant is NaN)
         with np.errstate(invalid="ignore"):
-            assert _same_bits(mc.apply_raw(spec, 0.25), want), y
+            mc._kernels(spec)["left"] = mc._poly_funcs((y, -0.0))
+        assert _same_bits(mc.apply_raw(spec, 0.25), want), y
         assert _same_bits(orbit_list(spec, 0.75, 3), [0.75, 0.25, want]), y

@@ -288,6 +288,40 @@ def test_return_times_match_scalar_reference(name, J, rng):
     assert np.array_equal(_return_times(spec, xs, J, ts) == ts, ref == ts)
 
 
+def _power_pair(c, left, right):
+    return LorenzMapSpec(
+        c=c,
+        left=BranchSpec(kind="power_form", domain_side="left", a=left[0], alpha=left[1]),
+        right=BranchSpec(kind="power_form", domain_side="right", a=right[0], alpha=right[1]),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, J",
+    [
+        (builtin_map("logistic3.4-embed"), (0.294117647, 0.705882353)),
+        (builtin_map("logistic4-embed"), (0.25, 0.75)),
+        # power_form maps with edges one ulp from a float that does not return at t
+        (_power_pair(0.49, (0.983, 3.01), (0.976, 2.82)), (0.343, 0.541)),
+        (_power_pair(0.49, (0.968, 2.59), (0.964, 2.91)), (0.392, 0.592)),
+        (_power_pair(0.562, (0.973, 2.83), (0.982, 1.69)), (0.4496, 0.6496)),
+        (_power_pair(0.43, (0.963, 2.12), (0.993, 2.55)), (0.301, 0.487)),
+    ],
+    ids=["logistic3.4-embed", "logistic4-embed", "power-1", "power-2", "power-3", "power-4"],
+)
+def test_bisected_edges_return_at_their_time(spec, J):
+    # an edge inside J that is not c is the x_in its bisection left: the
+    # last float found to first return at the branch's time t (the branches
+    # of logistic3.4-embed end only at c and at the ends of J)
+    assert validate_map(spec).ok
+    rec = first_return_map(spec, J, 1000, 4096)
+    ends = [(e, b.return_time) for b in rec.branches for e in b.domain if e not in (*J, spec.c)]
+    xs = np.array([e for e, _ in ends])
+    ts = np.array([t for _, t in ends])
+    bad = [(e, t) for (e, t), ok in zip(ends, _return_times(spec, xs, J, ts) == ts) if not ok]
+    assert not bad
+
+
 # ---------------------------------------------------------------------------
 # references
 

@@ -680,23 +680,6 @@ def ref_branch_path(spec, x, steps):
     return path
 
 
-def ref_polish_edge(spec, x_in, x_out, path, target):
-    _apply_path = return_maps._apply_path
-    v_in = _apply_path(spec, x_in, path)
-    v_out = _apply_path(spec, x_out, path)
-    if not (min(v_in, v_out) - 1e-12 <= target <= max(v_in, v_out) + 1e-12):
-        return x_in
-    a, b = x_in, x_out
-    for _ in range(70):
-        m = 0.5 * (a + b)
-        vm = _apply_path(spec, m, path)
-        if (vm < target) == (v_in < target):
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def ref_edge_bisection(spec, J, x_in, x_out, bt):
     # the lockstep edge bisection of first_return_map
     for _ in range(60):
@@ -1105,21 +1088,6 @@ def test_branch_path_matches_reference(spec):
     for x, k in starts(spec):
         for steps in [0] + lengths(k):
             assert return_maps._branch_path(spec, x, steps) == ref_branch_path(spec, x, steps)
-
-
-def test_polish_edge_matches_reference(spec):
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(0, 1, 12):
-        path = return_maps._branch_path(spec, float(x), 3)
-        if path is None:
-            continue
-        for dx in (1e-7, -1e-7, 1e-3, -1e-3):
-            x_in, x_out = float(x), float(x) + dx
-            v_in = return_maps._apply_path(spec, x_in, path)
-            v_out = return_maps._apply_path(spec, x_out, path)
-            for target in (0.5 * (v_in + v_out), v_in, v_out + 2 * (v_out - v_in)):
-                got = return_maps._polish_edge(spec, x_in, x_out, path, target)
-                assert got == ref_polish_edge(spec, x_in, x_out, path, target)
 
 
 def test_edge_bisection_matches_reference(spec):
