@@ -433,64 +433,67 @@ def critical_values(spec: LorenzMapSpec) -> tuple[float, float]:
 def validate_map(spec: LorenzMapSpec) -> ValidationReport:
     """Grid audit of the defining conditions, VALIDATION_GRID points a side.
     All conclusions are numerical: they hold on the sampled grid at the spec
-    tolerance, nothing more."""
-    tol = spec.tolerance
-    notes = [f"numerical check: grid_size={VALIDATION_GRID}, tolerance={tol}"]
-    ker = _kernels(spec)
-    ok = True
+    tolerance, nothing more. Overflow in the sampled values is itself a
+    finding (a failed condition), so numpy floating-point warnings are
+    silenced."""
+    with np.errstate(all="ignore"):
+        tol = spec.tolerance
+        notes = [f"numerical check: grid_size={VALIDATION_GRID}, tolerance={tol}"]
+        ker = _kernels(spec)
+        ok = True
 
-    f0 = branch_value(spec, "left", 0.0)
-    f1 = branch_value(spec, "right", 1.0)
-    if abs(f0 - 0.0) > tol:
-        ok = False
-        notes.append(f"f(0)={f0} not fixed")
-    if abs(f1 - 1.0) > tol:
-        ok = False
-        notes.append(f"f(1)={f1} not fixed")
-
-    grids = {
-        "left": np.linspace(0.0, spec.c, VALIDATION_GRID, endpoint=False)[1:],
-        "right": np.linspace(spec.c, 1.0, VALIDATION_GRID, endpoint=False)[1:],
-    }
-    sf_neg = True
-    for side, xs in grids.items():
-        vals = ker[side][1][0](xs)
-        if np.any(np.diff(vals) <= 0):
+        f0 = branch_value(spec, "left", 0.0)
+        f1 = branch_value(spec, "right", 1.0)
+        if abs(f0 - 0.0) > tol:
             ok = False
-            bad = xs[:-1][np.diff(vals) <= 0][0]
-            notes.append(f"{side} branch not increasing near x={bad}")
-        d1 = ker[side][1][1](xs)
-        if np.any(d1 <= 0):
+            notes.append(f"f(0)={f0} not fixed")
+        if abs(f1 - 1.0) > tol:
             ok = False
-            bad = xs[d1 <= 0][0]
-            notes.append(f"{side} branch derivative <= 0 at x={bad}")
-        live = np.abs(d1) > tol
-        if np.any(live):
-            d2 = ker[side][1][2](xs[live])
-            d3 = ker[side][1][3](xs[live])
-            sf = d3 / d1[live] - 1.5 * (d2 / d1[live]) ** 2
-            if np.any(sf >= 0):
-                sf_neg = False
-                bad = xs[live][sf >= 0][0]
-                notes.append(f"Schwarzian >= 0 at x={bad} ({side} branch)")
+            notes.append(f"f(1)={f1} not fixed")
 
-    dl_c = ker["left"][0][1](spec.c)
-    dr_c = ker["right"][0][1](spec.c)
-    contracting = abs(dl_c) <= tol and abs(dr_c) <= tol
-    if not contracting:
-        notes.append(f"one-sided derivatives at c: left={dl_c}, right={dr_c}")
+        grids = {
+            "left": np.linspace(0.0, spec.c, VALIDATION_GRID, endpoint=False)[1:],
+            "right": np.linspace(spec.c, 1.0, VALIDATION_GRID, endpoint=False)[1:],
+        }
+        sf_neg = True
+        for side, xs in grids.items():
+            vals = ker[side][1][0](xs)
+            if np.any(np.diff(vals) <= 0):
+                ok = False
+                bad = xs[:-1][np.diff(vals) <= 0][0]
+                notes.append(f"{side} branch not increasing near x={bad}")
+            d1 = ker[side][1][1](xs)
+            if np.any(d1 <= 0):
+                ok = False
+                bad = xs[d1 <= 0][0]
+                notes.append(f"{side} branch derivative <= 0 at x={bad}")
+            live = np.abs(d1) > tol
+            if np.any(live):
+                d2 = ker[side][1][2](xs[live])
+                d3 = ker[side][1][3](xs[live])
+                sf = d3 / d1[live] - 1.5 * (d2 / d1[live]) ** 2
+                if np.any(sf >= 0):
+                    sf_neg = False
+                    bad = xs[live][sf >= 0][0]
+                    notes.append(f"Schwarzian >= 0 at x={bad} ({side} branch)")
 
-    v0, v1 = critical_values(spec)
-    mult0 = ker["left"][0][1](0.0)
-    mult1 = ker["right"][0][1](1.0)
-    return ValidationReport(
-        is_lorenz=ok,
-        is_contracting=contracting,
-        schwarzian_negative_sampled=sf_neg,
-        critical_values=(v0, v1),
-        fixed_endpoint_multipliers=(mult0, mult1),
-        notes=notes,
-    )
+        dl_c = ker["left"][0][1](spec.c)
+        dr_c = ker["right"][0][1](spec.c)
+        contracting = abs(dl_c) <= tol and abs(dr_c) <= tol
+        if not contracting:
+            notes.append(f"one-sided derivatives at c: left={dl_c}, right={dr_c}")
+
+        v0, v1 = critical_values(spec)
+        mult0 = ker["left"][0][1](0.0)
+        mult1 = ker["right"][0][1](1.0)
+        return ValidationReport(
+            is_lorenz=ok,
+            is_contracting=contracting,
+            schwarzian_negative_sampled=sf_neg,
+            critical_values=(v0, v1),
+            fixed_endpoint_multipliers=(mult0, mult1),
+            notes=notes,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .map_core import (
     eval_array,
     pull_back,
 )
-from .orbits import orbit_chunks, orbit_list
+from .orbits import orbit_chunks
 from .periodic import PeriodicOrbitRecord
 
 FULL_TOLERANCE = 1e-6
@@ -120,12 +120,13 @@ def _boundary_orbit_avoids(
 
 
 def is_nice(spec: LorenzMapSpec, J: tuple[float, float], horizon: int = 10_000) -> NiceInterval:
-    """Do the forward orbits of both endpoints avoid the open interval?"""
+    """Do the forward orbits of both endpoints avoid the open interval?
+    Raises ValueError for a horizon outside [1, 10**6]."""
     lo, hi = J
     if not (lo < spec.c < hi):
         raise ValueError("nice-interval test needs c inside J")
-    if horizon > MAX_HORIZON:
-        raise ValueError("horizon capped at 1e6")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
     ok_a, per_a, hit_a = _boundary_orbit_avoids(spec, lo, J, horizon)
     ok_b, per_b, hit_b = _boundary_orbit_avoids(spec, hi, J, horizon)
     return NiceInterval(
@@ -192,40 +193,6 @@ def order(spec: LorenzMapSpec, I: tuple[float, float], horizon: int = 1000) -> i
     return None
 
 
-def _directed_iterate(spec: LorenzMapSpec, x: float, side: Side, steps: int) -> float:
-    """f^steps with a persistent approach side (one-sided limit semantics:
-    increasing branches preserve the approach direction)."""
-    for _ in range(steps):
-        x = apply_raw(spec, x, side)
-    return x
-
-
-def _branch_path(spec: LorenzMapSpec, x: float, steps: int) -> list[str] | None:
-    """Branch sequence taken by the orbit of x, None if it grazes c."""
-    pts = orbit_list(spec, x, steps + 1)
-    if len(pts) <= steps:
-        return None
-    return ["left" if p < spec.c else "right" for p in pts[:steps]]
-
-
-def _apply_path(spec: LorenzMapSpec, x: float, path: list[str]) -> float:
-    """Evaluate the fixed branch composition along path at x.
-
-    This is the monotone continuous extension of the composition taken by a
-    return branch; it stays defined across the branch edge where the actual
-    orbit would switch branches. Power-form branches clamp their radicand,
-    polynomial formulas extend as they are.
-    """
-    for side in path:
-        br = spec.left if side == "left" else spec.right
-        if br.kind == "power_form":
-            lo_d, hi_d = (0.0, spec.c) if side == "left" else (spec.c, 1.0)
-            x = branch_value(spec, side, min(max(x, lo_d), hi_d))
-        else:
-            x = branch_value(spec, side, x)
-    return x
-
-
 def _first_return_time(spec: LorenzMapSpec, x: float, J: tuple[float, float], horizon: int) -> int:
     """First return time of x to J: -1 when the orbit meets c first, 0 when
     it has not returned within the horizon. Scalar reference of
@@ -282,8 +249,12 @@ def first_return_map(
     the grid can resolve are dropped into uncovered_measure rather than
     guessed at; a run is dropped before refinement when its grid neighbours
     already bound it below that width. The edges of the other runs are
-    refined by bisection, all edges in lockstep on arrays. Raises ValueError
-    for a resolution outside [2, 2**22] or a horizon outside [1, 10**6].
+    refined by bisection, all edges in lockstep on arrays. Each refined
+    run is then certified by `push_interval` of its domain over its return
+    time: a run the push refuses (an earlier image straddles c) is dropped
+    as uncovered, and the push of any other run is its branch image.
+    Raises ValueError for a resolution outside [2, 2**22] or a horizon
+    outside [1, 10**6].
     """
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
@@ -352,51 +323,29 @@ def first_return_map(
     for (r, e, _, _), a in zip(brackets, x_in.tolist()):
         edges[r][e] = a
 
-    # constant-return-time audit on interior samples; a failure means the
-    # run still holds branch structure below grid resolution (plateaus
-    # accumulating at c), which is dropped into uncovered_measure
-    live = [r for r, (left, right) in enumerate(edges) if right - left > thin]
-    left = np.array([edges[r][0] for r in live], dtype=float)
-    right = np.array([edges[r][1] for r in live], dtype=float)
-    samples = left[:, None] + np.array([0.25, 0.5, 0.75]) * (right - left)[:, None]
-    st = np.repeat(np.array([runs[r][2] for r in live], dtype=np.int64), 3)
-    audit = (_return_times(spec, samples.ravel(), J, st) == st).reshape(-1, 3).all(axis=1)
-    live = [r for r, ok in zip(live, audit) if ok]
-
+    # each run wider than the thin width is certified by one monotone push
+    # of its domain. The push is None when some f^k(domain), k < t,
+    # straddles c: the run still holds branch structure below grid
+    # resolution (plateaus accumulating at c) and is dropped into
+    # uncovered_measure. Otherwise f^t is one monotone composition on the
+    # domain; both ends return at t, so every earlier image misses J,
+    # every interior point returns at exactly t, and f^t(domain) is the
+    # branch image (an end at c is pushed one-sidedly, as f(c-) or f(c+)).
     branches: list[ReturnMapBranch] = []
     covered = 0.0
-    for r in live:
-        (left, right), t = edges[r], runs[r][2]
-        # a branch is a single monotone composition: all of the run must
-        # share one branch path, else it is a conglomerate of equal-time
-        # pieces with sub-resolution gaps and is dropped as uncovered
-        # (an end sample whose orbit grazes c is retried further inside)
-        w = right - left
-        paths = []
-        for fracs in ((1e-6, 1e-3), (0.5,), (1.0 - 1e-6, 1.0 - 1e-3)):
-            for frac in fracs:
-                p = _branch_path(spec, left + frac * w, t)
-                if p is not None:
-                    paths.append(p)
-                    break
-        if len(paths) < 2 or any(p != paths[0] for p in paths[1:]):
+    for (left, right), (_, _, t) in zip(edges, runs):
+        if right - left <= thin:
             continue
-        path = paths[0]
-        img_lo = _apply_path(spec, left, path) if abs(left - spec.c) > 10 * tol else _directed_iterate(
-            spec, spec.c, Side.PLUS, t
-        )
-        img_hi = _apply_path(spec, right, path) if abs(right - spec.c) > 10 * tol else _directed_iterate(
-            spec, spec.c, Side.MINUS, t
-        )
-        img_lo = min(max(img_lo, 0.0), 1.0)
-        img_hi = min(max(img_hi, 0.0), 1.0)
+        image = push_interval(spec, (left, right), t)
+        if image is None:
+            continue
         touches = abs(left - spec.c) <= 10 * tol or abs(right - spec.c) <= 10 * tol
-        full = abs(img_lo - lo) <= FULL_TOLERANCE and abs(img_hi - hi) <= FULL_TOLERANCE
+        full = abs(image[0] - lo) <= FULL_TOLERANCE and abs(image[1] - hi) <= FULL_TOLERANCE
         branches.append(
             ReturnMapBranch(
                 domain=(left, right),
                 return_time=t,
-                image=(img_lo, img_hi),
+                image=image,
                 is_full=full,
                 touches_c=touches,
             )

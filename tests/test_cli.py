@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,24 @@ def test_invalid_map_exit_code(tmp_path):
     rc = main(["analyze", "--map", str(cfg), "--out", str(out)])
     assert rc == EXIT_INVALID_MAP
     assert "error" in json.loads(out.read_text())
+
+
+def test_overflowing_map_is_refused_without_numpy_warnings(tmp_path):
+    # coefficients near the float limit overflow in the derivative kernels
+    # and the sampled values; validation reports the failed conditions and
+    # numpy says nothing on stderr
+    config = {
+        "c": 0.5,
+        "left": {"kind": "polynomial", "coefficients": [0.0, 1.7e308, 1.7e308]},
+        "right": {"kind": "quadratic_logistic", "a": 4.0},
+    }
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--map", str(cfg), "--out", str(out)]) == EXIT_INVALID_MAP
+    assert json.loads(out.read_text())["error"] == "map failed validation"
 
 
 # f(x) = x on the left branch: not a Lorenz map

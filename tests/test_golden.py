@@ -24,9 +24,13 @@ The return-map CSVs are SHA-256 of the outputs of
         --interval 0.294117647,0.705882353
     PYTHONPATH=src python -m lorenzlab.cli returnmap --map logistic4-embed \
         --interval 0.25,0.75
+    PYTHONPATH=src python -m lorenzlab.cli returnmap --map logistic4-embed \
+        --interval 0.49769678772492537,0.5329888453091722
 
-(the edge bisections, branch paths and niceness probe of
-`first_return_map` and `is_nice`).
+(the edge bisections, the push certificate of each branch and the
+niceness probe of `first_return_map` and `is_nice`; on the third interval
+the push refuses runs whose domain holds branch structure below grid
+resolution, which stay uncovered).
 
 The reports print floats with repr, so the digests hold for IEEE double
 arithmetic on the numpy and libm of the platform that generated them
@@ -78,6 +82,9 @@ GOLDEN_RETURNMAP_SHA256 = {
     ),
     ("logistic4-embed", "0.25,0.75"): (
         "e8b2fe67fb3a92b3d2d6696e1f5047b753bc561d13676c863a7bdaa02dd287d0"
+    ),
+    ("logistic4-embed", "0.49769678772492537,0.5329888453091722"): (
+        "9f7f3ca5efe49b9ea2481538bc278d625f06f435482f37392be1928c260de9d2"
     ),
 }
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
     first_return_map,
@@ -13,7 +15,7 @@ from lorenzlab import (
     root_interval,
 )
 from lorenzlab import builtin_map
-from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, validate_map
+from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, quadratic_pair, validate_map
 from lorenzlab.periodic import find_periodic_points
 from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times
 from known_points import A3, B3, P_CYCLE
@@ -45,6 +47,18 @@ def test_is_nice_simulation_report(ex1):
     rec = is_nice(ex1, (0.49, 0.51), 1000)
     assert isinstance(rec.is_nice, bool)
     assert not rec.undetermined
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_is_nice_refuses_horizon_below_one(ex2, horizon):
+    # a horizon of no steps would report "nice" without looking at an orbit
+    with pytest.raises(ValueError, match=r"horizon must lie in \[1, 1000000\]"):
+        is_nice(ex2, (0.3, 0.9), horizon)
+
+
+def test_is_nice_accepts_horizon_one(ex2):
+    assert is_nice(ex2, (0.3, 0.9), 1).horizon == 1
+    assert not is_nice(ex2, (0.3, 0.9), 10).is_nice
 
 
 def test_is_nice_catches_reentry(ex2):
@@ -320,6 +334,66 @@ def test_bisected_edges_return_at_their_time(spec, J):
     ts = np.array([t for _, t in ends])
     bad = [(e, t) for (e, t), ok in zip(ends, _return_times(spec, xs, J, ts) == ts) if not ok]
     assert not bad
+
+
+def _covered(rec):
+    covered = 0.0
+    for b in rec.branches:
+        covered += b.domain[1] - b.domain[0]
+    return covered
+
+
+# intervals of logistic4-embed between catalog points, the periodic points
+# x = sin^2(pi s / 2) with s = 510/1023 and 533/1023, and 509/1023 and
+# 573/1023. Some of their grid runs of one return time still hold branch
+# structure below grid resolution: an earlier image of the run straddles c.
+# The push certificate refuses those runs, and they stay uncovered.
+@pytest.mark.parametrize(
+    "J, count",
+    [
+        ((0.49769678772492537, 0.5329888453091722), 22),
+        ((0.49616133700945364, 0.5938716448513344), 58),
+    ],
+)
+def test_sub_resolution_runs_stay_uncovered(ex2, J, count):
+    rec = first_return_map(ex2, J, 1000, 4096)
+    assert len(rec.branches) == count
+    assert rec.uncovered_measure == max((J[1] - J[0]) - _covered(rec), 0.0)
+    for b in rec.branches:
+        lo, hi = b.domain
+        for frac in np.linspace(0.05, 0.95, 19):
+            x = lo + float(frac) * (hi - lo)
+            assert _first_return_time(ex2, x, J, 1000) == b.return_time, (b, frac)
+
+
+# polynomial maps only: on power_form maps the scalar and the array kernel
+# can differ in the last bit, and the scalar reference can then part from
+# the vector return times
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    a_left=st.floats(3.0, 4.0),
+    a_right=st.floats(3.0, 4.0),
+    u=st.floats(0.01, 0.3),
+    v=st.floats(0.01, 0.3),
+)
+def test_return_map_branches_disjoint_inside_J(a_left, a_right, u, v):
+    spec = quadratic_pair(a_left, a_right)
+    J = (0.5 - u, 0.5 + v)
+    try:
+        rec = first_return_map(spec, J, 1000, 1024)
+    except ValueError as e:
+        if "no returns" not in str(e):
+            raise
+        reject()
+    ends = [x for b in rec.branches for x in b.domain]
+    assert all(J[0] <= x <= J[1] for x in ends)
+    assert all(p < q for p, q in zip(ends[::2], ends[1::2]))  # nonempty
+    assert all(p <= q for p, q in zip(ends[1::2], ends[2::2]))  # sorted, disjoint
+    assert rec.uncovered_measure == max((J[1] - J[0]) - _covered(rec), 0.0)
+    for b in rec.branches:
+        lo, hi = b.domain
+        for frac in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
+            assert _first_return_time(spec, lo + frac * (hi - lo), J, 1000) == b.return_time, (b, frac)
 
 
 # ---------------------------------------------------------------------------

@@ -669,17 +669,6 @@ def ref_order(spec, I, horizon=1000):
     return None
 
 
-def ref_branch_path(spec, x, steps):
-    path = []
-    for _ in range(steps):
-        if abs(x - spec.c) <= spec.tolerance:
-            return None
-        side = "left" if x < spec.c else "right"
-        path.append(side)
-        x = apply_raw(spec, x, Side.NONE)
-    return path
-
-
 def ref_edge_bisection(spec, J, x_in, x_out, bt):
     # the lockstep edge bisection of first_return_map
     for _ in range(60):
@@ -1082,12 +1071,6 @@ def test_boundary_orbit_avoids_matches_reference(spec):
             for horizon in [0] + lengths(k):
                 got = return_maps._boundary_orbit_avoids(spec, x, J, horizon)
                 assert got == ref_boundary_orbit_avoids(spec, x, J, horizon)
-
-
-def test_branch_path_matches_reference(spec):
-    for x, k in starts(spec):
-        for steps in [0] + lengths(k):
-            assert return_maps._branch_path(spec, x, steps) == ref_branch_path(spec, x, steps)
 
 
 def test_edge_bisection_matches_reference(spec):
