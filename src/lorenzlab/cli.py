@@ -133,7 +133,7 @@ def _validated(spec: LorenzMapSpec) -> dict:
         "map": spec.to_dict(),
         "validation": validation.to_dict(),
     }
-    if not (validation.is_lorenz and validation.is_contracting):
+    if not validation.ok:
         head["error"] = "map failed validation"
     return head
 
@@ -153,8 +153,8 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
     v0, v1 = critical_values(spec)
     samples = []
     for label, x0 in (
-        ("critical_plus", min(max(v0, 0.0), 1.0)),
-        ("critical_minus", min(max(v1, 0.0), 1.0)),
+        ("critical_plus", v0),
+        ("critical_minus", v1),
         ("random", float(rng.uniform(0.05, 0.95))),
     ):
         est = lyapunov(spec, x0, max(budgets.horizon, 1000))
@@ -375,8 +375,6 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         buf.write("cell_index,cell_lo,cell_hi\n")
         for cell in est.surviving_cells:
             buf.write(f"{cell},{cell * w!r},{(cell + 1) * w!r}\n")
-    else:
-        raise MapValidationError(f"unknown plotdata kind {args.kind!r}")
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

@@ -196,9 +196,6 @@ class DirectedPoint:
     x: float
     side: Side = Side.NONE
 
-    def __iter__(self):
-        return iter((self.x, self.side))
-
 
 @dataclass
 class ValidationReport:
@@ -500,25 +497,13 @@ def validate_map(spec: LorenzMapSpec) -> ValidationReport:
 # bisection and preimages
 
 
-def bisect(pred, a: float, b: float, rounds: int) -> float:
-    """Midpoint of the bracket left after `rounds` bisection rounds.
-
-    Each round keeps the half where pred holds at the midpoint m: a = m when
-    pred(m) is true, b = m when it is false (a may lie on either side of b)."""
-    for _ in range(rounds):
-        m = 0.5 * (a + b)
-        if pred(m):
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
 def bisect_array(
     pred, lo: np.ndarray, hi: np.ndarray, rounds: int, *per_bracket: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`bisect` on arrays of brackets in lockstep: the brackets (lo, hi) left
-    after `rounds` rounds, lo taking the midpoints where pred holds.
+    """Bisection of arrays of brackets in lockstep: the brackets (lo, hi)
+    left after `rounds` rounds. Each round keeps the half where pred holds
+    at the midpoint m: lo = m where pred(m) is true, hi = m where it is false
+    (lo may lie on either side of hi).
 
     Each round calls pred(m, *per_bracket) on the live brackets only, with
     every per-bracket array sliced to them. A bracket whose midpoint equalled
@@ -548,17 +533,6 @@ def bisect_array(
     lo[live] = l
     hi[live] = h
     return lo.reshape(shape), hi.reshape(shape)
-
-
-def _branch_inverse_scalar(spec: LorenzMapSpec, side: str, y: float) -> float | None:
-    """Solve f(x) = y on one branch by bisection; None when y leaves the range."""
-    c = spec.c
-    lo, hi = (0.0, c) if side == "left" else (c, 1.0)
-    ker = _kernels(spec)[side][0][0]
-    flo, fhi = ker(lo), ker(hi)
-    if not (flo - 1e-15 <= y <= fhi + 1e-15):
-        return None
-    return bisect(lambda m: ker(m) < y, lo, hi, 80)
 
 
 def branch_inverse_array(spec: LorenzMapSpec, side: str, y: np.ndarray) -> np.ndarray:
@@ -601,14 +575,12 @@ def preimages(spec: LorenzMapSpec, y: float) -> list[DirectedPoint]:
     out: list[DirectedPoint] = []
     # when y equals a one-sided critical image, the interior branch solution
     # is c itself; report it as the directed point instead
-    if not hit_v1:
-        xl = _branch_inverse_scalar(spec, "left", y)
-        if xl is not None and abs(xl - spec.c) > tol:
-            out.append(DirectedPoint(xl, Side.NONE))
-    if not hit_v0:
-        xr = _branch_inverse_scalar(spec, "right", y)
-        if xr is not None and abs(xr - spec.c) > tol:
-            out.append(DirectedPoint(xr, Side.NONE))
+    for side, hit in (("left", hit_v1), ("right", hit_v0)):
+        if not hit:
+            x = float(branch_inverse_array(spec, side, np.array([y]))[0])
+            # a NaN x (y outside the branch range) fails the test
+            if abs(x - spec.c) > tol:
+                out.append(DirectedPoint(x, Side.NONE))
     if hit_v1:
         out.append(DirectedPoint(spec.c, Side.MINUS))
     if hit_v0:

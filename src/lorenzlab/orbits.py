@@ -74,9 +74,6 @@ class LyapunovEstimate:
     steps: int
     hit_critical: bool = False
 
-    def __float__(self):
-        return self.value
-
 
 def iterate_orbit(spec: LorenzMapSpec, x0: float, side: Side = Side.NONE, n: int = 100) -> OrbitSegment:
     """Forward orbit of up to n steps starting at (x0, side).

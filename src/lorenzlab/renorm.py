@@ -98,15 +98,15 @@ class NestedSequence:
         }
 
 
-def _one_sided_images(
+def _certify(
     spec: LorenzMapSpec, J: tuple[float, float], la: int, rb: int
-) -> tuple[tuple[float, float] | None, tuple[float, float] | None, bool]:
-    """Images f^period(a)([a,c)) and f^period(b)((c,b]) tracked monotonically.
+) -> RenormalizationRecord | str:
+    """The record of J = (a, b) when its one-sided returns at the boundary
+    periods map [a, c) and (c, b] into [a, b], else the reason they do not.
 
-    Returns (left_image, right_image, clean). clean is False when an image
-    straddles c mid-way or re-enters J before the boundary period, which
-    disqualifies the candidate (the side would not be a single branch).
-    """
+    Each side is pushed monotonically for its period; an image that
+    straddles c mid-way or re-enters J before the period disqualifies the
+    candidate (the side would not be a single branch)."""
     a, b = J
     tol = spec.tolerance
 
@@ -120,18 +120,7 @@ def _one_sided_images(
 
     li = track((a, spec.c), la)
     ri = track((spec.c, b), rb)
-    return li, ri, li is not None and ri is not None
-
-
-def _certify(
-    spec: LorenzMapSpec, J: tuple[float, float], la: int, rb: int
-) -> RenormalizationRecord | str:
-    """The record of J = (a, b) when its one-sided returns at the boundary
-    periods map [a, c) and (c, b] into [a, b], else the reason they do not."""
-    a, b = J
-    tol = spec.tolerance
-    li, ri, clean = _one_sided_images(spec, J, la, rb)
-    if not clean:
+    if li is None or ri is None:
         return "one-sided image split at c or returned early"
     if not (li[0] >= a - 10 * tol and li[1] <= b + 10 * tol):
         return f"f^{la}([a,c)) = {li} not inside [a,b]"
@@ -363,12 +352,8 @@ def find_renormalizations(
         else:
             notes.append(f"dropped non-nested regular interval {rec.J} against {prev.J}")
 
-    depth_cap = False
-    if len(chain) > max_depth:
-        chain = chain[:max_depth]
-        depth_cap = True
-    elif len(chain) == max_depth and len(regular) >= max_depth:
-        depth_cap = True
+    depth_cap = len(chain) >= max_depth
+    chain = chain[:max_depth]
     diameters = [r.width for r in chain]
     if depth_cap and all(d2 < d1 for d1, d2 in zip(diameters, diameters[1:])):
         notes.append("solenoid candidate (depth-capped, diameters shrinking)")

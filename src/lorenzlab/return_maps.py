@@ -540,7 +540,8 @@ def root_interval(
     chk = is_nice(spec, best, min(horizon, 10_000))
     if not chk.is_nice:
         notes.append("intersection of candidates failed the niceness probe")
-    for g in gaps(spec, J, max_order=6, budget=64)[1:4]:
+    # breadth-first order: the first four records are the same at any budget
+    for g in gaps(spec, J, max_order=6, budget=4)[1:4]:
         if not g.image_is_J:
             notes.append(f"gap {g.gap} at order {g.order} failed to map onto J")
     return RootIntervalResult(interval=best, candidates=count, notes=notes)

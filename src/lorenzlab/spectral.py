@@ -581,12 +581,15 @@ def stratum_blocks(a: Analysis, stratum_index: int) -> StratumBlocks:
     blocks: list[tuple[float, float]] = [L]
     steps: list[int] = [0]
     cap = max(64, 8 * a.budgets.max_period)
+    # one path gives one pull-back, push check and dedupe outcome: try it once
+    tried: set[tuple[str, ...]] = set()
     for (u, v) in sources:
         for frac in (0.5, 0.25, 0.75, 0.125, 0.875):
             w = u + frac * (v - u)
             sides = _entry_sides(spec, w, L, cap)
-            if sides is None:
+            if sides is None or tuple(sides) in tried:
                 continue
+            tried.add(tuple(sides))
             block = pull_back(spec, L, sides)
             if block is None:
                 continue
@@ -659,13 +662,12 @@ def decompose(a: Analysis) -> DecompositionRecord:
             targets = set(cells)
             probes = cells if len(cells) <= 16 else [cells[i] for i in
                 np.linspace(0, len(cells) - 1, 16).astype(int)]
-            results = []
-            for ci in probes:
-                seed = (ci / res, (ci + 1) / res)
-                results.append(
-                    _coverage_probe(spec, seed, targets, res, budgets.horizon) >= COVERAGE_STOP_FRACTION
-                )
-            stratum.transitive_probe = all(results)
+            # all() stops at the first seed that falls short
+            stratum.transitive_probe = all(
+                _coverage_probe(spec, (ci / res, (ci + 1) / res), targets, res, budgets.horizon)
+                >= COVERAGE_STOP_FRACTION
+                for ci in probes
+            )
         # the blocks of level s serve the stratum when the outer interval is
         # regular and the annulus when the inner one is
         outer_regular = 0 < s < n_f and (v0 < spec.c < v1 if s == 1 else chain[s - 2].regular)

@@ -732,3 +732,37 @@ def test_tolerance_in_range_is_accepted(tmp_path, tolerance):
     cfg = tmp_path / "m.json"
     cfg.write_text(json.dumps({**BROKEN_MAP, "tolerance": tolerance}))
     assert load_map(str(cfg)).tolerance == tolerance
+
+
+def test_budgets_read_from_a_file(tmp_path):
+    # --budgets names a file: its JSON gives the same report as the inline text
+    path = tmp_path / "budgets.json"
+    path.write_text(FAST_BUDGETS)
+    inline, from_file = tmp_path / "inline.json", tmp_path / "file.json"
+    assert main(["analyze", "--map", "paper-example", "--budgets", FAST_BUDGETS, "--out", str(inline)]) == EXIT_OK
+    assert main(["analyze", "--map", "paper-example", "--budgets", str(path), "--out", str(from_file)]) == EXIT_OK
+    assert from_file.read_bytes() == inline.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("budgets", "message"),
+    [('{"horizon": 0}', "must be positive"), ('{"seed": -1}', "seed must be non-negative"),
+     ('{"sed": 1}', "unknown budget field")],  # fmt: skip
+    ids=["zero-horizon", "negative-seed", "unknown-key"],
+)
+def test_bad_budget_values_are_config_errors(tmp_path, capsys, budgets, message):
+    out = tmp_path / "rep.json"
+    assert main(["analyze", "--map", "paper-example", "--budgets", budgets, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("kind", "needs"),
+    [("cobweb", "--x0"), ("limitset", "--x0"), ("returnmap", "--interval"), ("phobic", "--interval")],
+)
+def test_plotdata_kind_without_its_input_is_a_config_error(tmp_path, capsys, kind, needs):
+    out = tmp_path / "plot.csv"
+    assert main(["plotdata", "--map", "paper-example", "--kind", kind, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert not out.exists()
+    assert needs in capsys.readouterr().err
