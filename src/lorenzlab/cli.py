@@ -286,11 +286,12 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
     """One sweep row: the attractor class, n_f and one Lyapunov walk; no
-    stratum probe runs, since the row prints none of them."""
+    stratum probe runs and the class is asked for its kind only, since the
+    row prints none of the rest."""
     try:
         spec = quadratic_pair(a_left, a_right)
         a = Analysis(spec, budgets)
-        kind = classify_attractor(a).kind
+        kind = classify_attractor(a, kind_only=True).kind
         est = lyapunov(spec, 0.6180339887498949, max(budgets.horizon, 1000))
         return {
             "a_left": a_left,

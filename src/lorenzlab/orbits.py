@@ -204,28 +204,43 @@ def lyapunov(spec: LorenzMapSpec, x0: float, n: int = 10_000) -> LyapunovEstimat
     )
 
 
-def estimate_omega_limit(
-    spec: LorenzMapSpec, x0: float, sample_len: int = 10_000, resolution: int = 1024
-) -> LimitSetEstimate:
-    """Cells visited by the orbit after OMEGA_BURN_IN steps, on a dyadic
-    grid. Every sampled point is an image of the map step, so it lies in
-    [0, 1]."""
+def mark_omega_cells(spec: LorenzMapSpec, x0: float, sample_len: int, visited: np.ndarray):
+    """Walk the orbit of x0 for OMEGA_BURN_IN + sample_len points, one
+    orbit_chunks chunk at a time, and set in visited, one flag per cell of a
+    dyadic grid of visited.size cells, the cell of each point after the
+    burn-in: a point x marks cell min(int(x * visited.size), visited.size - 1).
+
+    After each chunk it yields the chunk's sampled points (an array, empty
+    while the burn-in lasts) and whether the orbit landed at c there, so a
+    caller may stop the walk between chunks. Every sampled point is an image
+    of the map step, so it lies in [0, 1].
+    """
     if OMEGA_BURN_IN + sample_len > 10**8:
         raise ValueError("sample_len too large")
-    truncated = False
+    resolution = visited.size
     k = 0
-    # one flag per cell: a point x marks cell min(int(x * resolution), resolution - 1)
-    visited = np.zeros(resolution, dtype=bool)
-    contains_c = False
-    cw = 1.0 / resolution
     for pts, landed in orbit_chunks(spec, x0, OMEGA_BURN_IN + sample_len):
-        truncated = landed
         xs = np.array(pts[max(OMEGA_BURN_IN - k, 0) :])
         k += len(pts)
         if xs.size:
             if not np.isfinite(xs).all():
                 raise ValueError("orbit point is not finite")
             visited[np.minimum(xs * resolution, resolution - 1).astype(np.int64)] = True
+        yield xs, landed
+
+
+def estimate_omega_limit(
+    spec: LorenzMapSpec, x0: float, sample_len: int = 10_000, resolution: int = 1024
+) -> LimitSetEstimate:
+    """Cells visited by the orbit after OMEGA_BURN_IN steps, on a dyadic
+    grid (mark_omega_cells)."""
+    truncated = False
+    visited = np.zeros(resolution, dtype=bool)
+    contains_c = False
+    cw = 1.0 / resolution
+    for xs, landed in mark_omega_cells(spec, x0, sample_len, visited):
+        truncated = landed
+        if xs.size:
             # a landing at c after burn-in counts as c in the limit set
             contains_c = contains_c or landed or bool(np.any(np.abs(xs - spec.c) <= cw))
     return LimitSetEstimate(

@@ -15,6 +15,7 @@ invisible; every certification records the budgets it ran under.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -280,8 +281,9 @@ def detect_degenerate(
     alpha and the opposite one-sided critical orbit stay clear of it."""
     c, tol = spec.c, spec.tolerance
     v0, v1 = critical_values(spec)
-    orbit_v0 = _orbit_points(spec, v0, horizon)  # forward orbit of f(c+)
-    orbit_v1 = _orbit_points(spec, v1, horizon)  # forward orbit of f(c-)
+    # the forward orbits of f(c+) and f(c-), each walked on first use: most
+    # candidates fail the push test before one is read
+    orbit_of = functools.cache(lambda v: _orbit_points(spec, v, horizon))
     t = _orbit_table(spec, catalog)
     pts = t.points
     # only a point within tol of its orbit's a (left of c) or b (right) has no
@@ -299,7 +301,7 @@ def detect_degenerate(
         if img is None or not (img[0] >= lo - 10 * tol and img[1] <= hi + 10 * tol):
             continue
         # the opposite one-sided critical orbit and the orbit of p stay clear
-        opp = orbit_v0 if p < c else orbit_v1
+        opp = orbit_of(v0 if p < c else v1)
         if np.any((opp > lo + tol) & (opp < hi - tol)):
             continue
         if any(lo + tol < q < hi - tol for q in o.points):

@@ -11,6 +11,7 @@ numerical probe, and the report says which budgets it ran under.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -18,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .map_core import LorenzMapSpec, MapValidationError, critical_values, eval_array, pull_back
-from .orbits import estimate_omega_limit, orbit_chunks, orbit_list, rotation_number
+from .orbits import mark_omega_cells, orbit_chunks, orbit_list, rotation_number
 from .periodic import (
     MAX_PERIOD,
     NoPeriodicOrbitFound,
@@ -416,11 +417,18 @@ def _absorbed_by_cycle(late: np.ndarray, cycle: list[float]) -> bool:
     return late.size > 0 and float(np.abs(late[:, None] - np.array(cycle)).min()) < 1e-3
 
 
-def classify_attractor(a: Analysis) -> AttractorClass:
+def classify_attractor(a: Analysis, *, kind_only: bool = False) -> AttractorClass:
     """Decision procedure over budgeted probes, in order: absorbing periodic
     or super attractor, depth-capped solenoid candidate, irrational-rotation
     (Cherry) candidate, interval-cycle coverage, Cantor-like remainder with
-    a wild-candidate note."""
+    a wild-candidate note.
+
+    The interval-cycle step walks the orbits of c - h and c + h for
+    budgets.samples // 2 points each after the burn-in. With kind_only the
+    caller reads only the kind: those walks stop as soon as their cover
+    reaches 0.9 of the trapping cells, which settles the kind, and the
+    evidence then omits critical_cover_fraction. The kind is the same either
+    way."""
     spec, budgets, catalog, seq = a.spec, a.budgets, a.catalog, a.seq
     chain = seq.chain()
     evidence: dict = {"budgets": budgets.to_dict(), "renorm_depth": len(chain)}
@@ -482,19 +490,26 @@ def classify_attractor(a: Analysis) -> AttractorClass:
             evidence["rotation_probe_error"] = str(e)
 
     # (4) do the near-critical orbits cover the deepest trapping region, or
-    # with no chain the certified core, where every orbit ends up?
+    # with no chain the certified core, where every orbit ends up? The cover
+    # only grows along the walks, so a kind-only call stops them at the first
+    # chunk that brings it to 0.9
     res = budgets.probe_resolution
     trap = a.trapping[0][-1] if chain else [_certified_core(spec) or (0.0, 1.0)]
-    trap_cells = set(int(i) for i in np.nonzero(_cells_of_intervals(trap, res))[0])
+    trap_cells = _cells_of_intervals(trap, res)
+    n_trap = max(int(np.count_nonzero(trap_cells)), 1)
     h = 1.0 / res
-    cover: set[int] = set()
-    truncated = False
-    for x0 in (spec.c - h, spec.c + h):
-        est = estimate_omega_limit(spec, x0, sample_len=budgets.samples // 2, resolution=res)
-        truncated |= est.truncated
-        cover.update(est.cells)
-    coverage = len(cover & trap_cells) / max(len(trap_cells), 1)
-    evidence["critical_cover_fraction"] = coverage
+    cover = np.zeros(res, dtype=bool)
+    truncated = stopped = False
+    walks = (mark_omega_cells(spec, x0, budgets.samples // 2, cover) for x0 in (spec.c - h, spec.c + h))
+    for _, landed in itertools.chain.from_iterable(walks):
+        truncated |= landed
+        if kind_only and int(np.count_nonzero(cover & trap_cells)) / n_trap >= 0.9:
+            stopped = True
+            break
+    coverage = int(np.count_nonzero(cover & trap_cells)) / n_trap
+    # a partial fraction must not pass for the full walks' one
+    if not stopped:
+        evidence["critical_cover_fraction"] = coverage
     if coverage >= 0.9:
         evidence["interval_cycle_support"] = trap
         return AttractorClass(kind="interval_cycle", evidence=evidence)
@@ -504,11 +519,11 @@ def classify_attractor(a: Analysis) -> AttractorClass:
     rec_cells = set(
         _recurrent_cells(spec, trap, [], res, budgets.horizon)
     )
-    missing = rec_cells - cover
+    missing = sum(not cover[i] for i in rec_cells)
     evidence["recurrent_cells"] = len(rec_cells)
-    evidence["critical_cover_misses"] = len(missing)
+    evidence["critical_cover_misses"] = missing
     kind = "cantor_chaotic_heuristic"
-    if rec_cells and len(missing) > 0.1 * len(rec_cells):
+    if rec_cells and missing > 0.1 * len(rec_cells):
         evidence["wild_candidate"] = True
     confidence = "low" if truncated else "normal"
     return AttractorClass(kind=kind, evidence=evidence, confidence=confidence)

@@ -701,7 +701,7 @@ def test_scan_error_row_keeps_six_columns(tmp_path, monkeypatch):
 
     from lorenzlab import cli
 
-    def broken(a):
+    def broken(a, *, kind_only):
         raise ValueError("orbits (0.1, 0.2), (0.3, 0.4) did not close")
 
     monkeypatch.setattr(cli, "classify_attractor", broken)

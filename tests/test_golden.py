@@ -18,6 +18,14 @@ The scan CSV is guarded the same way: SHA-256 of the output of
 (four quadratic pairs through classification, n_f and Lyapunov; a row
 runs no decomposition).
 
+The benchmark's scan grids are guarded too: SHA-256 of the output of
+
+    PYTHONPATH=src python -m lorenzlab.cli scan --a-left LO_LEFT:4.0 \
+        --a-right LO_RIGHT:4.0 --steps 3 --budgets '{"max_period": 8}'
+
+for each lower corner (LO_LEFT, LO_RIGHT) of bench/workloads.py's
+SCAN_CORNERS, written with repr as the benchmark writes them.
+
 The return-map CSVs are SHA-256 of the outputs of
 
     PYTHONPATH=src python -m lorenzlab.cli returnmap --map logistic3.4-embed \
@@ -74,6 +82,24 @@ def test_golden_scan_bytes(tmp_path):
     argv = ["scan", "--a-left", "3.75:4", "--a-right", "3:4", "--steps", "2"]
     assert main(argv + ["--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_SHA256
+
+
+GOLDEN_SCAN_CORNER_SHA256 = {
+    (3.75, 3.0): "d8a426d65f2a8470f6fa34764d68c9eea18247fd3953e27064dcd7507fd32927",
+    (3.25, 3.5): "97b3ebb9f8d7bc7ed05eb8e6b188ffe03bd6a5c3607da1badbd46b6eeed634a4",
+    (3.25, 3.75): "f8ae71321d31039e88fbe3d0f48a243004771cec3426be317fdd763795b61e7a",
+    (3.875, 3.0): "8bd5dd73e2f8fc77ea4f026e0141f3356aac977c1840cfc346559282df1d8a2e",
+    (3.375, 3.125): "6613b462cd83e5ac58d2bbcabde6f1b0f9ea1ac9c6011fe70fd34c069d86efb2",
+    (3.875, 3.25): "73ba965564c2ce392e1f5e9c0438de5814e8e453e92d4839fccf28186e83264e",
+}
+
+
+@pytest.mark.parametrize("lo_left, lo_right", sorted(GOLDEN_SCAN_CORNER_SHA256))
+def test_golden_scan_corner_bytes(tmp_path, lo_left, lo_right):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--a-left", f"{lo_left!r}:4.0", "--a-right", f"{lo_right!r}:4.0", "--steps", "3"]
+    assert main(argv + ["--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_CORNER_SHA256[(lo_left, lo_right)]
 
 
 GOLDEN_RETURNMAP_SHA256 = {

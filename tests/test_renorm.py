@@ -185,3 +185,23 @@ def test_is_renormalization_reports_reason(ex1):
     ok, rec, why = is_renormalization(ex1, (0.3, 0.7))
     assert not ok
     assert why
+
+
+@pytest.mark.parametrize("name, walks", [("logistic4-embed", 0), ("paper-example", 1), ("logistic3.4-embed", 2)])
+def test_detect_degenerate_walks_a_critical_orbit_only_for_a_candidate(monkeypatch, name, walks):
+    # a critical orbit is walked only once a candidate's push passes, and at
+    # most once per side of c
+    from lorenzlab import builtin_map, renorm
+
+    spec = builtin_map(name)
+    catalog = find_periodic_points(spec, 12)
+    starts = []
+    walk = renorm._orbit_points
+
+    def counted(spec, start, horizon):
+        starts.append(start)
+        return walk(spec, start, horizon)
+
+    monkeypatch.setattr(renorm, "_orbit_points", counted)
+    detect_degenerate(spec, catalog=catalog)
+    assert len(starts) == walks

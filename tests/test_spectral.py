@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
     Analysis,
@@ -423,3 +425,56 @@ def test_rotation_probe_reads_the_certified_record(monkeypatch, a_left, a_right,
     assert times == record
     assert got.kind == "cherry"
     assert got.evidence["rotation_estimate"] == rot
+
+
+def _kind_only_matches_full(spec, max_period):
+    a = Analysis(spec, Budgets(max_period=max_period))
+    full = classify_attractor(a)
+    fast = classify_attractor(a, kind_only=True)
+    assert fast.kind == full.kind
+    evidence = dict(full.evidence)
+    if "critical_cover_fraction" in evidence and "critical_cover_fraction" not in fast.evidence:
+        # the walks stopped early, which only a settled interval cycle does
+        assert fast.kind == "interval_cycle"
+        del evidence["critical_cover_fraction"]
+    assert fast.to_dict() == {"kind": full.kind, "confidence": full.confidence, "evidence": evidence}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(2.5, 4.0), st.floats(2.5, 4.0), st.sampled_from([8, 12]))
+def test_kind_only_classifies_quadratic_pairs_alike(a_left, a_right, max_period):
+    _kind_only_matches_full(quadratic_pair(a_left, a_right), max_period)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(2.5, 4.0), st.sampled_from([8, 12]))
+def test_kind_only_classifies_logistic_embeds_alike(a, max_period):
+    _kind_only_matches_full(embed_unimodal(logistic(a)), max_period)
+
+
+def test_kind_only_stops_the_cover_walks_in_the_first_chunk(monkeypatch):
+    # step (4) walks c - h and c + h; each full walk is the burn-in plus
+    # samples // 2 points, and the first chunk already settles this map
+    from lorenzlab import orbits
+
+    budgets = Budgets(max_period=8)
+    spec = quadratic_pair(4.0, 4.0)
+    h = 1.0 / budgets.probe_resolution
+    fed = []
+    walk = orbits.orbit_chunks
+
+    def counted(spec, x0, n, side=Side.NONE):
+        for pts, landed in walk(spec, x0, n, side):
+            if x0 in (spec.c - h, spec.c + h):
+                fed.append(len(pts))
+            yield pts, landed
+
+    monkeypatch.setattr(orbits, "orbit_chunks", counted)
+    full = classify_attractor(Analysis(spec, budgets))
+    assert full.kind == "interval_cycle"
+    assert sum(fed) == 2 * (orbits.OMEGA_BURN_IN + budgets.samples // 2) == 2 * 51_000
+    fed.clear()
+    fast = classify_attractor(Analysis(spec, budgets), kind_only=True)
+    assert fast.kind == "interval_cycle"
+    assert 0 < sum(fed) <= orbits.WALK_CHUNK
+    assert "critical_cover_fraction" not in fast.evidence
