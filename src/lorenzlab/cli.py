@@ -24,7 +24,6 @@ from .map_core import (
     LorenzMapSpec,
     MapValidationError,
     Side,
-    critical_values,
     derivative,
     embed_unimodal,
     load_map,
@@ -32,7 +31,7 @@ from .map_core import (
     quadratic_pair,
     validate_map,
 )
-from .orbits import estimate_omega_limit, iterate_orbit, lyapunov, symbols
+from .orbits import critical_orbit, estimate_omega_limit, iterate_orbit, lyapunov, orbit_list, symbols
 from .return_maps import (
     MAX_HORIZON,
     MAX_RESOLUTION,
@@ -150,18 +149,19 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
     report["decomposition"] = decompose(a).to_dict()
 
     rng = np.random.default_rng(budgets.seed)
-    v0, v1 = critical_values(spec)
+    n = max(budgets.horizon, 1000)
     samples = []
-    for label, x0 in (
-        ("critical_plus", v0),
-        ("critical_minus", v1),
-        ("random", float(rng.uniform(0.05, 0.95))),
+    # the critical orbits are the walks the decomposition read, extended
+    for label, orbit in (
+        ("critical_plus", critical_orbit(spec, 0, n)),
+        ("critical_minus", critical_orbit(spec, 1, n)),
+        ("random", orbit_list(spec, float(rng.uniform(0.05, 0.95)), n)),
     ):
-        est = lyapunov(spec, x0, max(budgets.horizon, 1000))
+        est = lyapunov(spec, orbit, n)
         samples.append(
             {
                 "label": label,
-                "x0": x0,
+                "x0": orbit[0],
                 "value": est.value,
                 "steps": est.steps,
                 "hit_critical": est.hit_critical,
@@ -292,7 +292,8 @@ def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
         spec = quadratic_pair(a_left, a_right)
         a = Analysis(spec, budgets)
         kind = classify_attractor(a, kind_only=True).kind
-        est = lyapunov(spec, 0.6180339887498949, max(budgets.horizon, 1000))
+        n = max(budgets.horizon, 1000)
+        est = lyapunov(spec, orbit_list(spec, 0.6180339887498949, n), n)
         return {
             "a_left": a_left,
             "a_right": a_right,

@@ -158,9 +158,11 @@ class LorenzMapSpec:
             raise MapValidationError(f"map name must be a string, got {self.name!r}")
 
     def __getstate__(self) -> dict:
-        # the kernel cache (see _kernels) holds closures, which do not pickle
+        # the kernel cache (see _kernels) holds closures, which do not pickle,
+        # and the critical-orbit walks (orbits.critical_orbit) are remade on use
         state = self.__dict__.copy()
         state.pop("_kernels", None)
+        state.pop("_critical_orbits", None)
         return state
 
     def to_dict(self) -> dict:

@@ -20,6 +20,7 @@ from .map_core import (
     _kernels,
     apply_raw,
     branch_inverse_array,
+    critical_values,
 )
 
 # the most points orbit_chunks hands back at once
@@ -164,11 +165,32 @@ def orbit_list(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE) -
     return pts
 
 
-def lyapunov(spec: LorenzMapSpec, x0: float, n: int = 10_000) -> LyapunovEstimate:
-    """Lower Lyapunov exponent estimate: minimum of the last
-    LYAPUNOV_TAIL_WINDOWS running averages of log|Df| (the liminf is
-    approximated by a min over windows). A point within tolerance of c ends
-    the walk with hit_critical."""
+def critical_orbit(spec: LorenzMapSpec, i: int, n: int) -> list[float]:
+    """The first n points of the orbit of the critical value v_i, where
+    (v0, v1) = (f(c+), f(c-)): the points of orbit_list(spec, v_i, n).
+
+    Each walk is kept in the spec's __dict__ beside the kernel cache (see
+    map_core._kernels) and extended from its last point when a longer prefix
+    is asked, so no point is stepped twice; a walk that landed at c ends
+    there and is never extended."""
+    walks = spec.__dict__.setdefault("_critical_orbits", {})
+    pts, landed = walks.get(i, ([], False))
+    if len(pts) < n and not landed:
+        # an extension starts again at the last point, which it hands back first
+        start = pts[-1] if pts else critical_values(spec)[i]
+        pts = pts[:-1]
+        for chunk, landed in orbit_chunks(spec, start, n - len(pts)):
+            pts += chunk
+        walks[i] = (pts, landed)
+    return pts[:n]
+
+
+def lyapunov(spec: LorenzMapSpec, orbit: list[float], n: int = 10_000) -> LyapunovEstimate:
+    """Lower Lyapunov exponent estimate over orbit, the first n points of an
+    orbit or fewer when it landed at c: the minimum of the last
+    LYAPUNOV_TAIL_WINDOWS running averages of log|Df| at the checkpoints of
+    n (the liminf is approximated by a min over windows). A point within
+    tolerance of c ends the sum with hit_critical."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
     c, tol = spec.c, spec.tolerance
@@ -181,19 +203,16 @@ def lyapunov(spec: LorenzMapSpec, x0: float, n: int = 10_000) -> LyapunovEstimat
     k = 0
     hit = False
     nxt = 0
-    for pts, _ in orbit_chunks(spec, x0, n):
-        for x in pts:
-            d = 0.0 if abs(x - c) <= tol else abs(d_left(x) if x < c else d_right(x))
-            if d <= 0:
-                hit = True
-                break
-            total += math.log(d)
-            k += 1
-            if nxt < len(checkpoints) and k == checkpoints[nxt]:
-                averages.append(total / k)
-                nxt += 1
-        if hit:
+    for x in orbit:
+        d = 0.0 if abs(x - c) <= tol else abs(d_left(x) if x < c else d_right(x))
+        if d <= 0:
+            hit = True
             break
+        total += math.log(d)
+        k += 1
+        if nxt < len(checkpoints) and k == checkpoints[nxt]:
+            averages.append(total / k)
+            nxt += 1
     if not averages:
         averages = [total / max(k, 1)]
     return LyapunovEstimate(

@@ -15,15 +15,13 @@ invisible; every certification records the budgets it ran under.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .map_core import LorenzMapSpec, branch_value, critical_values, pull_back
-from .orbits import orbit_chunks, orbit_list
+from .map_core import LorenzMapSpec, branch_value, pull_back
+from .orbits import critical_orbit, orbit_list
 from .periodic import PeriodicOrbitRecord
 from .return_maps import interval_side, is_nice, push_interval, push_orbit
 
@@ -194,17 +192,16 @@ def _orbit_table(spec: LorenzMapSpec, catalog: list[PeriodicOrbitRecord]) -> _Or
         has = side.any(axis=1)
         return np.where(has, pts[rows, k], np.nan), np.where(has, pts[rows, (k + 1) % period], np.nan)
 
-    def at_period(v: float) -> np.ndarray:
-        # one walk of the critical value, up to a landing at c
-        orb = np.array(orbit_list(spec, v, width + 1))
+    def at_period(i: int) -> np.ndarray:
+        # the critical orbit of v_i, up to a landing at c
+        orb = np.array(critical_orbit(spec, i, width + 1))
         return np.where((period > 1) & (period <= orb.size), orb[np.minimum(period, orb.size) - 1], np.nan)
 
     below, above = pts < c - tol, pts > c + tol
     # argmax and argmin give the first of equal extremes, as list.index does
     a, fa = adjacent(below, np.argmax(np.where(below, pts, -np.inf), axis=1))
     b, fb = adjacent(above, np.argmin(np.where(above, pts, np.inf), axis=1))
-    v0, v1 = critical_values(spec)
-    return _OrbitTable(pts, period, a, b, fa, fb, at_period(v1), at_period(v0))
+    return _OrbitTable(pts, period, a, b, fa, fb, at_period(1), at_period(0))
 
 
 def _candidate_pairs(
@@ -252,24 +249,6 @@ def _candidate_pairs(
     return list(zip(t.a[i].tolist(), t.b[j].tolist(), t.period[i].tolist(), t.period[j].tolist()))
 
 
-def _orbit_points(spec: LorenzMapSpec, start: float, horizon: int) -> np.ndarray:
-    """The first `horizon` orbit points of start, ending early at a landing
-    within tolerance of c, or at the first point that moved less than the
-    tolerance in one step (that point included, even as point horizon + 1)."""
-    tol = spec.tolerance
-    parts = [np.empty(0)]
-    last = math.inf
-    for pts, _ in orbit_chunks(spec, start, horizon + 1):
-        xs = np.array(pts)
-        still = np.flatnonzero(np.abs(np.diff(xs, prepend=last)) <= tol)
-        if still.size:
-            parts.append(xs[: still[0] + 1])
-            return np.concatenate(parts)
-        parts.append(xs)
-        last = xs[-1]
-    return np.concatenate(parts)[:horizon]
-
-
 def detect_degenerate(
     spec: LorenzMapSpec,
     *,
@@ -280,10 +259,6 @@ def detect_degenerate(
     with f^period(alpha) mapping it into itself while both the orbit of
     alpha and the opposite one-sided critical orbit stay clear of it."""
     c, tol = spec.c, spec.tolerance
-    v0, v1 = critical_values(spec)
-    # the forward orbits of f(c+) and f(c-), each walked on first use: most
-    # candidates fail the push test before one is read
-    orbit_of = functools.cache(lambda v: _orbit_points(spec, v, horizon))
     t = _orbit_table(spec, catalog)
     pts = t.points
     # only a point within tol of its orbit's a (left of c) or b (right) has no
@@ -300,8 +275,9 @@ def detect_degenerate(
         img = push_interval(spec, I, o.period)
         if img is None or not (img[0] >= lo - 10 * tol and img[1] <= hi + 10 * tol):
             continue
-        # the opposite one-sided critical orbit and the orbit of p stay clear
-        opp = orbit_of(v0 if p < c else v1)
+        # the first horizon points of the opposite one-sided critical orbit
+        # (of f(c+) for (p, c)) and the orbit of p stay clear
+        opp = np.array(critical_orbit(spec, 0 if p < c else 1, horizon))
         if np.any((opp > lo + tol) & (opp < hi - tol)):
             continue
         if any(lo + tol < q < hi - tol for q in o.points):

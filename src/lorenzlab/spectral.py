@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .map_core import LorenzMapSpec, MapValidationError, critical_values, eval_array, pull_back
-from .orbits import mark_omega_cells, orbit_chunks, orbit_list, rotation_number
+from .orbits import critical_orbit, mark_omega_cells, orbit_list, rotation_number
 from .periodic import (
     MAX_PERIOD,
     NoPeriodicOrbitFound,
@@ -100,8 +100,9 @@ class Budgets:
         if not isinstance(d, dict):
             raise MapValidationError(f"budgets must be a JSON object, got {d!r}")
         b = Budgets()
+        names = {f.name for f in fields(Budgets)}
         for k, v in d.items():
-            if not hasattr(b, k):
+            if k not in names:
                 raise KeyError(f"unknown budget field {k!r}")
             if isinstance(v, bool) or not isinstance(v, int):
                 raise MapValidationError(f"budget {k} must be an integer, got {v!r}")
@@ -395,22 +396,6 @@ def _coverage_probe(
 # classification
 
 
-def _late_points(spec: LorenzMapSpec, x0: float, horizon: int) -> np.ndarray:
-    """The late points of the forward orbit of x0: x_j for
-    horizon - tail < j <= horizon, tail = max(horizon // 10, 10), or else
-    the point where the orbit lands at c and ends. From a critical value,
-    such a landing makes c periodic: a superattracting cycle."""
-    first = max(horizon - max(horizon // 10, 10) + 1, 1)
-    late: list[float] = []
-    k = 0
-    for pts, landed in orbit_chunks(spec, x0, horizon + 1):
-        late += pts[max(first - k, 0) :]
-        k += len(pts)
-        if landed and not late:
-            late = pts[-1:]
-    return np.array(late)
-
-
 def _absorbed_by_cycle(late: np.ndarray, cycle: list[float]) -> bool:
     """Does an orbit with these late points end up at the cycle (late-time
     distance below 1e-3)?"""
@@ -423,16 +408,17 @@ def classify_attractor(a: Analysis, *, kind_only: bool = False) -> AttractorClas
     (Cherry) candidate, interval-cycle coverage, Cantor-like remainder with
     a wild-candidate note.
 
-    The interval-cycle step walks the orbits of c - h and c + h for
-    budgets.samples // 2 points each after the burn-in. With kind_only the
-    caller reads only the kind: those walks stop as soon as their cover
-    reaches 0.9 of the trapping cells, which settles the kind, and the
-    evidence then omits critical_cover_fraction. The kind is the same either
-    way."""
+    Step (1) reads the late points of the two critical orbits from the
+    shared walk of orbits.critical_orbit, up to budgets.horizon. The
+    interval-cycle step walks the orbits of c - h and c + h for
+    budgets.samples // 2 points each after the burn-in, and stops once the
+    cover of the trapping cells can no longer change what its caller reads:
+    at a full cover, or with kind_only (the caller reads only the kind) at
+    0.9, which settles the kind. With kind_only the evidence omits
+    critical_cover_fraction; the kind is the same either way."""
     spec, budgets, catalog, seq = a.spec, a.budgets, a.catalog, a.seq
     chain = seq.chain()
     evidence: dict = {"budgets": budgets.to_dict(), "renorm_depth": len(chain)}
-    v0, v1 = critical_values(spec)
     deepest: tuple[float, float] = chain[-1].J if chain else (0.0, 1.0)
 
     # (1) attracting or super orbit absorbing the critical orbits
@@ -442,9 +428,13 @@ def classify_attractor(a: Analysis, *, kind_only: bool = False) -> AttractorClas
         if r.kind in ("attracting", "super")
         or (r.kind == "neutral" and r.neutral_attracting_probe)
     ]
-    # each critical orbit is walked once, and every candidate is tested
-    # against the same late points
-    late = [_late_points(spec, v, budgets.horizon) for v in (v0, v1)] if nonrep else []
+    # every candidate is tested against the same late points of each
+    # critical orbit: x_j for first <= j <= horizon, or the point where the
+    # orbit lands at c when it lands before them. From a critical value such
+    # a landing makes c periodic: a superattracting cycle
+    first = max(budgets.horizon - max(budgets.horizon // 10, 10) + 1, 1)
+    orbs = [critical_orbit(spec, i, budgets.horizon + 1) for i in (0, 1)] if nonrep else []
+    late = [np.array(orb[first:] or orb[-1:]) for orb in orbs]
     for rec in nonrep:
         absorbed0, absorbed1 = (_absorbed_by_cycle(pts, rec.points) for pts in late)
         both = absorbed0 and absorbed1
@@ -491,24 +481,25 @@ def classify_attractor(a: Analysis, *, kind_only: bool = False) -> AttractorClas
 
     # (4) do the near-critical orbits cover the deepest trapping region, or
     # with no chain the certified core, where every orbit ends up? The cover
-    # only grows along the walks, so a kind-only call stops them at the first
-    # chunk that brings it to 0.9
+    # only grows along the walks, so they stop at the first chunk that brings
+    # it to the goal: a full cover stays full, and 0.9 settles the kind
     res = budgets.probe_resolution
     trap = a.trapping[0][-1] if chain else [_certified_core(spec) or (0.0, 1.0)]
     trap_cells = _cells_of_intervals(trap, res)
     n_trap = max(int(np.count_nonzero(trap_cells)), 1)
     h = 1.0 / res
     cover = np.zeros(res, dtype=bool)
-    truncated = stopped = False
+    goal = 0.9 if kind_only else 1.0
+    # only step (5), which a cover of 0.9 never reaches, reads truncated
+    truncated = False
     walks = (mark_omega_cells(spec, x0, budgets.samples // 2, cover) for x0 in (spec.c - h, spec.c + h))
     for _, landed in itertools.chain.from_iterable(walks):
         truncated |= landed
-        if kind_only and int(np.count_nonzero(cover & trap_cells)) / n_trap >= 0.9:
-            stopped = True
+        if int(np.count_nonzero(cover & trap_cells)) / n_trap >= goal:
             break
     coverage = int(np.count_nonzero(cover & trap_cells)) / n_trap
-    # a partial fraction must not pass for the full walks' one
-    if not stopped:
+    # a kind-only walk may stop short of the full walks' fraction
+    if not kind_only:
         evidence["critical_cover_fraction"] = coverage
     if coverage >= 0.9:
         evidence["interval_cycle_support"] = trap
@@ -701,8 +692,7 @@ def decompose(a: Analysis) -> DecompositionRecord:
                     stratum.notes.append("block overlap exceeded a point")
             if sb is not None and inner_regular:
                 # a critical orbit that lands at c stays there
-                u = orbit_list(spec, v0, sb.minimal_orbit.period)[-1]
-                v = orbit_list(spec, v1, sb.minimal_orbit.period)[-1]
+                u, v = (critical_orbit(spec, i, sb.minimal_orbit.period)[-1] for i in (0, 1))
                 if u < v:
                     inner = chain[s].J if s < len(chain) else None
                     if inner and inner[0] > u and inner[1] < v:

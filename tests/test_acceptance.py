@@ -25,6 +25,7 @@ from lorenzlab import (
     phobic_measure,
     quadratic_pair,
 )
+from lorenzlab.orbits import orbit_list
 from lorenzlab.cli import build_report, main
 from lorenzlab.map_core import Side, apply_raw
 from known_points import P_CYCLE, Q_CYCLE
@@ -219,9 +220,9 @@ def test_criterion_8_entropy_bounds(ex1, ex2, ex3):
 
 
 def test_criterion_9_lyapunov(ex1, ex2):
-    est2 = lyapunov(ex2, 0.37591, 1_000_000)
+    est2 = lyapunov(ex2, orbit_list(ex2, 0.37591, 1_000_000), 1_000_000)
     ok = abs(est2.value - math.log(2.0)) <= 0.05
-    est1 = lyapunov(ex1, P_CYCLE, 10_000)
+    est1 = lyapunov(ex1, orbit_list(ex1, P_CYCLE, 10_000), 10_000)
     analytic = 0.5 * math.log(3.4 * (1 - 2 * P_CYCLE) * 4 * (2 * Q_CYCLE - 1))
     ok &= abs(est1.value - analytic) <= 0.01
     verdict(

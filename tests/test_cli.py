@@ -333,7 +333,7 @@ def test_report_is_strict_json_with_non_finite_paths(tmp_path, monkeypatch):
     from lorenzlab import cli
     from lorenzlab.orbits import LyapunovEstimate
 
-    def nan_lyapunov(spec, x0, n=10_000):
+    def nan_lyapunov(spec, orbit, n=10_000):
         return LyapunovEstimate(math.nan, [math.nan], n)
 
     monkeypatch.setattr(cli, "lyapunov", nan_lyapunov)
@@ -498,6 +498,9 @@ def test_internal_error_exit_code(monkeypatch, capsys):
         ["returnmap", "--map", "paper-example", "--interval=-0.5,0.6", "--horizon", "50", "--resolution", "64"],
         ["plotdata", "--map", "paper-example", "--kind", "returnmap", "--interval=-3,-1"],
         [*PHOBIC[:-1], "0.4,1.5"],
+        # a method of Budgets is not a budget field
+        ["classify", "--map", "paper-example", "--budgets", '{"to_dict": 5}'],
+        ["scan", "--a-left", "3:3", "--a-right", "3:3", "--steps", "1", "--budgets", '{"from_dict": 1}'],
     ],
 )
 def test_malformed_inputs_are_config_errors(argv):
@@ -747,8 +750,8 @@ def test_budgets_read_from_a_file(tmp_path):
 @pytest.mark.parametrize(
     ("budgets", "message"),
     [('{"horizon": 0}', "must be positive"), ('{"seed": -1}', "seed must be non-negative"),
-     ('{"sed": 1}', "unknown budget field")],  # fmt: skip
-    ids=["zero-horizon", "negative-seed", "unknown-key"],
+     ('{"sed": 1}', "unknown budget field"), ('{"to_dict": 5}', "unknown budget field")],  # fmt: skip
+    ids=["zero-horizon", "negative-seed", "unknown-key", "method-name"],
 )
 def test_bad_budget_values_are_config_errors(tmp_path, capsys, budgets, message):
     out = tmp_path / "rep.json"

@@ -40,6 +40,23 @@ niceness probe of `first_return_map` and `is_nice`; on the third interval
 the push refuses runs whose domain holds branch structure below grid
 resolution, which stay uncovered).
 
+The `classify` and `decompose` JSON are SHA-256 of the outputs of
+
+    PYTHONPATH=src python -m lorenzlab.cli CMD --map MAP --budgets '{"max_period": 8}'
+
+for CMD in classify and decompose, and MAP each of paper-example,
+logistic3.4-embed, logistic4-embed and the configs written by
+
+    PYTHONPATH=src python -m lorenzlab.cli embed-unimodal --logistic A --out MAP
+
+for A in 3.6 and 3.66. Together they run every reader of the critical
+orbits: on paper-example step (1) of the classification finds an
+attracting cycle and the degenerate search reads f(c+) to the horizon;
+logistic3.4-embed has a stratum annulus; the cover of step (4) is full
+in the first chunk on logistic4-embed and stays below 1 (0.935) on A =
+3.66, whose walks run in full; A = 3.6 reaches step (5) and has an
+annulus.
+
 The reports print floats with repr, so the digests hold for IEEE double
 arithmetic on the numpy and libm of the platform that generated them
 (x86-64, CPython 3.11, numpy 2.4). The three builtin maps are polynomial,
@@ -56,6 +73,7 @@ import json
 import pytest
 
 from lorenzlab.cli import EXIT_OK, main
+from lorenzlab.map_core import BUILTIN_NAMES
 
 GOLDEN_SHA256 = {
     "paper-example": "86280ca3343ce7ccc5660412ac82fdc7f1acbfaad0d05df4ec6bbfc1839086cd",
@@ -121,3 +139,28 @@ def test_golden_returnmap_bytes(tmp_path, name, interval):
     argv = ["returnmap", "--map", name, "--interval", interval, "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RETURNMAP_SHA256[(name, interval)]
+
+
+GOLDEN_STAGE_SHA256 = {
+    ("classify", "paper-example"): "c4f255ecf8b94adaa74f380655caead4fdededf87c469a32bb44355c007ec389",
+    ("classify", "logistic3.4-embed"): "2f8608f6c8db15888762bc356c5dc16fa59267eecc25e616fa7a94bcc8169fe7",
+    ("classify", "logistic4-embed"): "b2598edf1e41f9dc09ad85e367fffccab945a4ff14c2f82418315a2e34cf836d",
+    ("classify", "3.6"): "2c580ce2c63dea4c26ec47d9ee723fd5b40f23d313125a10bc38c889dfed77dc",
+    ("classify", "3.66"): "ac5e80a9fb534fe758b730460bdec3bedbbd8e510c499b47f18c5db588bf2009",
+    ("decompose", "paper-example"): "0f9ef48a9497b0f5e25719fd179032b64c4963fdda2580773007f694342ae7fb",
+    ("decompose", "logistic3.4-embed"): "33c51d74a0a0c42cc9bfa67e935e0cc8163b832aa71c8b5fe2f334d1136855f4",
+    ("decompose", "logistic4-embed"): "1442908023dde389a02e1bd013759ab889219acbda2fdc00715cc4d01ac420ce",
+    ("decompose", "3.6"): "1ca529360ed14f03a19d35734c06e9a1855ed3e52e2c5c16aeb05294656334b2",
+    ("decompose", "3.66"): "7be33d88e45f5e480b9576f330e79338f802fea6e593f2169eb2f7fef90945fc",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN_STAGE_SHA256))
+def test_golden_stage_bytes(tmp_path, command, name):
+    # name is a builtin map or the logistic parameter of an embedding
+    out, cfg = tmp_path / "stage.json", tmp_path / "map.json"
+    if name not in BUILTIN_NAMES:
+        assert main(["embed-unimodal", "--logistic", name, "--out", str(cfg)]) == EXIT_OK
+    argv = [command, "--map", name if name in BUILTIN_NAMES else str(cfg), "--budgets", '{"max_period": 8}']
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_STAGE_SHA256[(command, name)]

@@ -1,7 +1,8 @@
 """The renormalization search on one orbit table against the three catalog
 scans it replaced: the old renorm._candidate_pairs, the critical-orbit
 precheck loop of find_renormalizations and the old detect_degenerate, kept
-here verbatim as references."""
+here verbatim as references, save that the old detect_degenerate reads the
+first `horizon` points of each critical orbit, as the shared walk does."""
 
 import functools
 
@@ -143,8 +144,8 @@ def ref_detect_degenerate(
         catalog = find_periodic_points(spec, max_period)
     v0, v1 = critical_values(spec)
 
-    orbit_v0 = renorm._orbit_points(spec, v0, horizon)  # forward orbit of f(c+)
-    orbit_v1 = renorm._orbit_points(spec, v1, horizon)  # forward orbit of f(c-)
+    orbit_v0 = np.array(orbit_list(spec, v0, horizon))  # forward orbit of f(c+)
+    orbit_v1 = np.array(orbit_list(spec, v1, horizon))  # forward orbit of f(c-)
 
     def avoids(arr: np.ndarray, lo: float, hi: float) -> bool:
         return not bool(np.any((arr > lo + tol) & (arr < hi - tol)))

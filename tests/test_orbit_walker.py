@@ -2,20 +2,23 @@
 against the apply_raw loops they replaced, kept here as references."""
 
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
 
-from lorenzlab import builtin_map, orbits, quadratic_pair, renorm, spectral
+from lorenzlab import builtin_map, embed_unimodal, logistic, orbits, quadratic_pair, renorm, spectral
 from lorenzlab.map_core import (
     BranchSpec,
     LorenzMapSpec,
     Side,
     apply_raw,
     branch_inverse_array,
+    critical_values,
     derivative,
 )
-from lorenzlab.orbits import WALK_CHUNK, estimate_omega_limit, lyapunov, orbit_chunks
+from lorenzlab.orbits import WALK_CHUNK, critical_orbit, estimate_omega_limit, lyapunov, orbit_chunks, orbit_list
 from lorenzlab.periodic import find_periodic_points
 
 
@@ -78,6 +81,7 @@ def ref_omega_limit(spec, x0, burn_in=1000, sample_len=10_000, resolution=1024, 
 
 
 def ref_orbit_points(spec, start, horizon):
+    # the first horizon points of the orbit of start, up to a landing at c
     tol, c = spec.tolerance, spec.c
     pts = []
     x = start
@@ -85,12 +89,8 @@ def ref_orbit_points(spec, start, horizon):
         pts.append(x)
         if abs(x - c) <= tol:
             break
-        nxt = apply_raw(spec, x, Side.NONE)
-        if abs(nxt - x) <= tol:
-            pts.append(nxt)
-            break
-        x = nxt
-    return np.asarray(pts)
+        x = apply_raw(spec, x, Side.NONE)
+    return pts
 
 
 def ref_absorbed_by_cycle(spec, x0, cycle, horizon):
@@ -193,12 +193,12 @@ def test_lyapunov_matches_reference(monkeypatch):
     for spec in MAPS:
         for x0 in undirected_starts(spec):
             for n in (1000, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1):
-                est = lyapunov(spec, x0, n)
+                est = lyapunov(spec, orbit_list(spec, x0, n), n)
                 assert (est.value, est.window_averages, est.steps, est.hit_critical) == ref_lyapunov(spec, x0, n)
     # more tail windows than checkpoints above zero
     monkeypatch.setattr(orbits, "LYAPUNOV_TAIL_WINDOWS", 150)
     for spec in MAPS:
-        est = lyapunov(spec, 0.3141592653589793, 1000)
+        est = lyapunov(spec, orbit_list(spec, 0.3141592653589793, 1000), 1000)
         assert (est.value, est.window_averages, est.steps, est.hit_critical) == ref_lyapunov(
             spec, 0.3141592653589793, 1000, tail_windows=150
         )
@@ -225,7 +225,7 @@ def test_omega_limit_matches_reference_across_chunks(monkeypatch):
             est = estimate_omega_limit(spec, 0.3141592653589793, sample_len, 1000)
             want = ref_omega_limit(spec, 0.3141592653589793, burn_in, sample_len, 1000)
             assert (est.cells, est.contains_c, est.truncated) == want
-    est = lyapunov(spec, 0.3141592653589793, 10_000)
+    est = lyapunov(spec, orbit_list(spec, 0.3141592653589793, 10_000), 10_000)
     want = ref_lyapunov(spec, 0.3141592653589793, 10_000)
     assert (est.value, est.window_averages, est.steps, est.hit_critical) == want
 
@@ -247,39 +247,117 @@ def test_omega_limit_truncation_around_burn_in(monkeypatch):
     assert estimate_omega_limit(spec, -0.5, sample_len=10).cells
 
 
-def test_orbit_points_match_reference():
-    # quadpair(2.6, 2.6) has an attracting fixed point: the near-fixed stop
+def fresh(spec):
+    """A copy of spec without its walks: a pickle drops them."""
+    return pickle.loads(pickle.dumps(spec))
+
+
+# the maps of MAPS, and one whose critical orbits land at c (period 2)
+WALK_MAPS = MAPS + [embed_unimodal(logistic(1 + math.sqrt(5)))]
+PREFIXES = (1, 2, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1, 10_001)
+
+
+def test_critical_orbit_matches_reference():
+    # quadpair(2.6, 2.6) has an attracting fixed point: the orbit stands
+    # still and is read to the end
     for spec in MAPS + [quadratic_pair(2.6, 2.6)]:
-        for x0, side in starts(spec):
-            if side != Side.NONE:
-                continue
-            for horizon in (0, 1, 2, 50, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1):
-                got = renorm._orbit_points(spec, x0, horizon)
-                want = ref_orbit_points(spec, x0, horizon)
-                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        for i in (0, 1):
+            walked = fresh(spec)
+            for horizon in (1, 2, 50, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1):
+                got = critical_orbit(walked, i, horizon)
+                assert got == ref_orbit_points(spec, critical_values(spec)[i], horizon)
+
+
+def test_critical_orbit_prefixes_short_long_short(monkeypatch):
+    # each prefix is the orbit_list of the critical value, whether the walk
+    # is extended to it or cut from a longer one; an extension starts again
+    # at the last point walked, and the walk that landed at c is never extended
+    walk = orbits.orbit_chunks
+    starts = []
+
+    def counted(spec, x0, n, side=Side.NONE):
+        starts.append(x0)
+        return walk(spec, x0, n, side)
+
+    for spec in WALK_MAPS:
+        walked = fresh(spec)
+        for i in (0, 1):
+            want = {n: orbit_list(spec, critical_values(spec)[i], n) for n in PREFIXES}
+            starts.clear()
+            with monkeypatch.context() as m:
+                m.setattr(orbits, "orbit_chunks", counted)
+                for n in PREFIXES + PREFIXES[::-1]:
+                    assert critical_orbit(walked, i, n) == want[n]
+            assert (len(want[PREFIXES[-1]]) < PREFIXES[-1]) == (spec is WALK_MAPS[-1])
+            ends = [want[n][-1] for n in PREFIXES[:-1]]
+            assert starts == [critical_values(spec)[i]] + [x for x in ends if abs(x - spec.c) > spec.tolerance]
+        assert walked == spec
+
+
+@pytest.mark.parametrize("name", ["paper-example", "logistic4-embed", "logistic3.4-embed"])
+def test_report_walks_each_critical_orbit_once(monkeypatch, name):
+    # every stage of a report reads the one walk of each critical orbit: the
+    # walker steps at most max(horizon, 1000) + 1 points of each, plus the
+    # repeated start of each extension
+    from lorenzlab.cli import build_report
+    from lorenzlab.spectral import Budgets
+
+    walk = orbits.orbit_chunks
+    fed = []
+
+    def counted(spec, x0, n, side=Side.NONE):
+        if sys._getframe(1).f_code is not critical_orbit.__code__:
+            return walk(spec, x0, n, side)
+        chunks = list(walk(spec, x0, n, side))
+        fed.append(sum(len(pts) for pts, _ in chunks))
+        return iter(chunks)
+
+    monkeypatch.setattr(orbits, "orbit_chunks", counted)
+    budgets = Budgets()
+    build_report(fresh(builtin_map(name)), budgets)
+    n = max(budgets.horizon, 1000)
+    assert 2 <= len(fed) and sum(fed) <= 2 * (n + 1) + len(fed) - 2
+
+
+def test_walked_spec_pickles_as_a_fresh_one():
+    for spec in WALK_MAPS:
+        walked, new = fresh(spec), fresh(spec)
+        for i in (0, 1):
+            critical_orbit(walked, i, WALK_CHUNK + 1)
+        assert "_critical_orbits" in walked.__dict__
+        assert pickle.dumps(walked) == pickle.dumps(new)
+        assert walked == new and hash(walked) == hash(new)
 
 
 def test_detect_degenerate_matches_reference(monkeypatch):
     specs = MAPS[:4] + [quadratic_pair(3.2, 3.9), quadratic_pair(3.95, 3.3)]
     cats = [find_periodic_points(s, 8) for s in specs]
     got = [renorm.detect_degenerate(s, catalog=cat) for s, cat in zip(specs, cats)]
-    monkeypatch.setattr(renorm, "_orbit_points", ref_orbit_points)
+
+    def ref_critical_orbit(spec, i, n):
+        return ref_orbit_points(spec, critical_values(spec)[i], n)
+
+    monkeypatch.setattr(renorm, "critical_orbit", ref_critical_orbit)
     want = [renorm.detect_degenerate(s, catalog=cat) for s, cat in zip(specs, cats)]
     assert got == want
     assert any(d is not None for d in want)
 
 
 def test_absorbed_by_cycle_matches_reference():
-    for spec in MAPS:
-        for x0, side in starts(spec):
-            if side != Side.NONE:
-                continue
-            for horizon in (0, 1, 5, 11, 12, WALK_CHUNK, WALK_CHUNK + 1):
-                late = spectral._late_points(spec, x0, horizon)
-                # the landing starts meet c long before the late window
+    # the late points of classify_attractor's step (1), read from the shared
+    # walk; the period-2 and period-4 superattracting maps land at c before
+    # or inside the late window, by the horizon
+    specs = WALK_MAPS + [embed_unimodal(logistic(3.4985616993277016))]
+    for spec in specs:
+        for i in (0, 1):
+            v = critical_values(spec)[i]
+            for horizon in (1, 5, 11, 12, WALK_CHUNK, WALK_CHUNK + 1):
+                first = max(horizon - max(horizon // 10, 10) + 1, 1)
+                orb = critical_orbit(spec, i, horizon + 1)
+                late = np.array(orb[first:] or orb[-1:])
                 for cycle in ([0.0], [0.4888, 0.8496, 1.0], [spec.c]):
                     got = spectral._absorbed_by_cycle(late, cycle)
-                    assert got == ref_absorbed_by_cycle(spec, x0, cycle, horizon)
+                    assert got == ref_absorbed_by_cycle(spec, v, cycle, horizon)
 
 
 def ref_iterate_orbit(spec, x0, side=Side.NONE, n=100):

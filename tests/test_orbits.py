@@ -12,6 +12,7 @@ from lorenzlab import (
     lyapunov,
     rotation_number,
 )
+from lorenzlab.orbits import orbit_list
 from known_points import A3, B3, P_CYCLE, Q_CYCLE
 
 
@@ -67,13 +68,13 @@ def test_itinerary_orbit_coherence(ex2, rng):
 
 
 def test_lyapunov_two_cycle(ex1):
-    est = lyapunov(ex1, P_CYCLE, 10_000)
+    est = lyapunov(ex1, orbit_list(ex1, P_CYCLE, 10_000), 10_000)
     mult = 3.4 * (1 - 2 * P_CYCLE) * 4 * (2 * Q_CYCLE - 1)
     assert est.value == pytest.approx(0.5 * math.log(mult), abs=0.01)
 
 
 def test_lyapunov_fixed_point(ex1):
-    est = lyapunov(ex1, 0.0, 1000)
+    est = lyapunov(ex1, orbit_list(ex1, 0.0, 1000), 1000)
     assert est.value == pytest.approx(math.log(3.4), abs=1e-9)
 
 
@@ -81,12 +82,12 @@ def test_lyapunov_matches_multiplier(ex1, cat1):
     # at a found attracting cycle point the exponent equals
     # (1/period) log |multiplier|
     rec = next(r for r in cat1 if r.kind == "attracting" and r.period == 2)
-    est = lyapunov(ex1, rec.points[0], 10_000)
+    est = lyapunov(ex1, orbit_list(ex1, rec.points[0], 10_000), 10_000)
     assert est.value == pytest.approx(math.log(abs(rec.multiplier)) / rec.period, rel=1e-6)
 
 
 def test_lyapunov_full_shift(ex2):
-    est = lyapunov(ex2, 0.2137, 100_000)
+    est = lyapunov(ex2, orbit_list(ex2, 0.2137, 100_000), 100_000)
     assert est.value == pytest.approx(math.log(2.0), abs=0.05)
 
 

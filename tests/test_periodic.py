@@ -158,7 +158,7 @@ def test_orbit_closure_residuals(ex1, ex2, ex3, cat1, cat2, cat3):
 
 def test_multiplier_matches_lyapunov(ex1, cat1):
     rec = next(r for r in cat1 if r.kind == "attracting")
-    est = lyapunov(ex1, rec.points[0], 10_000)
+    est = lyapunov(ex1, orbit_list(ex1, rec.points[0], 10_000), 10_000)
     assert math.exp(rec.period * est.value) == pytest.approx(abs(rec.multiplier), rel=1e-6)
 
 

@@ -189,19 +189,22 @@ def test_is_renormalization_reports_reason(ex1):
 
 @pytest.mark.parametrize("name, walks", [("logistic4-embed", 0), ("paper-example", 1), ("logistic3.4-embed", 2)])
 def test_detect_degenerate_walks_a_critical_orbit_only_for_a_candidate(monkeypatch, name, walks):
-    # a critical orbit is walked only once a candidate's push passes, and at
-    # most once per side of c
+    # a critical orbit is read past the orbit table's prefix only once a
+    # candidate's push passes, and then to the horizon, at most once per side
     from lorenzlab import builtin_map, renorm
 
     spec = builtin_map(name)
     catalog = find_periodic_points(spec, 12)
-    starts = []
-    walk = renorm._orbit_points
+    width = max(o.period for o in catalog)
+    asked = {0: 0, 1: 0}
+    read = renorm.critical_orbit
 
-    def counted(spec, start, horizon):
-        starts.append(start)
-        return walk(spec, start, horizon)
+    def counted(spec, i, n):
+        asked[i] = max(asked[i], n)
+        return read(spec, i, n)
 
-    monkeypatch.setattr(renorm, "_orbit_points", counted)
-    detect_degenerate(spec, catalog=catalog)
-    assert len(starts) == walks
+    monkeypatch.setattr(renorm, "critical_orbit", counted)
+    horizon = 10_000
+    detect_degenerate(spec, catalog=catalog, horizon=horizon)
+    assert all(n in (width + 1, horizon) for n in asked.values())
+    assert sum(n == horizon for n in asked.values()) == walks

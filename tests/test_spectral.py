@@ -340,21 +340,22 @@ def test_coverage_probe_matches_reference(ex1, ex2, ex3):
 )
 def test_superattracting_cycle_is_periodic(spec):
     # centres of hyperbolic components: both critical orbits land within
-    # tolerance of c before the late window, and the landing point is then
-    # their one late point
-    from lorenzlab.spectral import _late_points
+    # tolerance of c long before the late window, and the landing point is
+    # then their one late point
+    from lorenzlab.orbits import critical_orbit
 
     budgets = Budgets()
-    for v in critical_values(spec):
-        late = _late_points(spec, v, budgets.horizon)
-        assert late.size == 1 and abs(late[0] - spec.c) <= spec.tolerance
+    for i in (0, 1):
+        orb = critical_orbit(spec, i, budgets.horizon + 1)
+        assert len(orb) < budgets.horizon // 2 and abs(orb[-1] - spec.c) <= spec.tolerance
     cls = classify_attractor(Analysis(spec, budgets))
     assert cls.kind in ("periodic_attractor", "super_attractor")
     assert cls.evidence["critical_orbits_absorbed"] == [True, True]
 
 
 def test_classify_walks_each_critical_orbit_once(monkeypatch):
-    # step (1) tests every candidate cycle against the same two walks
+    # step (1) tests every candidate cycle against the same two walks, each
+    # read once to the horizon
     from lorenzlab import spectral
     from lorenzlab.periodic import PeriodicOrbitRecord
 
@@ -363,17 +364,17 @@ def test_classify_walks_each_critical_orbit_once(monkeypatch):
     # three made-up attracting candidates below the core [v0, v1] = [0.075,
     # 0.925], where no late point lies
     a.catalog = a.catalog + [PeriodicOrbitRecord([x], 1, 0.5, "attracting", "0") for x in (0.01, 0.02, 0.03)]
-    starts = []
-    walk = spectral.orbit_chunks
+    reads = []
+    read = spectral.critical_orbit
 
-    def counted(spec, x0, n, side=Side.NONE):
-        starts.append(x0)
-        return walk(spec, x0, n, side)
+    def counted(spec, i, n):
+        reads.append((i, n))
+        return read(spec, i, n)
 
-    monkeypatch.setattr(spectral, "orbit_chunks", counted)
+    monkeypatch.setattr(spectral, "critical_orbit", counted)
     cls = classify_attractor(a)
     assert "orbit" not in cls.evidence  # no candidate absorbed both walks
-    assert starts == list(critical_values(a.spec))
+    assert reads == [(0, a.budgets.horizon + 1), (1, a.budgets.horizon + 1)]
 
 
 # the maps whose classification reaches step (3), the rotation probe: the
@@ -432,11 +433,9 @@ def _kind_only_matches_full(spec, max_period):
     full = classify_attractor(a)
     fast = classify_attractor(a, kind_only=True)
     assert fast.kind == full.kind
+    # the kind-only evidence never has the fraction
     evidence = dict(full.evidence)
-    if "critical_cover_fraction" in evidence and "critical_cover_fraction" not in fast.evidence:
-        # the walks stopped early, which only a settled interval cycle does
-        assert fast.kind == "interval_cycle"
-        del evidence["critical_cover_fraction"]
+    evidence.pop("critical_cover_fraction", None)
     assert fast.to_dict() == {"kind": full.kind, "confidence": full.confidence, "evidence": evidence}
 
 
@@ -454,11 +453,12 @@ def test_kind_only_classifies_logistic_embeds_alike(a, max_period):
 
 def test_kind_only_stops_the_cover_walks_in_the_first_chunk(monkeypatch):
     # step (4) walks c - h and c + h; each full walk is the burn-in plus
-    # samples // 2 points, and the first chunk already settles this map
+    # samples // 2 points. A full cover ends the walks of either call in the
+    # first chunk; a cover that stays below 1 (0.9888 on quadpair(3.75, 3))
+    # is walked in full by the full call and stops at 0.9 with kind_only
     from lorenzlab import orbits
 
     budgets = Budgets(max_period=8)
-    spec = quadratic_pair(4.0, 4.0)
     h = 1.0 / budgets.probe_resolution
     fed = []
     walk = orbits.orbit_chunks
@@ -470,11 +470,17 @@ def test_kind_only_stops_the_cover_walks_in_the_first_chunk(monkeypatch):
             yield pts, landed
 
     monkeypatch.setattr(orbits, "orbit_chunks", counted)
-    full = classify_attractor(Analysis(spec, budgets))
-    assert full.kind == "interval_cycle"
-    assert sum(fed) == 2 * (orbits.OMEGA_BURN_IN + budgets.samples // 2) == 2 * 51_000
-    fed.clear()
-    fast = classify_attractor(Analysis(spec, budgets), kind_only=True)
-    assert fast.kind == "interval_cycle"
-    assert 0 < sum(fed) <= orbits.WALK_CHUNK
-    assert "critical_cover_fraction" not in fast.evidence
+    for spec, full_walk in ((quadratic_pair(4.0, 4.0), False), (quadratic_pair(3.75, 3.0), True)):
+        fed.clear()
+        full = classify_attractor(Analysis(spec, budgets))
+        assert full.kind == "interval_cycle"
+        assert (full.evidence["critical_cover_fraction"] == 1.0) != full_walk
+        if full_walk:
+            assert sum(fed) == 2 * (orbits.OMEGA_BURN_IN + budgets.samples // 2) == 2 * 51_000
+        else:
+            assert 0 < sum(fed) <= orbits.WALK_CHUNK
+        fed.clear()
+        fast = classify_attractor(Analysis(spec, budgets), kind_only=True)
+        assert fast.kind == "interval_cycle"
+        assert 0 < sum(fed) <= orbits.WALK_CHUNK
+        assert "critical_cover_fraction" not in fast.evidence
