@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .map_core import (
     LorenzMapSpec,
     MapValidationError,
     Side,
+    critical_values,
     derivative,
     embed_unimodal,
     load_map,
@@ -31,7 +33,7 @@ from .map_core import (
     quadratic_pair,
     validate_map,
 )
-from .orbits import critical_orbit, estimate_omega_limit, iterate_orbit, lyapunov, orbit_list, symbols
+from .orbits import critical_orbit, estimate_omega_limit, iterate_orbit, lyapunov, orbit_chunks, symbols
 from .return_maps import (
     MAX_HORIZON,
     MAX_RESOLUTION,
@@ -150,18 +152,19 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
 
     rng = np.random.default_rng(budgets.seed)
     n = max(budgets.horizon, 1000)
+    v, x = critical_values(spec), float(rng.uniform(0.05, 0.95))
     samples = []
-    # the critical orbits are the walks the decomposition read, extended
-    for label, orbit in (
-        ("critical_plus", critical_orbit(spec, 0, n)),
-        ("critical_minus", critical_orbit(spec, 1, n)),
-        ("random", orbit_list(spec, float(rng.uniform(0.05, 0.95)), n)),
+    # the critical walks are the decomposition's, extended; the random one is never kept
+    for label, x0, orbit in (
+        ("critical_plus", v[0], critical_orbit(spec, 0, n)),
+        ("critical_minus", v[1], critical_orbit(spec, 1, n)),
+        ("random", x, chain.from_iterable(pts for pts, _ in orbit_chunks(spec, x, n))),
     ):
         est = lyapunov(spec, orbit, n)
         samples.append(
             {
                 "label": label,
-                "x0": orbit[0],
+                "x0": x0,
                 "value": est.value,
                 "steps": est.steps,
                 "hit_critical": est.hit_critical,
@@ -293,7 +296,8 @@ def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
         a = Analysis(spec, budgets)
         kind = classify_attractor(a, kind_only=True).kind
         n = max(budgets.horizon, 1000)
-        est = lyapunov(spec, orbit_list(spec, 0.6180339887498949, n), n)
+        walk = orbit_chunks(spec, 0.6180339887498949, n)
+        est = lyapunov(spec, chain.from_iterable(pts for pts, _ in walk), n)
         return {
             "a_left": a_left,
             "a_right": a_right,

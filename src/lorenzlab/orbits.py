@@ -9,6 +9,8 @@ of c are distinct points for this dynamics.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,32 +167,31 @@ def orbit_list(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE) -
     return pts
 
 
-def critical_orbit(spec: LorenzMapSpec, i: int, n: int) -> list[float]:
+def critical_orbit(spec: LorenzMapSpec, i: int, n: int) -> array:
     """The first n points of the orbit of the critical value v_i, where
-    (v0, v1) = (f(c+), f(c-)): the points of orbit_list(spec, v_i, n).
+    (v0, v1) = (f(c+), f(c-)), as a float array: orbit_list(spec, v_i, n).
 
-    Each walk is kept in the spec's __dict__ beside the kernel cache (see
-    map_core._kernels) and extended from its last point when a longer prefix
-    is asked, so no point is stepped twice; a walk that landed at c ends
-    there and is never extended."""
+    Each walk is kept, 8 bytes a point, in the spec's __dict__ beside the
+    kernel cache (see map_core._kernels) and extended from its last point
+    when a longer prefix is asked, so no point is stepped twice; a walk that
+    landed at c ends there and is never extended."""
     walks = spec.__dict__.setdefault("_critical_orbits", {})
-    pts, landed = walks.get(i, ([], False))
+    pts, landed = walks.get(i) or (array("d"), False)
     if len(pts) < n and not landed:
         # an extension starts again at the last point, which it hands back first
-        start = pts[-1] if pts else critical_values(spec)[i]
-        pts = pts[:-1]
+        start = pts.pop() if pts else critical_values(spec)[i]
         for chunk, landed in orbit_chunks(spec, start, n - len(pts)):
-            pts += chunk
+            pts.fromlist(chunk)
         walks[i] = (pts, landed)
     return pts[:n]
 
 
-def lyapunov(spec: LorenzMapSpec, orbit: list[float], n: int = 10_000) -> LyapunovEstimate:
-    """Lower Lyapunov exponent estimate over orbit, the first n points of an
-    orbit or fewer when it landed at c: the minimum of the last
-    LYAPUNOV_TAIL_WINDOWS running averages of log|Df| at the checkpoints of
-    n (the liminf is approximated by a min over windows). A point within
-    tolerance of c ends the sum with hit_critical."""
+def lyapunov(spec: LorenzMapSpec, orbit: Iterable[float], n: int) -> LyapunovEstimate:
+    """Lower Lyapunov exponent estimate over orbit, read once in order: the
+    first n points of an orbit, or fewer when it landed at c. The estimate is
+    the minimum of the last LYAPUNOV_TAIL_WINDOWS running averages of log|Df|
+    at the checkpoints of n (the liminf is approximated by a min over
+    windows). A point within tolerance of c ends the sum with hit_critical."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
     c, tol = spec.c, spec.tolerance

@@ -268,6 +268,7 @@ def detect_degenerate(
     right = (pts > c) & ~(t.b[:, None] < pts - tol) & ~(t.w0[:, None] < c - 10 * tol)
     live = np.array([o.kind != "super" for o in catalog], dtype=bool)[:, None]
     best: DegenerateRecord | None = None
+    opps: dict[int, np.ndarray] = {}  # the horizon prefix of each critical orbit, once read
     for i, k in zip(*np.nonzero((left | right) & live & (np.abs(pts - c) > tol))):
         o = catalog[i]
         p = o.points[k]
@@ -277,8 +278,9 @@ def detect_degenerate(
             continue
         # the first horizon points of the opposite one-sided critical orbit
         # (of f(c+) for (p, c)) and the orbit of p stay clear
-        opp = np.array(critical_orbit(spec, 0 if p < c else 1, horizon))
-        if np.any((opp > lo + tol) & (opp < hi - tol)):
+        if (j := 0 if p < c else 1) not in opps:
+            opps[j] = np.array(critical_orbit(spec, j, horizon))
+        if np.any((opps[j] > lo + tol) & (opps[j] < hi - tol)):
             continue
         if any(lo + tol < q < hi - tol for q in o.points):
             continue

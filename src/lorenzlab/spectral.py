@@ -402,6 +402,15 @@ def _absorbed_by_cycle(late: np.ndarray, cycle: list[float]) -> bool:
     return late.size > 0 and float(np.abs(late[:, None] - np.array(cycle)).min()) < 1e-3
 
 
+def _critical_tail(spec: LorenzMapSpec, i: int, horizon: int) -> np.ndarray:
+    """The late points of the critical orbit of v_i: x_j for first <= j <=
+    horizon, or its landing at c when it lands before them (c is then
+    periodic: a superattracting cycle)."""
+    first = max(horizon - max(horizon // 10, 10) + 1, 1)
+    orb = critical_orbit(spec, i, horizon + 1)
+    return np.array(orb[first:] or orb[-1:])
+
+
 def classify_attractor(a: Analysis, *, kind_only: bool = False) -> AttractorClass:
     """Decision procedure over budgeted probes, in order: absorbing periodic
     or super attractor, depth-capped solenoid candidate, irrational-rotation
@@ -428,13 +437,8 @@ def classify_attractor(a: Analysis, *, kind_only: bool = False) -> AttractorClas
         if r.kind in ("attracting", "super")
         or (r.kind == "neutral" and r.neutral_attracting_probe)
     ]
-    # every candidate is tested against the same late points of each
-    # critical orbit: x_j for first <= j <= horizon, or the point where the
-    # orbit lands at c when it lands before them. From a critical value such
-    # a landing makes c periodic: a superattracting cycle
-    first = max(budgets.horizon - max(budgets.horizon // 10, 10) + 1, 1)
-    orbs = [critical_orbit(spec, i, budgets.horizon + 1) for i in (0, 1)] if nonrep else []
-    late = [np.array(orb[first:] or orb[-1:]) for orb in orbs]
+    # every candidate is tested against the same late points of each critical orbit
+    late = [_critical_tail(spec, i, budgets.horizon) for i in (0, 1)] if nonrep else []
     for rec in nonrep:
         absorbed0, absorbed1 = (_absorbed_by_cycle(pts, rec.points) for pts in late)
         both = absorbed0 and absorbed1

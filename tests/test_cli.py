@@ -333,7 +333,7 @@ def test_report_is_strict_json_with_non_finite_paths(tmp_path, monkeypatch):
     from lorenzlab import cli
     from lorenzlab.orbits import LyapunovEstimate
 
-    def nan_lyapunov(spec, orbit, n=10_000):
+    def nan_lyapunov(spec, orbit, n):
         return LyapunovEstimate(math.nan, [math.nan], n)
 
     monkeypatch.setattr(cli, "lyapunov", nan_lyapunov)

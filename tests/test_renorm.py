@@ -196,15 +196,16 @@ def test_detect_degenerate_walks_a_critical_orbit_only_for_a_candidate(monkeypat
     spec = builtin_map(name)
     catalog = find_periodic_points(spec, 12)
     width = max(o.period for o in catalog)
-    asked = {0: 0, 1: 0}
+    reads = []
     read = renorm.critical_orbit
 
     def counted(spec, i, n):
-        asked[i] = max(asked[i], n)
+        reads.append((i, n))
         return read(spec, i, n)
 
     monkeypatch.setattr(renorm, "critical_orbit", counted)
     horizon = 10_000
     detect_degenerate(spec, catalog=catalog, horizon=horizon)
-    assert all(n in (width + 1, horizon) for n in asked.values())
-    assert sum(n == horizon for n in asked.values()) == walks
+    assert {i for i, _ in reads} == {0, 1} and all(n in (width + 1, horizon) for _, n in reads)
+    long = [i for i, n in reads if n == horizon]
+    assert len(long) == len(set(long)) == walks
