@@ -34,6 +34,7 @@ from .map_core import (
     validate_map,
 )
 from .orbits import critical_orbit, estimate_omega_limit, iterate_orbit, lyapunov, orbit_chunks, symbols
+from .periodic import PeriodicFamily
 from .return_maps import (
     MAX_HORIZON,
     MAX_RESOLUTION,
@@ -60,6 +61,8 @@ EXIT_INTERNAL = 4
 SCHEMA_VERSION = "1"
 
 SCAN_COLUMNS = ("a_left", "a_right", "final_class", "n_f", "lyapunov", "status")
+# the cells of a scan block, whose catalogs share one root stage
+SCAN_BLOCK = 16
 
 
 def _load_budgets(args: argparse.Namespace) -> Budgets:
@@ -112,6 +115,20 @@ def _interval(text: str, spec: LorenzMapSpec | None = None) -> tuple[float, floa
     if spec is not None and not lo < spec.c < hi:
         raise MapValidationError(f"--interval must contain the break point c = {spec.c!r}")
     return lo, hi
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out path that cannot be written, before any work: a
+    directory, or a file whose directory is missing or not writable."""
+    if not out:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        raise OSError(f"--out {out!r} is a directory")
+    if not os.path.isdir(parent):
+        raise OSError(f"--out {out!r}: no directory {parent!r}")
+    if not os.access(parent, os.W_OK):
+        raise OSError(f"--out {out!r}: directory {parent!r} is not writable")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -287,17 +304,16 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
-    """One sweep row: the attractor class, n_f and one Lyapunov walk; no
-    stratum probe runs and the class is asked for its kind only, since the
-    row prints none of the rest."""
+def _scan_cell(a_left: float, a_right: float, a: Analysis) -> dict:
+    """One sweep row of the map a.spec = quadratic_pair(a_left, a_right):
+    the attractor class, n_f and one Lyapunov walk; no stratum probe runs
+    and the class is asked for its kind only, since the row prints none of
+    the rest."""
     try:
-        spec = quadratic_pair(a_left, a_right)
-        a = Analysis(spec, budgets)
         kind = classify_attractor(a, kind_only=True).kind
-        n = max(budgets.horizon, 1000)
-        walk = orbit_chunks(spec, 0.6180339887498949, n)
-        est = lyapunov(spec, chain.from_iterable(pts for pts, _ in walk), n)
+        n = max(a.budgets.horizon, 1000)
+        walk = orbit_chunks(a.spec, 0.6180339887498949, n)
+        est = lyapunov(a.spec, chain.from_iterable(pts for pts, _ in walk), n)
         return {
             "a_left": a_left,
             "a_right": a_right,
@@ -317,6 +333,14 @@ def _scan_cell(a_left: float, a_right: float, budgets: Budgets) -> dict:
         }
 
 
+def _scan_block(cells: list[tuple[float, float]], budgets: Budgets) -> list[dict]:
+    """The rows of a block of cells, whose catalogs share one root stage."""
+    family = PeriodicFamily([quadratic_pair(al, ar) for al, ar in cells], budgets.max_period, budgets.grid_resolution)
+    # each Analysis lives for its row only: the family lets go of a map once
+    # its catalog is read, so a block never holds the cells' orbit walks
+    return [_scan_cell(al, ar, Analysis(family.specs[k], budgets, family)) for k, (al, ar) in enumerate(cells)]
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     lo_l, hi_l = _floats(args.a_left, ":", "--a-left")
     lo_r, hi_r = _floats(args.a_right, ":", "--a-right")
@@ -327,9 +351,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     lefts = np.linspace(lo_l, hi_l, args.steps)
     rights = np.linspace(lo_r, hi_r, args.steps)
     cells = [(float(al), float(ar)) for al in lefts for ar in rights]
-    # one cell is GIL-bound Python and numpy on small arrays: a thread pool
-    # made the sweep slower, so the cells run in order in this thread
-    rows = [_scan_cell(al, ar, budgets) for al, ar in cells]
+    # the cells run in input order, in this thread (a thread pool made the
+    # GIL-bound sweep slower), in blocks of SCAN_BLOCK: a block's cells step
+    # their own catalog grids, then one lockstep bisection and one tangential
+    # search serve all of them, so the fixed cost of each vector step is paid
+    # once per block instead of once per cell
+    rows = [row for k in range(0, len(cells), SCAN_BLOCK) for row in _scan_block(cells[k : k + SCAN_BLOCK], budgets)]
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(SCAN_COLUMNS)
@@ -469,6 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_BAD_CONFIG if e.code not in (0, None) else 0
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except (MapValidationError, KeyError, OSError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")

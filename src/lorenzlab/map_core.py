@@ -8,6 +8,7 @@ the dynamics, so points within tolerance of c must carry an approach side.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -227,6 +228,21 @@ class ValidationReport:
 # evaluation kernels
 
 
+def _horner(x: np.ndarray, rev) -> np.ndarray:
+    """The array kernel of a polynomial with coefficients `rev`, highest
+    first: floats, or arrays of one coefficient per entry of x. The scalar
+    Horner order, in place (x * c_n is c_n * x bit for bit): NaN in gives
+    NaN out."""
+    if len(rev) == 1:
+        return rev[0] + x * 0.0
+    acc = x * rev[0]
+    acc += rev[1]
+    for coef in rev[2:]:
+        acc *= x
+        acc += coef
+    return acc
+
+
 def _poly_funcs(coefs: tuple[float, ...]):
     """Scalar + array evaluators for value and first three derivatives."""
     cs = np.asarray(coefs, dtype=float)
@@ -245,25 +261,7 @@ def _poly_funcs(coefs: tuple[float, ...]):
         for name in names[1:]:
             body = f"({body}) * x + {name}"
         f = eval(f"lambda {', '.join(names)}: lambda x: {body}")(*terms)
-
-        if len(rev) == 1:
-
-            def fa(x: np.ndarray) -> np.ndarray:
-                return rev[0] + x * 0.0
-
-        else:
-
-            def fa(x: np.ndarray) -> np.ndarray:
-                # the scalar Horner order, in place (x * c_n is c_n * x bit
-                # for bit): NaN in gives NaN out
-                acc = x * rev[0]
-                acc += rev[1]
-                for coef in rev[2:]:
-                    acc *= x
-                    acc += coef
-                return acc
-
-        return f, fa
+        return f, functools.partial(_horner, rev=rev)
 
     (f0, f0a) = make(cs)
     (f1, f1a) = make(d1)
@@ -380,15 +378,58 @@ def eval_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:
     """Vectorized map step. Entries within tolerance of c become NaN
     (undirected critical evaluation); NaN propagates."""
     ker = _kernels(spec)
-    c, tol = spec.c, spec.tolerance
     x = np.asarray(x, dtype=float)
-    y = np.where(x < c, ker["left"][1][0](x), ker["right"][1][0](x))
+    return _join_branches(x, spec.c, spec.tolerance, ker["left"][1][0](x), ker["right"][1][0](x))
+
+
+def _join_branches(x: np.ndarray, c: float, tol: float, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The step of eval_array from both branches' values at x: the branch
+    on x's side of c, clamped to [0, 1], and NaN within tol of c."""
+    y = np.where(x < c, left, right)
+    del left, right  # freed here, their memory serves the steps below
     np.maximum(y, 0.0, out=y)
     np.minimum(y, 1.0, out=y)
     dead = np.abs(x - c) <= tol
     if np.count_nonzero(dead):
         y[dead] = np.nan
     return y
+
+
+class PolynomialFamily:
+    """Maps stepped together, each entry of an array by its own map. The
+    maps share c and tolerance, and their branches on each side are
+    polynomials with one coefficient count (every `quadratic_pair` map).
+
+    `columns(who)` gives one array per Horner coefficient (left branch,
+    then right, highest first) holding the coefficient of map who[k] at
+    entry k; `eval_array(x, *columns)` runs the Horner operations of each
+    map's array kernel and then eval_array's select, clamp and dead-at-c
+    test, so every entry gets its own map's eval_array bits."""
+
+    def __init__(self, specs):
+        first = specs[0]
+        revs, shapes = [], set()
+        for spec in specs:
+            coefs = [br.poly_coefficients() for br in (spec.left, spec.right)]
+            if None in coefs or (spec.c, spec.tolerance) != (first.c, first.tolerance):
+                raise ValueError(f"{spec.name} cannot step with {first.name}: a family shares c, "
+                                 "tolerance and polynomial branches")
+            rev = [list(reversed(np.asarray(cs, dtype=float).tolist())) for cs in coefs]
+            shapes.add(tuple(map(len, rev)))
+            revs.append(rev[0] + rev[1])
+        if len(shapes) > 1:
+            raise ValueError(f"a family shares coefficient counts per side, got {sorted(shapes)}")
+        self.c, self.tolerance = first.c, first.tolerance
+        self.left = shapes.pop()[0]
+        # one row per coefficient, one entry per map
+        self.table = np.array(revs, dtype=float).T.copy()
+
+    def columns(self, who: np.ndarray) -> list[np.ndarray]:
+        return [row[who] for row in self.table]
+
+    def eval_array(self, x: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+        left, right = _horner(x, columns[: self.left]), _horner(x, columns[self.left :])
+        return _join_branches(x, self.c, self.tolerance, left, right)
 
 
 def deriv_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:

@@ -6,13 +6,16 @@ that nearly touch zero (tangential, saddle-node roots, which make no sign
 change). Then every period's sign changes are bisected in one lockstep call
 and every period's minima are refined by one lockstep ternary search,
 longest period first, so that each step is one array call on the brackets
-still stepping. A minimum that sits on an exact grid root is refined only
-after the shorter periods registered, once it is known not to be a point of
-an orbit already held. Every accepted orbit is re-verified against
-|f^period(x) - x| <= 10 * tolerance, which also discards brackets that
-converged onto a discontinuity of f^n. A root of f^n - id within that same
-width of a point of an orbit already registered, whose period d divides n,
-and that closes up at d within that width too, is not registered again.
+still stepping. A family of maps (`PeriodicFamily`, as `scan` builds per
+block of cells) shares those two calls: each map steps its own grid, and
+each bracket steps by its own map. A minimum that sits on an exact grid
+root is refined only after the shorter periods registered, once it is
+known not to be a point of an orbit already held. Every accepted orbit is
+re-verified against |f^period(x) - x| <= 10 * tolerance, which also
+discards brackets that converged onto a discontinuity of f^n. A root of
+f^n - id within that same width of a point of an orbit already
+registered, whose period d divides n, and that closes up at d within that
+width too, is not registered again.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from .map_core import (
     LorenzMapSpec,
+    PolynomialFamily,
     Side,
     bisect_array,
     branch_inverse_array,
@@ -53,6 +57,8 @@ MAX_PERIOD = 20
 LAP_BUDGET = 1 << 16
 # the ternary-search rounds that refine a tangential root candidate
 TANGENTIAL_ROUNDS = 80
+# the most brackets one lockstep call of the root stage steps
+LOCKSTEP_BRACKETS = 1 << 13
 
 
 @dataclass
@@ -119,15 +125,34 @@ def laps(spec: LorenzMapSpec, n: int) -> list[Lap]:
     return out
 
 
-def _iterate_by_period(spec: LorenzMapSpec, x: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """f^p(x) entry by entry, p the entry's period. The periods are sorted
-    longest first, so the entries still stepping at step k are a prefix and
-    each step is one eval_array call on it."""
+class _Family:
+    """How the brackets of a family of maps step: one map by eval_array,
+    several by the PolynomialFamily kernel, each bracket carrying the
+    coefficient columns of its map (`columns(who)`, who the map of each
+    bracket). Either way every bracket gets its own map's eval_array bits."""
+
+    def __init__(self, specs):
+        if len(specs) == 1:
+            spec = specs[0]
+            self.tolerance = spec.tolerance
+            self.step = lambda x: eval_array(spec, x)
+            self.columns = lambda who: []
+        else:
+            family = PolynomialFamily(specs)
+            self.tolerance = family.tolerance
+            self.step, self.columns = family.eval_array, family.columns
+
+
+def _iterate_by_period(step, x: np.ndarray, periods: np.ndarray, columns=()) -> np.ndarray:
+    """f^p(x) entry by entry, p the entry's period and f its map (`step`
+    with the entry's `columns`). The periods are sorted longest first, so
+    the entries still stepping at step k are a prefix and each step is one
+    call on it."""
     y = np.array(x, dtype=float)
     if y.size:
         # how many periods exceed k, for k = 0 .. the longest period - 1
         for live in np.searchsorted(-periods, -np.arange(periods[0]), side="left").tolist():
-            y[:live] = eval_array(spec, y[:live])
+            y[:live] = step(y[:live], *(col[:live] for col in columns))
     return y
 
 
@@ -161,25 +186,26 @@ def _closure_gap(spec: LorenzMapSpec, x: float, n: int) -> float | None:
 
 
 def _tangential_roots(
-    spec: LorenzMapSpec, a: np.ndarray, b: np.ndarray, periods: np.ndarray
+    family: _Family, a: np.ndarray, b: np.ndarray, periods: np.ndarray, *columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ternary search for a minimum of |f^p - id| on each bracket [a, b] in
-    lockstep, p the bracket's period (sorted longest first): the midpoints x
-    of the brackets left after TANGENTIAL_ROUNDS rounds, and whether
-    |f^p(x) - x| <= 10 * tolerance there."""
+    lockstep, p the bracket's period (sorted longest first) and f its map:
+    the midpoints x of the brackets left after TANGENTIAL_ROUNDS rounds,
+    and whether |f^p(x) - x| <= 10 * tolerance there."""
     if not a.size:
         return a, np.zeros(0, dtype=bool)
     both = np.repeat(periods, 2)
+    pairs = [np.repeat(col, 2) for col in columns]
     for _ in range(TANGENTIAL_ROUNDS):
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
         # interleaved, the pairs keep the longest-first order
         m = np.column_stack([m1, m2]).ravel()
-        g = np.abs(_iterate_by_period(spec, m, both) - m)
+        g = np.abs(_iterate_by_period(family.step, m, both, pairs) - m)
         nearer = g[0::2] < g[1::2]
         a, b = np.where(nearer, a, m1), np.where(nearer, m2, b)
     x = 0.5 * (a + b)
-    return x, np.abs(_iterate_by_period(spec, x, periods) - x) <= 10 * spec.tolerance
+    return x, np.abs(_iterate_by_period(family.step, x, periods, columns) - x) <= 10 * family.tolerance
 
 
 @dataclass
@@ -188,7 +214,7 @@ class _GridRoots:
 
     n: int
     hits: list[float]  # grid points where |f^n - id| <= 10 * tolerance
-    bisected: list[float]  # roots of the sign changes, in grid order
+    bisected: np.ndarray  # roots of the sign changes, in grid order
     # tangential candidates in grid order: their brackets, their grid point
     # when it is a hit (else None), and their root when it closes up (else
     # None; not yet refined on a hit)
@@ -205,29 +231,22 @@ class _GridRoots:
         todo = [k for k, p in enumerate(self.on_hit) if p is not None and not held(p)]
         if todo:
             periods = np.full(len(todo), self.n)
-            x, closes = _tangential_roots(spec, self.a[todo], self.b[todo], periods)
-            self.settle(todo, x.tolist(), closes.tolist())
+            x, closes = _tangential_roots(_Family([spec]), self.a[todo], self.b[todo], periods)
+            self.settle(todo, x, closes)
         return [x for x in self.roots if x is not None]
 
-    def settle(self, todo: list[int], x: list[float], closes: list[bool]):
+    def settle(self, todo: list[int], x: np.ndarray, closes: np.ndarray):
         """Record the refined roots of the candidates `todo`."""
-        for k, v, ok in zip(todo, x, closes):
+        for k, v, ok in zip(todo, x.tolist(), closes.tolist()):
             self.roots[k] = v if ok else None
 
 
-def _grid_roots(spec: LorenzMapSpec, max_period: int, resolution: int) -> list[_GridRoots]:
-    """The roots of f^n - id on the grid of `resolution` cells, for
-    n = 1 .. max_period.
-
-    f^n is stepped on the grid once per period, from the previous period's
-    grid, and each period keeps only its brackets: the sign changes of
-    f^n - id and the local minima of |f^n - id| below 1e-7 (tangential
-    roots, which make no sign change). Then every period's sign changes are
-    bisected in one lockstep call and every period's minima off a grid hit
-    are refined in another, longest period first. Each step is elementwise,
-    so a root gets the same operations whichever brackets share its arrays."""
-    if max_period < 1:
-        return []
+def _grid_brackets(spec: LorenzMapSpec, max_period: int, resolution: int):
+    """The grid stage of one map: for n = 1 .. max_period, its _GridRoots
+    with the grid hits and the tangential candidates (local minima of
+    |f^n - id| below 1e-7, which make no sign change), and its sign-change
+    brackets (lo, hi, whether f^n - id < 0 at lo). f^n is stepped on the
+    grid once per period, from the previous period's grid."""
     tol = spec.tolerance
     grid = np.linspace(0.0, 1.0, resolution + 1)
     fn = grid
@@ -235,60 +254,95 @@ def _grid_roots(spec: LorenzMapSpec, max_period: int, resolution: int) -> list[_
     for n in range(1, max_period + 1):
         fn = eval_array(spec, fn)
         g = fn - grid
-        ok = ~np.isnan(g)
-        zero = ok & (np.abs(g) <= 10 * tol)
-        s = np.sign(g)
-        pair = ok[:-1] & ok[1:] & (s[:-1] * s[1:] < 0)
-        signs.append((grid[:-1][pair], grid[1:][pair], g[:-1][pair] < 0))
+        # a NaN of g (an orbit that met c) fails every comparison below
         absg = np.abs(g)
-        cand = np.zeros(absg.shape, dtype=bool)
-        cand[1:-1] = (
-            ok[1:-1]
-            & ok[:-2]
-            & ok[2:]
-            & (absg[1:-1] <= absg[:-2])
-            & (absg[1:-1] <= absg[2:])
-            & (absg[1:-1] < 1e-7)
-        )
-        i = np.nonzero(cand)[0]
+        zero = absg <= 10 * tol
+        neg, pos = g < 0, g > 0
+        j = np.flatnonzero((neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:]))
+        signs.append((grid[j], grid[j + 1], neg[j]))
+        # the interior local minima of |g| below 1e-7, tested where it is small
+        i = np.flatnonzero(absg[1:-1] < 1e-7) + 1
+        i = i[(absg[i] <= absg[i - 1]) & (absg[i] <= absg[i + 1])]
         out.append(
             _GridRoots(
                 n=n,
-                hits=[float(v) for v in grid[zero]],
-                bisected=[],
+                hits=grid[zero].tolist(),
+                bisected=np.zeros(0),
                 a=grid[i - 1],
                 b=grid[i + 1],
                 on_hit=[grid[k] if zero[k] else None for k in i],
                 roots=[None] * i.size,
             )
         )
+    return out, signs
+
+
+def _grid_roots(specs: list[LorenzMapSpec], max_period: int, resolution: int) -> list[list[_GridRoots]]:
+    """The roots of f^n - id on the grid of `resolution` cells, for
+    n = 1 .. max_period, of each map f of the family `specs`.
+
+    Each map runs its own grid stage (`_grid_brackets`). Then the sign
+    changes of every map and period are bisected in one lockstep call and
+    the minima off a grid hit in another, longest period first, each call
+    in slices of at most LOCKSTEP_BRACKETS brackets. Each step is
+    elementwise, so a root gets the same operations whichever brackets
+    share its arrays."""
+    if max_period < 1:
+        return [[] for _ in specs]
+    family = _Family(specs)
+    out, signs = zip(*(_grid_brackets(spec, max_period, resolution) for spec in specs))
+    # longest period first, then map by map, each in grid order
+    order = [(i, n) for n in range(max_period, 0, -1) for i in range(len(specs))]
 
     def longest_first(parts):
-        """The parts of every period joined longest period first, their
-        periods, and the inverse: such an array as one list per period."""
-        counts = [len(p[0]) for p in parts[::-1]]
-        joined = [np.concatenate(p[::-1]) for p in zip(*parts)]
-        periods = np.repeat(np.arange(max_period, 0, -1), counts)
+        """parts[i][n - 1], a tuple of arrays of map i and period n, joined
+        in `order`; the period and the map of each entry; and the inverse:
+        such an array as one list per map and period."""
+        counts = [len(parts[i][n - 1][0]) for i, n in order]
+        joined = [np.concatenate([parts[i][n - 1][k] for i, n in order]) for k in range(len(parts[0][0]))]
+        periods = np.repeat([n for _, n in order], counts)
+        who = np.repeat([i for i, _ in order], counts)
 
-        def split(v: np.ndarray) -> list[list]:
-            return [u.tolist() for u in np.split(v, np.cumsum(counts)[:-1])[::-1]]
+        def split(v: np.ndarray) -> list[list[np.ndarray]]:
+            lists = [[None] * max_period for _ in specs]
+            for (i, n), piece in zip(order, np.split(v, np.cumsum(counts)[:-1])):
+                lists[i][n - 1] = piece
+            return lists
 
-        return joined, periods, split
+        return joined, periods, who, split
 
-    def same_sign_as_lo(m: np.ndarray, lo_neg: np.ndarray, periods: np.ndarray) -> np.ndarray:
-        return ((_iterate_by_period(spec, m, periods) - m) < 0) == lo_neg
+    def in_slices(fn, who: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+        """fn(*slices, *columns) on consecutive slices of at most
+        LOCKSTEP_BRACKETS entries of the arrays, with the coefficient
+        columns of each entry's map; its two outputs joined."""
+        step = LOCKSTEP_BRACKETS
+        parts = [
+            fn(*(v[k : k + step] for v in arrays), *family.columns(who[k : k + step]))
+            for k in range(0, max(who.size, 1), step)
+        ]
+        return [np.concatenate(p) for p in zip(*parts)]
 
-    (lo, hi, lo_neg), periods, split = longest_first(signs)
-    lo, hi = bisect_array(same_sign_as_lo, lo, hi, 60, lo_neg, periods)
+    def same_sign_as_lo(m: np.ndarray, lo_neg: np.ndarray, periods: np.ndarray, *columns) -> np.ndarray:
+        return ((_iterate_by_period(family.step, m, periods, columns) - m) < 0) == lo_neg
+
+    def bisect(lo, hi, *per_bracket):
+        return bisect_array(same_sign_as_lo, lo, hi, 60, *per_bracket)
+
+    (lo, hi, lo_neg), periods, who, split = longest_first(signs)
+    lo, hi = in_slices(bisect, who, lo, hi, lo_neg, periods)
     for found, roots in zip(out, split(0.5 * (lo + hi))):
-        found.bisected = roots
+        for f, r in zip(found, roots):
+            f.bisected = r
 
-    off_hit = [[k for k, p in enumerate(f.on_hit) if p is None] for f in out]
-    (a, b), periods, split = longest_first([(f.a[k], f.b[k]) for f, k in zip(out, off_hit)])
-    x, closes = _tangential_roots(spec, a, b, periods)
+    off_hit = [[[k for k, p in enumerate(f.on_hit) if p is None] for f in found] for found in out]
+    (a, b), periods, who, split = longest_first(
+        [[(f.a[k], f.b[k]) for f, k in zip(found, todo)] for found, todo in zip(out, off_hit)]
+    )
+    x, closes = in_slices(lambda *args: _tangential_roots(family, *args), who, a, b, periods)
     for found, todo, xs, oks in zip(out, off_hit, split(x), split(closes)):
-        found.settle(todo, xs, oks)
-    return out
+        for f, *refined in zip(found, todo, xs, oks):
+            f.settle(*refined)
+    return list(out)
 
 
 def _neutral_probe(spec: LorenzMapSpec, cycle: list[float], period: int) -> bool:
@@ -315,9 +369,42 @@ def _merge_radius(rec: PeriodicOrbitRecord, tol: float) -> float:
 def find_periodic_points(
     spec: LorenzMapSpec, max_period: int = 12, resolution: int = 1 << 14
 ) -> list[PeriodicOrbitRecord]:
-    """All periodic orbits of period <= max_period found at the grid scale."""
-    if max_period > MAX_PERIOD:
-        raise ValueError(f"max_period capped at {MAX_PERIOD}")
+    """All periodic orbits of period <= max_period found at the grid scale:
+    the catalog of a family of one map."""
+    return PeriodicFamily([spec], max_period, resolution).catalog(spec)
+
+
+class PeriodicFamily:
+    """The periodic catalogs of a family of maps at one max_period and
+    resolution (see `PolynomialFamily` for the maps that can share one).
+
+    The root stage (`_grid_roots`) runs once for the whole family, when the
+    first catalog is read. Each map's registration runs when its catalog
+    is read, so an error there is that map's alone. A catalog is read once:
+    the family then lets go of the map and its roots, and with them of
+    whatever later stages keep on the map."""
+
+    def __init__(self, specs: list[LorenzMapSpec], max_period: int, resolution: int):
+        if max_period > MAX_PERIOD:
+            raise ValueError(f"max_period capped at {MAX_PERIOD}")
+        self.specs: list[LorenzMapSpec | None] = list(specs)
+        self.max_period, self.resolution = max_period, resolution
+        self._roots: list[list[_GridRoots] | None] | None = None
+
+    def catalog(self, spec: LorenzMapSpec) -> list[PeriodicOrbitRecord]:
+        i = next((i for i, s in enumerate(self.specs) if s is spec), None)
+        if i is None:
+            raise ValueError(f"{spec.name} is not a map of this family, or its catalog was read")
+        if self._roots is None:
+            self._roots = _grid_roots(self.specs, self.max_period, self.resolution)
+        found, self._roots[i], self.specs[i] = self._roots[i], None, None
+        return _catalog(spec, found)
+
+
+def _catalog(spec: LorenzMapSpec, grid_roots: list[_GridRoots]) -> list[PeriodicOrbitRecord]:
+    """The catalog from the map's grid roots: the endpoint fixed points and
+    the roots register period by period, then the cluster merge and the
+    neutral probe."""
     tol = spec.tolerance
     raw: list[PeriodicOrbitRecord] = []
     seen: set[tuple[int, int]] = set()
@@ -421,11 +508,11 @@ def find_periodic_points(
     # endpoint fixed points are part of the map's definition
     register(0.0, 1)
     register(1.0, 1)
-    for n, found in enumerate(_grid_roots(spec, max_period, resolution), 1):
+    for n, found in enumerate(grid_roots, 1):
         # a tangential root whose grid point is a point of an orbit held
         # before period n is dropped, and the roots then register in order
         tangential = found.tangential(spec, lambda p: known(p, n))
-        for x in found.hits + found.bisected + tangential:
+        for x in found.hits + found.bisected.tolist() + tangential:
             if 0.0 < x < 1.0 and not known(x, n):
                 register(x, n)
 

@@ -23,6 +23,7 @@ from .orbits import critical_orbit, mark_omega_cells, orbit_list, rotation_numbe
 from .periodic import (
     MAX_PERIOD,
     NoPeriodicOrbitFound,
+    PeriodicFamily,
     PeriodicOrbitRecord,
     VariationalPrincipleViolated,
     find_periodic_points,
@@ -122,13 +123,18 @@ class Analysis:
     """One map under one set of budgets, and the objects every stage of a
     report reads, each computed on first use and then kept: the periodic
     catalog, the renormalization sequence, the number of strata n_f and the
-    trapping regions of its chain."""
+    trapping regions of its chain. With a `family` (built at the budgets'
+    max_period and grid_resolution, holding spec), the catalog is read from
+    the family, whose root stage runs once for all its maps."""
 
     spec: LorenzMapSpec
     budgets: Budgets
+    family: PeriodicFamily | None = None
 
     @cached_property
     def catalog(self) -> list[PeriodicOrbitRecord]:
+        if self.family is not None:
+            return self.family.catalog(self.spec)
         return find_periodic_points(self.spec, self.budgets.max_period, self.budgets.grid_resolution)
 
     @cached_property

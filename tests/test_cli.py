@@ -260,13 +260,14 @@ def test_embed_unimodal_refuses_non_finite(capsys, value):
 
 def test_scan_cell_records_exception_type(monkeypatch):
     from lorenzlab import cli
-    from lorenzlab.spectral import Budgets
+    from lorenzlab.map_core import quadratic_pair
+    from lorenzlab.spectral import Analysis, Budgets
 
     def broken(*args, **kwargs):
         raise ValueError("probe failed")
 
     monkeypatch.setattr(cli, "classify_attractor", broken)
-    row = cli._scan_cell(3.5, 4.0, Budgets())
+    row = cli._scan_cell(3.5, 4.0, Analysis(quadratic_pair(3.5, 4.0), Budgets()))
     assert row["status"] == "error: ValueError: probe failed"
     assert (row["a_left"], row["a_right"], row["final_class"]) == (3.5, 4.0, "")
 
@@ -291,7 +292,7 @@ def test_scan_cell_matches_decompose(i, j, kind, n_f):
     # below the default budgets, and every cell keeps its class and n_f
     budgets = Budgets(max_period=8, horizon=1000, recurrence_resolution=256)
     a_left, a_right = (float(v) for v in np.linspace(3, 4, 10)[[i, j]])
-    row = cli._scan_cell(a_left, a_right, budgets)
+    row = cli._scan_cell(a_left, a_right, Analysis(quadratic_pair(a_left, a_right), budgets))
     dec = decompose(Analysis(quadratic_pair(a_left, a_right), budgets))
     assert row["status"] == "ok"
     assert (row["final_class"], row["n_f"]) == (dec.final_class.kind, dec.n_f) == (kind, n_f)
@@ -447,11 +448,11 @@ PHOBIC = ["plotdata", "--map", "paper-example", "--kind", "phobic", "--interval"
 
 
 def test_scan_runs_no_stratum_probe(tmp_path, monkeypatch):
-    # a row prints the class and n_f: one catalog per cell, and no
-    # decomposition, block or transitivity probe
-    from lorenzlab import cli, spectral
+    # a row prints the class and n_f: one catalog per cell, all four from
+    # one root stage, and no decomposition, block or transitivity probe
+    from lorenzlab import cli, periodic, spectral
 
-    calls = dict.fromkeys(["decompose", "stratum_blocks", "_coverage_probe", "find_periodic_points"], 0)
+    calls = dict.fromkeys(["decompose", "stratum_blocks", "_coverage_probe", "_grid_roots", "_catalog"], 0)
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -460,12 +461,34 @@ def test_scan_runs_no_stratum_probe(tmp_path, monkeypatch):
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(spectral, name, counting(name, getattr(spectral, name)))
+    stages = {spectral: ["decompose", "stratum_blocks", "_coverage_probe"], periodic: ["_grid_roots", "_catalog"]}
+    for mod, names in stages.items():
+        for name in names:
+            monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     monkeypatch.setattr(cli, "decompose", spectral.decompose)
     argv = [*SCAN, "--steps", "2", "--budgets", FAST_BUDGETS, "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == EXIT_OK
-    assert calls == {"decompose": 0, "stratum_blocks": 0, "_coverage_probe": 0, "find_periodic_points": 4}
+    assert calls == {"decompose": 0, "stratum_blocks": 0, "_coverage_probe": 0, "_grid_roots": 1, "_catalog": 4}
+
+
+@pytest.mark.parametrize(
+    "argv", [[*SCAN, "--steps", "2"], ["analyze", "--map", "paper-example"]], ids=["scan", "analyze"]
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, where):
+    # a missing directory or a directory as --out exits 2 up front: no
+    # cell runs and no report is built
+    from lorenzlab import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_scan_block", no_work)
+    monkeypatch.setattr(cli, "build_report", no_work)
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    assert main([*argv, "--out", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and "Traceback" not in err
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

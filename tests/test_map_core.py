@@ -359,3 +359,38 @@ def test_clamp_matches_min_max():
             mc._kernels(spec)["left"] = mc._poly_funcs((y, -0.0))
         assert _same_bits(mc.apply_raw(spec, 0.25), want), y
         assert _same_bits(orbit_list(spec, 0.75, 3), [0.75, 0.25, want]), y
+
+
+def test_polynomial_family_steps_each_entry_by_its_map(rng):
+    # quadratic pairs and logistic embeds in one family: every entry gets
+    # the bits of its own map's eval_array, NaN and signed zeros included
+    specs = [mc.quadratic_pair(a, b) for a, b in rng.uniform(2.5, 4.0, (5, 2))]
+    specs += [embed_unimodal(logistic(a)) for a in (3.2, 4.0)] + [mc.quadratic_pair(0.0, 3.0)]
+    family = mc.PolynomialFamily(specs)
+    x = np.concatenate([rng.uniform(0, 1, 400), [0.0, -0.0, 1.0, 0.5, 0.5 - 5e-11, 0.5 + 1e-10, 0.5 - 2e-10, np.nan]])
+    who = rng.integers(0, len(specs), x.size)
+    got = family.eval_array(x, *family.columns(who))
+    want = np.array([mc.eval_array(specs[k], np.array([v]))[0] for k, v in zip(who.tolist(), x.tolist())])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        mc.quadratic_pair(3.5, 3.5, tolerance=1e-9),
+        mc.LorenzMapSpec(
+            c=0.5,
+            left=mc.BranchSpec(kind="power_form", domain_side="left", a=0.9, alpha=2.0),
+            right=mc.BranchSpec(kind="power_form", domain_side="right", a=0.9, alpha=2.0),
+        ),
+        mc.LorenzMapSpec(
+            c=0.5,
+            left=mc.BranchSpec(kind="quadratic_logistic", domain_side="left", a=3.0),
+            right=mc.BranchSpec(kind="polynomial", domain_side="right", coefficients=(1.0, -3.0, 3.0, 0.0)),
+        ),
+    ],
+    ids=["tolerance", "power_form", "coefficient-count"],
+)
+def test_polynomial_family_refuses_maps_that_cannot_share_a_step(other):
+    with pytest.raises(ValueError, match="family shares"):
+        mc.PolynomialFamily([mc.quadratic_pair(3.5, 3.5), other])

@@ -762,7 +762,7 @@ def test_ternary_min_matches_tangency_reference(spec):
     periods = np.array([n for n, _ in brackets])
     a = np.array([grid[i - 1] for _, i in brackets])
     b = np.array([grid[i + 1] for _, i in brackets])
-    x, closes = periodic._tangential_roots(spec, a, b, periods)
+    x, closes = periodic._tangential_roots(periodic._Family([spec]), a, b, periods)
     for (n, i), got, ok in zip(brackets, x.tolist(), closes.tolist()):
         want = ref_tangency(spec, n, grid[i - 1], grid[i + 1])
         assert got == want
@@ -777,8 +777,8 @@ def test_ternary_min_matches_tangency_reference(spec):
 def test_roots_for_period_match_reference(spec):
     # every period's brackets refined together, each period's roots in the
     # order of the one-period search (nothing held, so no candidate dropped)
-    for n, found in enumerate(periodic._grid_roots(spec, 6, 1024), 1):
-        got = found.hits + found.bisected + found.tangential(spec, lambda p: False)
+    for n, found in enumerate(periodic._grid_roots([spec], 6, 1024)[0], 1):
+        got = found.hits + found.bisected.tolist() + found.tangential(spec, lambda p: False)
         assert got == ref_roots_for_period(spec, n, 1024)
 
 
@@ -842,6 +842,11 @@ def test_neutral_catalog_matches_reference():
 SCAN_CELLS = [quadratic_pair(a, b) for a in (3.375, 3.6875, 4.0) for b in (3.125, 3.5625, 4.0)]
 
 
+@functools.cache
+def ref_catalog(spec, max_period, resolution):
+    return [r.to_dict() for r in ref_find_periodic_points(spec, max_period, resolution)]
+
+
 @pytest.mark.parametrize(
     "spec, max_period",
     [(s, 8) for s in SCAN_CELLS] + [(MAPS[-2], 12)],
@@ -851,11 +856,20 @@ def test_catalog_with_tangencies_matches_reference(spec, max_period):
     # the scan cells have 16 tangential candidates between them, 8 of them
     # on exact grid hits (their refinement waits for the known-point skip)
     got = [r.to_dict() for r in periodic.find_periodic_points(spec, max_period)]
-    assert got == [r.to_dict() for r in ref_find_periodic_points(spec, max_period)]
+    assert got == ref_catalog(spec, max_period, 1 << 14)
+
+
+def test_scan_cells_as_one_family_match_reference():
+    # the nine cells' roots bisected in one lockstep call, their off-hit
+    # tangential candidates refined in another and the on-hit ones map by
+    # map, after the shorter periods registered
+    family = periodic.PeriodicFamily(SCAN_CELLS, 8, 1 << 14)
+    for spec in SCAN_CELLS:
+        assert [r.to_dict() for r in family.catalog(spec)] == ref_catalog(spec, 8, 1 << 14)
 
 
 def test_scan_cells_have_tangential_candidates():
-    found = [f for s in SCAN_CELLS for f in periodic._grid_roots(s, 8, 1 << 14)]
+    found = [f for roots in periodic._grid_roots(SCAN_CELLS, 8, 1 << 14) for f in roots]
     on_hit = [p is not None for f in found for p in f.on_hit]
     assert (len(on_hit), sum(on_hit)) == (16, 8)
 
@@ -877,6 +891,44 @@ def test_catalog_property(a_left, a_right, max_period):
         for d in range(1, r.period):
             if r.period % d == 0:
                 assert abs(orbit[d] - orbit[0]) > 10 * tol, f"period {r.period} closes at {d}"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(2.9, 4.0), st.floats(2.9, 4.0)), min_size=2, max_size=6), st.integers(1, 6))
+def test_family_catalogs_match_reference(pairs, max_period):
+    # each map of a family gets the catalog of its own reference search
+    specs = [quadratic_pair(a, b) for a, b in pairs]
+    family = periodic.PeriodicFamily(specs, max_period, 2048)
+    for spec in specs:
+        got = [r.to_dict() for r in family.catalog(spec)]
+        assert got == [r.to_dict() for r in ref_find_periodic_points(spec, max_period, 2048)]
+
+
+def test_family_lockstep_calls_hold_at_most_the_cap(monkeypatch):
+    # with a cap of 5 brackets the calls come in slices, and every root
+    # keeps its bits
+    specs = SCAN_CELLS[:4]
+    want = [[r.to_dict() for r in periodic.find_periodic_points(s, 4, 2048)] for s in specs]
+    sizes = []
+
+    def sliced(pred, lo, *args):
+        sizes.append(lo.size)
+        return bisect_array(pred, lo, *args)
+
+    monkeypatch.setattr(periodic, "LOCKSTEP_BRACKETS", 5)
+    monkeypatch.setattr(periodic, "bisect_array", sliced)
+    family = periodic.PeriodicFamily(specs, 4, 2048)
+    assert [[r.to_dict() for r in family.catalog(s)] for s in specs] == want
+    assert len(sizes) > 1 and max(sizes) == 5
+
+
+def test_family_catalog_is_read_once():
+    spec = SCAN_CELLS[0]
+    family = periodic.PeriodicFamily([spec, SCAN_CELLS[1]], 2, 1024)
+    family.catalog(spec)
+    assert family.specs == [None, SCAN_CELLS[1]]
+    with pytest.raises(ValueError, match="not a map of this family"):
+        family.catalog(spec)
 
 
 # ---------------------------------------------------------------------------
