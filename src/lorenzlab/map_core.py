@@ -353,14 +353,12 @@ def apply_raw(spec: LorenzMapSpec, x: float, side: Side = Side.NONE) -> float:
     c, tol = spec.c, spec.tolerance
     ker = _kernels(spec)
     if abs(x - c) <= tol:
-        if side == Side.MINUS:
-            return ker["left"][0][0](c)
-        if side == Side.PLUS:
-            return ker["right"][0][0](c)
-        raise UndirectedCriticalEvaluation(
-            f"undirected critical evaluation at x={x!r} (c={c!r})"
-        )
-    y = ker["left"][0][0](x) if x < c else ker["right"][0][0](x)
+        if side not in (Side.MINUS, Side.PLUS):
+            raise UndirectedCriticalEvaluation(f"undirected critical evaluation at x={x!r} (c={c!r})")
+        # the side's branch at c itself, clamped below to its critical value
+        y = ker["left" if side == Side.MINUS else "right"][0][0](c)
+    else:
+        y = ker["left"][0][0](x) if x < c else ker["right"][0][0](x)
     # min(max(y, 0.0), 1.0) bit for bit (NaN and -0.0 pass through)
     return 0.0 if y < 0.0 else (1.0 if y > 1.0 else y)
 

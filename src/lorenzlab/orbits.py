@@ -157,12 +157,12 @@ def orbit_chunks(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE)
         yield pts, False
 
 
-def orbit_list(spec: LorenzMapSpec, x0: float, n: int, side: Side = Side.NONE) -> list[float]:
-    """The points of orbit_chunks(spec, x0, n, side) in one list: n points,
-    or fewer when the orbit lands at c before its n-th point, which is then
-    the last one."""
+def orbit_list(spec: LorenzMapSpec, x0: float, n: int) -> list[float]:
+    """The points of orbit_chunks(spec, x0, n) in one list: n points, or
+    fewer when the orbit lands at c before its n-th point, which is then the
+    last one."""
     pts: list[float] = []
-    for chunk, _ in orbit_chunks(spec, x0, n, side):
+    for chunk, _ in orbit_chunks(spec, x0, n):
         pts += chunk
     return pts
 

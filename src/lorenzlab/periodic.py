@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .map_core import (
     derivative,
     eval_array,
 )
-from .orbits import itinerary, orbit_list
+from .orbits import critical_orbit, itinerary, orbit_list
 
 
 class PeriodicSearchError(ValueError):
@@ -125,24 +126,6 @@ def laps(spec: LorenzMapSpec, n: int) -> list[Lap]:
     return out
 
 
-class _Family:
-    """How the brackets of a family of maps step: one map by eval_array,
-    several by the PolynomialFamily kernel, each bracket carrying the
-    coefficient columns of its map (`columns(who)`, who the map of each
-    bracket). Either way every bracket gets its own map's eval_array bits."""
-
-    def __init__(self, specs):
-        if len(specs) == 1:
-            spec = specs[0]
-            self.tolerance = spec.tolerance
-            self.step = lambda x: eval_array(spec, x)
-            self.columns = lambda who: []
-        else:
-            family = PolynomialFamily(specs)
-            self.tolerance = family.tolerance
-            self.step, self.columns = family.eval_array, family.columns
-
-
 def _iterate_by_period(step, x: np.ndarray, periods: np.ndarray, columns=()) -> np.ndarray:
     """f^p(x) entry by entry, p the entry's period and f its map (`step`
     with the entry's `columns`). The periods are sorted longest first, so
@@ -165,12 +148,11 @@ def _directed_cycle(spec: LorenzMapSpec, x: float, n: int) -> list[float] | None
     """
     pts = orbit_list(spec, x, n + 1)
     if len(pts) <= n:
-        # landed at c before step n: continue from there on each side, and
-        # only an orbit that lands there once can close up
+        # landed at c at step k < n: on the side minus the orbit goes on as
+        # the critical orbit of v1 = f(c-), on the side plus as that of
+        # v0 = f(c+), and only an orbit that lands there once can close up
         k = len(pts) - 1
-        tries = (
-            pts[:k] + orbit_list(spec, pts[k], n + 1 - k, side) for side in (Side.MINUS, Side.PLUS)
-        )
+        tries = (pts + critical_orbit(spec, i, n - k).tolist() for i in (1, 0))
     else:
         tries = (pts,)
     for orbit in tries:
@@ -186,26 +168,34 @@ def _closure_gap(spec: LorenzMapSpec, x: float, n: int) -> float | None:
 
 
 def _tangential_roots(
-    family: _Family, a: np.ndarray, b: np.ndarray, periods: np.ndarray, *columns: np.ndarray
+    step, tol: float, a: np.ndarray, b: np.ndarray, periods: np.ndarray, *columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ternary search for a minimum of |f^p - id| on each bracket [a, b] in
-    lockstep, p the bracket's period (sorted longest first) and f its map:
-    the midpoints x of the brackets left after TANGENTIAL_ROUNDS rounds,
-    and whether |f^p(x) - x| <= 10 * tolerance there."""
-    if not a.size:
-        return a, np.zeros(0, dtype=bool)
-    both = np.repeat(periods, 2)
-    pairs = [np.repeat(col, 2) for col in columns]
+    lockstep, p the bracket's period (sorted longest first) and f its map
+    (`step` with the bracket's `columns`): the midpoints x of the brackets
+    left after TANGENTIAL_ROUNDS rounds, and whether |f^p(x) - x| <= 10 * tol
+    there.
+
+    Each round steps only the brackets that the round before moved: a
+    bracket that a round left as it was meets the same thirds in every
+    later round, so the result keeps every bit of the fixed-round loop."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.arange(a.size)
     for _ in range(TANGENTIAL_ROUNDS):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
+        if not live.size:
+            break
+        lo, hi = a[live], b[live]
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
         # interleaved, the pairs keep the longest-first order
         m = np.column_stack([m1, m2]).ravel()
-        g = np.abs(_iterate_by_period(family.step, m, both, pairs) - m)
+        pairs = [np.repeat(v[live], 2) for v in (periods, *columns)]
+        g = np.abs(_iterate_by_period(step, m, pairs[0], pairs[1:]) - m)
         nearer = g[0::2] < g[1::2]
-        a, b = np.where(nearer, a, m1), np.where(nearer, m2, b)
+        a[live], b[live] = np.where(nearer, lo, m1), np.where(nearer, m2, hi)
+        live = live[np.where(nearer, m2 != hi, m1 != lo)]
     x = 0.5 * (a + b)
-    return x, np.abs(_iterate_by_period(family.step, x, periods, columns) - x) <= 10 * family.tolerance
+    return x, np.abs(_iterate_by_period(step, x, periods, columns) - x) <= 10 * tol
 
 
 @dataclass
@@ -231,14 +221,12 @@ class _GridRoots:
         todo = [k for k, p in enumerate(self.on_hit) if p is not None and not held(p)]
         if todo:
             periods = np.full(len(todo), self.n)
-            x, closes = _tangential_roots(_Family([spec]), self.a[todo], self.b[todo], periods)
-            self.settle(todo, x, closes)
+            x, closes = _tangential_roots(
+                partial(eval_array, spec), spec.tolerance, self.a[todo], self.b[todo], periods
+            )
+            for k, v, ok in zip(todo, x.tolist(), closes.tolist()):
+                self.roots[k] = v if ok else None
         return [x for x in self.roots if x is not None]
-
-    def settle(self, todo: list[int], x: np.ndarray, closes: np.ndarray):
-        """Record the refined roots of the candidates `todo`."""
-        for k, v, ok in zip(todo, x.tolist(), closes.tolist()):
-            self.roots[k] = v if ok else None
 
 
 def _grid_brackets(spec: LorenzMapSpec, max_period: int, resolution: int):
@@ -289,7 +277,16 @@ def _grid_roots(specs: list[LorenzMapSpec], max_period: int, resolution: int) ->
     share its arrays."""
     if max_period < 1:
         return [[] for _ in specs]
-    family = _Family(specs)
+    # how the brackets step: one map by its eval_array, several by the
+    # PolynomialFamily kernel with the coefficient columns of each
+    # bracket's map (columns(who), who the map of each bracket); either way
+    # every bracket gets its own map's eval_array bits
+    if len(specs) == 1:
+        step, columns = partial(eval_array, specs[0]), lambda who: []
+    else:
+        family = PolynomialFamily(specs)
+        step, columns = family.eval_array, family.columns
+    tol = specs[0].tolerance
     out, signs = zip(*(_grid_brackets(spec, max_period, resolution) for spec in specs))
     # longest period first, then map by map, each in grid order
     order = [(i, n) for n in range(max_period, 0, -1) for i in range(len(specs))]
@@ -315,15 +312,15 @@ def _grid_roots(specs: list[LorenzMapSpec], max_period: int, resolution: int) ->
         """fn(*slices, *columns) on consecutive slices of at most
         LOCKSTEP_BRACKETS entries of the arrays, with the coefficient
         columns of each entry's map; its two outputs joined."""
-        step = LOCKSTEP_BRACKETS
+        size = LOCKSTEP_BRACKETS
         parts = [
-            fn(*(v[k : k + step] for v in arrays), *family.columns(who[k : k + step]))
-            for k in range(0, max(who.size, 1), step)
+            fn(*(v[k : k + size] for v in arrays), *columns(who[k : k + size]))
+            for k in range(0, max(who.size, 1), size)
         ]
         return [np.concatenate(p) for p in zip(*parts)]
 
     def same_sign_as_lo(m: np.ndarray, lo_neg: np.ndarray, periods: np.ndarray, *columns) -> np.ndarray:
-        return ((_iterate_by_period(family.step, m, periods, columns) - m) < 0) == lo_neg
+        return ((_iterate_by_period(step, m, periods, columns) - m) < 0) == lo_neg
 
     def bisect(lo, hi, *per_bracket):
         return bisect_array(same_sign_as_lo, lo, hi, 60, *per_bracket)
@@ -338,10 +335,11 @@ def _grid_roots(specs: list[LorenzMapSpec], max_period: int, resolution: int) ->
     (a, b), periods, who, split = longest_first(
         [[(f.a[k], f.b[k]) for f, k in zip(found, todo)] for found, todo in zip(out, off_hit)]
     )
-    x, closes = in_slices(lambda *args: _tangential_roots(family, *args), who, a, b, periods)
+    x, closes = in_slices(partial(_tangential_roots, step, tol), who, a, b, periods)
     for found, todo, xs, oks in zip(out, off_hit, split(x), split(closes)):
-        for f, *refined in zip(found, todo, xs, oks):
-            f.settle(*refined)
+        for f, ks, vs, good in zip(found, todo, xs, oks):
+            for k, v, ok in zip(ks, vs.tolist(), good.tolist()):
+                f.roots[k] = v if ok else None
     return list(out)
 
 
@@ -407,6 +405,10 @@ def _catalog(spec: LorenzMapSpec, grid_roots: list[_GridRoots]) -> list[Periodic
     neutral probe."""
     tol = spec.tolerance
     raw: list[PeriodicOrbitRecord] = []
+    # the closure residual |f^period(x) - x| of each record at its first
+    # point x, which ranks it in the cluster merge: 0.0 when its orbit meets
+    # c, inf when the orbit lands at c before it closes
+    residuals: list[float] = []
     seen: set[tuple[int, int]] = set()
     # (point, period) of every registered orbit, sorted by point
     index: list[tuple[float, int]] = []
@@ -438,21 +440,19 @@ def _catalog(spec: LorenzMapSpec, grid_roots: list[_GridRoots]) -> list[Periodic
         cycle = orbit[:period]
         start = int(np.argmin(cycle))
         cycle = cycle[start:] + cycle[:start]
-        is_super = any(abs(p - spec.c) <= tol for p in cycle)
-        if not is_super:
+        if any(abs(p - spec.c) <= tol for p in cycle):
+            mult, gap, kind = 0.0, 0.0, "super"
+        else:
             # the rotation to the smallest point loses accuracy on strongly
             # repelling cycles (the root error is amplified along the way);
             # a guarded Newton step on f^period - id restores it cheaply
-            mult0 = 1.0
-            for p in cycle:
-                if abs(p - spec.c) > tol:
-                    mult0 *= derivative(spec, p)
-            gap0 = _closure_gap(spec, cycle[0], period)
-            if gap0 is not None and abs(gap0) > 10 * tol and abs(mult0 - 1.0) > 1e-3:
+            mult = math.prod(derivative(spec, p) for p in cycle)
+            gap = _closure_gap(spec, cycle[0], period)
+            if gap is not None and abs(gap) > 10 * tol and abs(mult - 1.0) > 1e-3:
                 x0 = cycle[0]
-                g = gap0
+                g = gap
                 for _ in range(5):
-                    step = g / (mult0 - 1.0)
+                    step = g / (mult - 1.0)
                     if abs(step) > 1e-6:
                         break
                     x0 -= step
@@ -462,14 +462,10 @@ def _catalog(spec: LorenzMapSpec, grid_roots: list[_GridRoots]) -> list[Periodic
                 if g is not None and abs(g) <= 10 * tol:
                     rebuilt = _directed_cycle(spec, x0, period)
                     if rebuilt is not None:
-                        cycle = rebuilt
-        if is_super:
-            mult = 0.0
-            kind = "super"
-        else:
-            mult = 1.0
-            for p in cycle:
-                mult *= derivative(spec, p)
+                        # the rebuilt cycle starts at x0, where f^period
+                        # misses by g
+                        cycle, gap = rebuilt, g
+                        mult = math.prod(derivative(spec, p) for p in cycle)
             if abs(abs(mult) - 1.0) <= NEUTRAL_TOLERANCE:
                 kind = "neutral"
             elif abs(mult) < 1.0:
@@ -498,6 +494,7 @@ def _catalog(spec: LorenzMapSpec, grid_roots: list[_GridRoots]) -> list[Periodic
                 side_word="".join(bits),
             )
         )
+        residuals.append(0.0 if "*" in bits else math.inf if gap is None else abs(gap))
         # a near-neutral orbit passes the closure test over a wide basin, where
         # a later root can register a better-closing twin that wins the merge
         # below: only the other orbits are indexed
@@ -519,13 +516,9 @@ def _catalog(spec: LorenzMapSpec, grid_roots: list[_GridRoots]) -> list[Periodic
     # stability-aware cluster merge: a tangential (near-neutral) root passes
     # the closure test over a wide basin, and rotated twins of one orbit can
     # survive the exact key; compare sorted cycles over a small neighbor
-    # window in min-point order; a record whose orbit meets c ranks last
-    def residual(r: PeriodicOrbitRecord) -> float:
-        gap = 0.0 if "*" in r.side_word else _closure_gap(spec, r.points[0], r.period)
-        return math.inf if gap is None else abs(gap)
-
-    raw.sort(key=lambda r: (r.period, r.points[0]))
-    res_cache = [residual(r) for r in raw]
+    # window in min-point order; the smaller residual wins
+    order = sorted(range(len(raw)), key=lambda k: (raw[k].period, raw[k].points[0]))
+    raw, res_cache = [raw[k] for k in order], [residuals[k] for k in order]
     sorted_pts = [sorted(r.points) for r in raw]
     keep = [True] * len(raw)
     for i in range(len(raw)):

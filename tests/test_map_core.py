@@ -229,6 +229,34 @@ def _power_pair(c=0.4, a=(0.85, 0.8), alpha=(3.0, 2.2)):
     )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [embed_unimodal(logistic(4.5)), _power_pair(c=0.5, a=(1.2, 1.2), alpha=(2, 2))],
+    ids=["logistic4.5-embed", "power-overshoot"],
+)
+def test_directed_step_at_break_is_the_critical_value(spec, tmp_path):
+    # both branch values at c lie outside [0, 1] (1.125 and -0.125, 1.2 and
+    # -0.2); validate_map passes the map and clamps its critical values, and
+    # the directed step from c clamps the same way
+    from lorenzlab.cli import main
+
+    assert validate_map(spec).ok
+    v0, v1 = critical_values(spec)
+    assert (v0, v1) == (0.0, 1.0)
+    assert mc.apply_raw(spec, spec.c, Side.MINUS) == v1
+    assert mc.apply_raw(spec, spec.c, Side.PLUS) == v0
+    assert evaluate(spec, DirectedPoint(spec.c, Side.MINUS)).x == v1
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    for side in ("minus", "plus"):
+        out = tmp_path / f"{side}.csv"
+        argv = ["orbit", "--map", str(path), "--x0", repr(spec.c), "--side", side, "--steps", "3", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4 and all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+        assert float(rows[1][1]) == (v1 if side == "minus" else v0)
+
+
 def test_kernel_cache_keeps_spec_identity():
     import pickle
 

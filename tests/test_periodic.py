@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lorenzlab import (
     minimal_period_orbit_in,
     quadratic_pair,
 )
-from lorenzlab import periodic
+from lorenzlab import Side, builtin_map, orbits, periodic
 from lorenzlab.orbits import orbit_list
 from lorenzlab.spectral import stratum_blocks
 from lorenzlab.periodic import (
@@ -292,6 +293,52 @@ def test_catalog_work_counts(ex2, monkeypatch):
     assert runs[0]["tangential"] <= 2
     assert runs[0]["eval_array"] <= 1_500
     assert runs[0]["elements"] <= 6_000_000
+
+
+def test_catalog_walks_nothing_twice(monkeypatch):
+    # on a fresh map, whose critical walks start empty: a continuation
+    # through c reads those walks, so no walk starts with a side; the merge
+    # ranks by the residual each record kept; and f' is taken once per point
+    # of each orbit that _directed_cycle hands register (a rebuilt cycle
+    # is one more such orbit)
+    spec = builtin_map("logistic4-embed")
+    counts = {"walks": 0, "sided": 0, "derivative": 0, "cycle_points": 0}
+    gap_callers = set()
+    chunks, directed, closure_gap, derivative = (
+        orbits.orbit_chunks,
+        periodic._directed_cycle,
+        periodic._closure_gap,
+        periodic.derivative,
+    )
+
+    def walk(spec, x0, n, side=Side.NONE):
+        counts["walks"] += 1
+        counts["sided"] += side != Side.NONE
+        return chunks(spec, x0, n, side)
+
+    def directed_cycle(spec, x, n):
+        orbit = directed(spec, x, n)
+        if orbit is not None and sys._getframe(1).f_code.co_name == "register":
+            counts["cycle_points"] += len(orbit)
+        return orbit
+
+    def gap(spec, x, n):
+        gap_callers.add(sys._getframe(1).f_code.co_name)
+        return closure_gap(spec, x, n)
+
+    def counted_derivative(spec, x):
+        counts["derivative"] += 1
+        return derivative(spec, x)
+
+    monkeypatch.setattr(orbits, "orbit_chunks", walk)
+    monkeypatch.setattr(periodic, "_directed_cycle", directed_cycle)
+    monkeypatch.setattr(periodic, "_closure_gap", gap)
+    monkeypatch.setattr(periodic, "derivative", counted_derivative)
+    assert len(find_periodic_points(spec, 12)) == 747
+    assert counts["sided"] == 0
+    assert gap_callers <= {"known", "register"}
+    assert counts["derivative"] <= counts["cycle_points"]
+    assert counts["walks"] <= 13_183 and counts["derivative"] <= 8_104
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -762,7 +762,8 @@ def test_ternary_min_matches_tangency_reference(spec):
     periods = np.array([n for n, _ in brackets])
     a = np.array([grid[i - 1] for _, i in brackets])
     b = np.array([grid[i + 1] for _, i in brackets])
-    x, closes = periodic._tangential_roots(periodic._Family([spec]), a, b, periods)
+    step = functools.partial(eval_array, spec)
+    x, closes = periodic._tangential_roots(step, spec.tolerance, a, b, periods)
     for (n, i), got, ok in zip(brackets, x.tolist(), closes.tolist()):
         want = ref_tangency(spec, n, grid[i - 1], grid[i + 1])
         assert got == want
@@ -802,6 +803,20 @@ def test_directed_cycle_through_c_matches_reference():
             assert got == ref_directed_cycle(spec, x, n)
             assert periodic._closure_gap(spec, x, n) == ref_closure_gap(spec, x, n)
     assert periodic._directed_cycle(spec, spec.c, 1) == [spec.c]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SUPER, embed_unimodal(logistic(1 + math.sqrt(5))), embed_unimodal(logistic(3.4985616993277016))],
+    ids=["super", "logistic-1+sqrt5", "logistic-3.4985616993277016"],
+)
+def test_catalog_through_c_matches_reference(spec):
+    # whole catalogs of maps with c on a cycle (SUPER) or next to one (the
+    # superattracting logistic parameters, whose cycle point near c lies
+    # just outside tolerance of it); on the two logistic embeds roots land
+    # at c, and their orbits continue on each side as a critical orbit
+    got = [r.to_dict() for r in periodic.find_periodic_points(spec, 8)]
+    assert got == ref_catalog(spec, 8, 1 << 14)
 
 
 def test_residual_and_neutral_probe_match_reference(spec):
@@ -866,6 +881,38 @@ def test_scan_cells_as_one_family_match_reference():
     family = periodic.PeriodicFamily(SCAN_CELLS, 8, 1 << 14)
     for spec in SCAN_CELLS:
         assert [r.to_dict() for r in family.catalog(spec)] == ref_catalog(spec, 8, 1 << 14)
+
+
+def test_tangency_search_stops_when_its_brackets_do(monkeypatch):
+    # every candidate bracket of the scan cells, each cell's in one call,
+    # stops moving after round 67 or 68 of TANGENTIAL_ROUNDS = 80, and the
+    # rounds stop with it; every root keeps the bits of the 80-round search
+    found = {spec: periodic._grid_roots([spec], 8, 1 << 14)[0] for spec in SCAN_CELLS}
+    calls = []
+    iterate = periodic._iterate_by_period
+
+    def counted(step, x, periods, columns=()):
+        calls.append(x.size)
+        return iterate(step, x, periods, columns)
+
+    monkeypatch.setattr(periodic, "_iterate_by_period", counted)
+    candidates = 0
+    for spec, roots in found.items():
+        brackets = [(f.n, a, b) for f in reversed(roots) for a, b in zip(f.a.tolist(), f.b.tolist())]
+        if not brackets:
+            continue
+        candidates += len(brackets)
+        periods, a, b = map(np.array, zip(*brackets))
+        calls.clear()
+        x, closes = periodic._tangential_roots(functools.partial(eval_array, spec), spec.tolerance, a, b, periods)
+        # the rounds, then the closure test
+        assert len(calls) - 1 < periodic.TANGENTIAL_ROUNDS
+        for (n, lo, hi), got, ok in zip(brackets, x.tolist(), closes.tolist()):
+            want = ref_tangency(spec, n, lo, hi)
+            assert got == want
+            gap = float(ref_iterate_array(spec, np.array([want]), n)[0]) - want
+            assert ok == (abs(gap) <= 10 * spec.tolerance)
+    assert candidates == 16
 
 
 def test_scan_cells_have_tangential_candidates():
