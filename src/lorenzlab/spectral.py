@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .map_core import LorenzMapSpec, MapValidationError, critical_values, eval_array, pull_back
+from .map_core import ArrayStep, LorenzMapSpec, MapValidationError, critical_values, eval_array, pull_back
 from .orbits import critical_orbit, mark_omega_cells, orbit_list, rotation_number
 from .periodic import (
     MAX_PERIOD,
@@ -70,7 +70,7 @@ OMEGA0_BOTH = "{0,1}"
 
 
 # upper caps of the budgets: the catalog's period cap, the return-time cap,
-# and sizes tied to memory (the entropy word array holds 256 B per sample,
+# and sizes tied to memory (the entropy step holds about 60 B per sample,
 # and the grids one float or flag per cell)
 BUDGET_CAPS = {
     "max_period": MAX_PERIOD,
@@ -757,36 +757,46 @@ def entropy_estimate(
     them (every ENTROPY_MERGE_STEPS steps and at its end) without changing
     the set of words. The count is capped by 2^n, so the estimate never
     exceeds log 2.
+
+    The orbits step in place (map_core.ArrayStep). Over the word phase each
+    keeps its side bits in one uint64, so n + ENTROPY_WINDOWS - 1 may not
+    exceed 64, and each window marks its word in a table of 2^n flags.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
     n, windows = ENTROPY_WORD_LENGTH, ENTROPY_WINDOWS
+    if n + windows - 1 > 64:
+        raise ValueError(f"the word phase's {n + windows - 1} side bits do not fit in 64")
     if rng is None:
         rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, samples)
+    step = ArrayStep(spec, samples)
     for k in range(ENTROPY_BURN_IN):
         if k and k % ENTROPY_MERGE_STEPS == 0:
             x = _merge_equal_orbits(x)
-        x = eval_array(spec, x)
+        x = step(x)
     # no merging from here on: orbits that meet later had different words
     x = _merge_equal_orbits(x)
-    # rolling n-bit codes; NaN (an orbit that met c) propagates to the end
-    mask = np.uint64((1 << n) - 1)
-    code = np.zeros(x.size, dtype=np.uint64)
-    words = np.empty((windows, x.size), dtype=np.uint64)
-    for j in range(n + windows - 1):
-        code <<= np.uint64(1)
-        code |= x >= spec.c
-        code &= mask
-        if j >= n - 1:
-            words[j - n + 1] = code
-        x = eval_array(spec, x)
-    alive = ~np.isnan(eval_array(spec, x))
+    # one side bit per word-phase step, the first step highest; NaN (an
+    # orbit that met c) propagates to the end
+    hist = np.zeros(x.size, dtype=np.uint64)
+    side = np.empty(x.size, dtype=bool)
+    for _ in range(n + windows - 1):
+        hist <<= np.uint64(1)
+        hist |= np.greater_equal(x, spec.c, out=side)
+        x = step(x)
+    alive = ~np.isnan(step(x))
     if not alive.any():
         return 0.0
-    # dead orbits take a live orbit's words, which leaves the set unchanged
-    words[:, ~alive] = words[:, alive.argmax(), None]
-    return math.log(_distinct_count(words.ravel())) / n
+    hist = hist[alive]
+    # window w is the n bits that end windows - 1 - w bits above the lowest
+    seen = np.zeros(1 << n, dtype=bool)
+    word = np.empty_like(hist)
+    for w in range(windows):
+        np.right_shift(hist, np.uint64(windows - 1 - w), out=word)
+        word &= np.uint64((1 << n) - 1)
+        seen[word] = True
+    return math.log(np.count_nonzero(seen)) / n
 
 
 def _first_of_runs(codes: np.ndarray) -> np.ndarray:
@@ -797,11 +807,6 @@ def _first_of_runs(codes: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     return first
-
-
-def _distinct_count(codes: np.ndarray) -> int:
-    """Number of distinct values; sorts `codes` in place."""
-    return int(np.count_nonzero(_first_of_runs(codes)))
 
 
 def _merge_equal_orbits(x: np.ndarray) -> np.ndarray:

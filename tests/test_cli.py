@@ -99,13 +99,27 @@ IDENTITY_LEFT_MAP = {
     "name": "identity-left",
     "left": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
 }
+# branches that leave [0, 1] at c: f(c-) = 1.125 and f(c+) = -0.125
+# (logistic4.5-embed), and f(c-) = 1.2 and f(c+) = -0.2
+OVERSHOOTING_MAPS = (
+    {
+        "c": 0.5,
+        "left": {"kind": "polynomial", "coefficients": [0.0, 4.5, -4.5]},
+        "right": {"kind": "polynomial", "coefficients": [1.0, -4.5, 4.5]},
+    },
+    {
+        "c": 0.5,
+        "left": {"kind": "power_form", "a": 1.2, "alpha": 2.0},
+        "right": {"kind": "power_form", "a": 1.2, "alpha": 2.0},
+    },
+)
 
 
 def test_one_validation_gate(tmp_path):
     # analyze, classify, decompose and plotdata --kind strata stop at the
     # same check with the same error report, validation included
     commands = (["analyze"], ["classify"], ["decompose"], ["plotdata", "--kind", "strata"])
-    for config in (BROKEN_MAP, IDENTITY_LEFT_MAP):
+    for config in (BROKEN_MAP, IDENTITY_LEFT_MAP, *OVERSHOOTING_MAPS):
         cfg = tmp_path / "m.json"
         cfg.write_text(json.dumps(config))
         reports = []

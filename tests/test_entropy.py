@@ -1,15 +1,17 @@
 """`spectral.entropy_estimate`, which merges bit-equal float orbits during
-the burn-in, against the loop that stepped every sample, kept here verbatim
-as the reference."""
+the burn-in, steps in place and marks its words in a table, against the
+loop that stepped every sample through `eval_array` and kept every word,
+kept here as the reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lorenzlab import builtin_map, quadratic_pair, spectral
-from lorenzlab.map_core import BUILTIN_NAMES, BranchSpec, LorenzMapSpec, eval_array
-from lorenzlab.spectral import _distinct_count, entropy_estimate
+from lorenzlab.map_core import BUILTIN_NAMES, ArrayStep, BranchSpec, LorenzMapSpec, eval_array
+from lorenzlab.spectral import entropy_estimate
 
 
 def reference_entropy_estimate(spec, n=20, samples=100_000, rng=None, burn_in=512, windows_per_orbit=32):
@@ -43,7 +45,7 @@ def reference_entropy_estimate(spec, n=20, samples=100_000, rng=None, burn_in=51
     for k in range(1, windows_per_orbit):
         code = ((code << np.uint64(1)) | bits[:, n + k - 1].astype(np.uint64)) & mask
         words[k] = code
-    return math.log(_distinct_count(words.ravel())) / n
+    return math.log(np.unique(words).size) / n
 
 
 def power_map(c, a, alpha) -> LorenzMapSpec:
@@ -113,23 +115,64 @@ def test_entropy_matches_reference_across_arguments(name, burn_in, windows_per_o
     same(spec, samples=10_000)
 
 
+def counted_steps(monkeypatch) -> list[int]:
+    """The sizes of the arrays entropy_estimate steps, one entry a step."""
+    elements = []
+
+    class Counting(ArrayStep):
+        def __call__(self, x):
+            elements.append(np.size(x))
+            return super().__call__(x)
+
+    monkeypatch.setattr(spectral, "ArrayStep", Counting)
+    return elements
+
+
 def test_orbit_merge_cuts_the_work(monkeypatch):
     # paper-example has an attracting 2-cycle: almost every float orbit
     # falls onto one of a few exact float values during the burn-in
     spec = builtin_map("paper-example")
-    elements = []
-
-    def counting(spec, x):
-        elements.append(np.size(x))
-        return eval_array(spec, x)
-
-    monkeypatch.setattr(spectral, "eval_array", counting)
+    elements = counted_steps(monkeypatch)
     samples = 100_000
     n, burn_in, windows = spectral.ENTROPY_WORD_LENGTH, spectral.ENTROPY_BURN_IN, spectral.ENTROPY_WINDOWS
     h = entropy_estimate(spec)
-    assert sum(elements) < 0.25 * samples * (burn_in + n + windows)
+    assert 0 < sum(elements) < 0.25 * samples * (burn_in + n + windows)
     monkeypatch.undo()
     assert h == reference_entropy_estimate(spec)
+
+
+def test_unmerged_orbits_step_every_sample(monkeypatch):
+    # on logistic4-embed no two of the 100,000 float orbits meet: each
+    # steps through the burn-in, the n + windows - 1 word-phase steps and
+    # the one step that tells whether it met c
+    elements = counted_steps(monkeypatch)
+    entropy_estimate(builtin_map("logistic4-embed"))
+    assert sum(elements) == 100_000 * (512 + 52) == 56_400_000
+
+
+def test_entropy_estimate_peak_memory():
+    # no samples x windows word array: the steps' work arrays and a 2^20
+    # table of seen words (a word array alone would be 25.6 MB)
+    spec = builtin_map("logistic4-embed")
+    entropy_estimate(spec, 10_000)  # kernels and imports, outside the count
+    tracemalloc.start()
+    try:
+        entropy_estimate(spec, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def test_entropy_refuses_a_side_history_wider_than_64_bits(monkeypatch):
+    monkeypatch.setattr(spectral, "ENTROPY_WORD_LENGTH", 20)
+    monkeypatch.setattr(spectral, "ENTROPY_WINDOWS", 46)
+    with pytest.raises(ValueError, match="64"):
+        entropy_estimate(builtin_map("paper-example"), 10_000)
+    # 64 bits exactly: the first word-phase step lands on the top bit
+    monkeypatch.setattr(spectral, "ENTROPY_WINDOWS", 45)
+    monkeypatch.setattr(spectral, "ENTROPY_BURN_IN", 0)
+    same(builtin_map("paper-example"), samples=10_000)
 
 
 def test_entropy_rejects_too_few_samples():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import map_core as mc
 from lorenzlab import (
@@ -14,6 +16,7 @@ from lorenzlab import (
     evaluate,
     logistic,
     preimages,
+    quadratic_pair,
     schwarzian,
     validate_map,
 )
@@ -220,12 +223,13 @@ def test_builtin_names():
         mc.builtin_map("no-such-map")
 
 
-def _power_pair(c=0.4, a=(0.85, 0.8), alpha=(3.0, 2.2)):
+def _power_pair(c=0.4, a=(0.85, 0.8), alpha=(3.0, 2.2), tolerance=1e-10):
     return mc.LorenzMapSpec(
         c=c,
         left=mc.BranchSpec("power_form", "left", a=a[0], alpha=alpha[0]),
         right=mc.BranchSpec("power_form", "right", a=a[1], alpha=alpha[1]),
         name="power-pair",
+        tolerance=tolerance,
     )
 
 
@@ -236,11 +240,15 @@ def _power_pair(c=0.4, a=(0.85, 0.8), alpha=(3.0, 2.2)):
 )
 def test_directed_step_at_break_is_the_critical_value(spec, tmp_path):
     # both branch values at c lie outside [0, 1] (1.125 and -0.125, 1.2 and
-    # -0.2); validate_map passes the map and clamps its critical values, and
-    # the directed step from c clamps the same way
+    # -0.2): validate_map refuses the map and names both values; the
+    # critical values are clamped, and the directed step from c clamps the
+    # same way
     from lorenzlab.cli import main
 
-    assert validate_map(spec).ok
+    rep = validate_map(spec)
+    assert not rep.is_lorenz and not rep.ok
+    for limit, v in (("f(c-)", mc.branch_value(spec, "left", spec.c)), ("f(c+)", mc.branch_value(spec, "right", spec.c))):
+        assert f"{limit}={v} outside [0, 1]" in rep.notes
     v0, v1 = critical_values(spec)
     assert (v0, v1) == (0.0, 1.0)
     assert mc.apply_raw(spec, spec.c, Side.MINUS) == v1
@@ -422,3 +430,73 @@ def test_polynomial_family_steps_each_entry_by_its_map(rng):
 def test_polynomial_family_refuses_maps_that_cannot_share_a_step(other):
     with pytest.raises(ValueError, match="family shares"):
         mc.PolynomialFamily([mc.quadratic_pair(3.5, 3.5), other])
+
+
+def _bits(a) -> list[int]:
+    # NaN payloads and signs included
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+def test_horner_into_out_matches_horner(rng):
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 50), [0.0, -0.0, 1.0, np.nan, -np.nan]])
+    for degree in range(5):
+        rev = tuple(rng.normal(0.0, 3.0, degree + 1).tolist())
+        columns = [np.full(x.size, r) for r in rev]
+        for coefficients in (rev, columns):
+            out = np.empty_like(x)
+            assert mc._horner(x, coefficients, out=out) is out
+            assert _bits(out) == _bits(mc._horner(x, coefficients))
+
+
+TOLERANCES = st.sampled_from([1e-10, 1e-3])
+STEP_SPECS = st.one_of(
+    st.builds(quadratic_pair, st.floats(2.5, 4.0), st.floats(2.5, 4.0), tolerance=TOLERANCES),
+    st.builds(
+        _power_pair,
+        st.floats(0.3, 0.7),
+        st.tuples(st.floats(0.6, 1.0), st.floats(0.6, 1.0)),
+        st.tuples(st.floats(1.2, 4.0), st.floats(1.2, 4.0)),
+        TOLERANCES,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    spec=STEP_SPECS,
+    xs=st.lists(st.floats(0.0, 1.0), max_size=40),
+    cuts=st.lists(st.tuples(st.integers(0, 60), st.booleans()), min_size=1, max_size=6),
+)
+def test_array_step_matches_eval_array_bit_for_bit(spec, xs, cuts):
+    # several consecutive steps, the previous result fed back (so the two
+    # output arrays alternate), with the array cut to fewer points between
+    # steps: a view of the last result or a fresh copy, as after a merge
+    c, tol = spec.c, spec.tolerance
+    edges = [c, c - tol, c + tol]
+    points = xs + edges + [math.nextafter(e, t) for e in edges for t in (-math.inf, math.inf)]
+    x = np.array(points + [0.0, -0.0, 1.0, np.nan, -np.nan])
+    step = mc.ArrayStep(spec, x.size)
+    for size, fresh in cuts:
+        held = _bits(x)
+        y = step(x)
+        # the input, the previous result, is left as it was
+        assert _bits(x) == held
+        assert _bits(y) == _bits(mc.eval_array(spec, x))
+        x = y[: max(1, min(size, y.size))]
+        if fresh:
+            x = x.copy()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(spec=STEP_SPECS, xs=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_array_step_selects_as_np_where_without_the_dead_rule(spec, xs):
+    # with no dead ball around c, the bit blend picks np.where's branch at
+    # c itself too: x - c is +0.0 there, so the right branch
+    c = spec.c
+    x = np.array(xs + [c, math.nextafter(c, 0.0), math.nextafter(c, 1.0), 0.0, -0.0, 1.0, np.nan])
+    step = mc.ArrayStep(spec, x.size)
+    step.tolerance = -math.inf
+    ker = mc._kernels(spec)
+    with np.errstate(invalid="ignore"):
+        want = mc._join_branches(x, c, -math.inf, ker["left"][1][0](x), ker["right"][1][0](x))
+    assert _bits(step(x)) == _bits(want)

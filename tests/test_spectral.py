@@ -202,17 +202,6 @@ def test_wild_is_never_asserted(an1, an2, an3):
         assert classify_attractor(a).kind != "wild_candidate"
 
 
-def test_distinct_count_matches_unique(rng):
-    import numpy as np
-
-    from lorenzlab.spectral import _distinct_count
-
-    random_codes = rng.integers(0, 2**20, 300_000, dtype=np.uint64)
-    repeats = rng.integers(0, 7, 300_000, dtype=np.uint64) * np.uint64(2**40 + 3)
-    for codes in (random_codes, repeats, np.full(5, 9, dtype=np.uint64), np.zeros(1, dtype=np.uint64)):
-        assert _distinct_count(codes.copy()) == np.unique(codes).size
-
-
 def test_build_report_computes_each_object_once(monkeypatch):
     # a one-level chain: the catalog, the sequence and the trapping region
     # of the level are each computed once for the whole report
