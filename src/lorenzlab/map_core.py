@@ -432,12 +432,18 @@ class PolynomialFamily:
 
 
 class ArrayStep:
-    """eval_array(spec, x), bit for bit, for one large array stepped many
-    times. The step owns its work arrays: two output arrays that alternate,
-    two scratch arrays, an int64 mask and a bool array, each of `size`
-    elements. A step writes only into them: polynomial branches run Horner
-    in place, and power_form branches call their array kernels and are
-    joined in place.
+    """eval_array(spec, x), bit for bit, for arrays of up to `size` points
+    stepped many times. The step owns its work arrays: two output arrays
+    that alternate, two scratch arrays, an int64 mask and a bool array, each
+    of `size` elements. A step writes only into them: polynomial branches
+    run Horner in place, and power_form branches call their array kernels
+    and are joined in place.
+
+    Many points step fastest in tiles, each through many steps before the
+    next: entropy_estimate's tiles of 2^14 points keep the six work arrays
+    at about 0.8 MB, inside a core's L2 cache. On logistic4-embed they took
+    5.5-7.4 ns per element-step against 6.8-8.5 ns for 100,000 points at
+    once (2 cores, CPython 3.11.7, numpy 2.4.6, busy host).
 
     The side of c is chosen by a bit blend instead of np.where: with
     m = (x - c).view(int64) >> 63, all ones exactly where x < c (in IEEE

@@ -220,32 +220,40 @@ def _candidate_pairs(
     t = _orbit_table(spec, catalog)
     # rows: the orbit of a; columns: the orbit of b
     a, b = t.a[:, None], t.b[None, :]
-    ok = (
-        ~np.isnan(a)
-        & ~np.isnan(b)
-        & ~((a <= tol) & (b >= 1.0 - tol))
-        # orbit of a must not enter (a, b): its least point above c is >= b
-        & ~(t.b[:, None] < b - tol)
-        # orbit of b must not enter (a, b): its greatest point below c is <= a
-        & ~(t.a[None, :] > a + tol)
-        # unless a is fixed, f((a,c)) = (f(a), v1) must clear (a, b) at once
-        & ~((t.period[:, None] > 1) & (t.fa[:, None] < b - tol))
-        & ~((t.period[None, :] > 1) & (t.fb[None, :] > a + tol))
-    )
-    i, j = np.nonzero(ok)
-    # the first pair of each (a, b) key in row-major order, as a dict keeps it
-    ka, kb = (np.unique(x, return_inverse=True)[1] for x in (t.a, t.b))
-    first = np.zeros(len(i), dtype=bool)
-    first[np.unique(ka[i] * len(kb) + kb[j], return_index=True)[1]] = True
-    i, j = i[first], j[first]
-    a, b = t.a[i], t.b[j]
+    ok = ~np.isnan(a) & ~np.isnan(b)
+    ok &= ~((a <= tol) & (b >= 1.0 - tol))
+    # orbit of a must not enter (a, b): its least point above c is >= b
+    ok &= ~(t.b[:, None] < b - tol)
+    # orbit of b must not enter (a, b): its greatest point below c is <= a
+    ok &= ~(t.a[None, :] > a + tol)
+    # unless a is fixed, f((a,c)) = (f(a), v1) must clear (a, b) at once
+    ok &= ~((t.period[:, None] > 1) & (t.fa[:, None] < b - tol))
+    ok &= ~((t.period[None, :] > 1) & (t.fb[None, :] > a + tol))
     # one-sided critical orbits: f^period(a)([a,c)) = (a, f^(period(a)-1)(v1))
     # when the side certifies, so the critical orbit must re-enter [a,b] at
-    # exactly that time (NaN: no test)
-    w1, w0 = t.w1[i], t.w0[j]
-    ok = ~((w1 < a - tol) | (w1 > b + tol)) & ~((w0 < a - tol) | (w0 > b + tol))
-    order = np.argsort(a[ok] - b[ok], kind="stable")  # widest first
-    i, j = i[ok][order], j[ok][order]
+    # exactly that time (NaN: no test); w1 and a are the row's, w0 and b the
+    # column's
+    w1, w0 = t.w1[:, None], t.w0[None, :]
+    keep = ~(w1 > b + tol)
+    keep &= ~(w0 < a - tol)
+    keep &= ~(t.w1 < t.a - tol)[:, None]
+    keep &= ~(t.w0 > t.b + tol)[None, :]
+    keep &= ok
+    i, j = np.nonzero(keep)
+    # a pair stays if it is the first of its (a, b) key in row-major order
+    # among all pairs that pass ok, as a dict of those pairs keeps it, so a
+    # key whose first pair fails w is dropped; only a pair whose a or b
+    # value recurs in another orbit can have an earlier pair of its key
+    ka, kb = (np.unique(x, return_inverse=True)[1] for x in (t.a, t.b))
+    recurs = (np.bincount(ka)[ka[i]] > 1) | (np.bincount(kb)[kb[j]] > 1)
+    first = np.ones(len(i), dtype=bool)
+    for s in np.flatnonzero(recurs):
+        rows, cols = np.flatnonzero(ka == ka[i[s]]), np.flatnonzero(kb == kb[j[s]])
+        r, q = np.unravel_index(np.argmax(ok[np.ix_(rows, cols)]), (rows.size, cols.size))
+        first[s] = rows[r] == i[s] and cols[q] == j[s]
+    i, j = i[first], j[first]
+    order = np.argsort(t.a[i] - t.b[j], kind="stable")  # widest first
+    i, j = i[order], j[order]
     return list(zip(t.a[i].tolist(), t.b[j].tolist(), t.period[i].tolist(), t.period[j].tolist()))
 
 

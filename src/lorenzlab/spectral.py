@@ -57,6 +57,10 @@ ENTROPY_WORD_LENGTH = 20
 ENTROPY_WINDOWS = 32
 ENTROPY_BURN_IN = 512
 ENTROPY_MERGE_STEPS = 64
+# between two merges, and over the word phase, entropy_estimate steps one
+# tile of this many orbits through all its steps before the next: the
+# step's six work arrays then take about 0.8 MB and stay in a core's L2
+ENTROPY_TILE = 1 << 14
 # the coverage probe keeps at most this many merged image components and
 # stops once this share of its target cells is covered, the share a
 # transitivity probe must reach
@@ -758,9 +762,13 @@ def entropy_estimate(
     the set of words. The count is capped by 2^n, so the estimate never
     exceeds log 2.
 
-    The orbits step in place (map_core.ArrayStep). Over the word phase each
-    keeps its side bits in one uint64, so n + ENTROPY_WINDOWS - 1 may not
-    exceed 64, and each window marks its word in a table of 2^n flags.
+    The orbits step in place (map_core.ArrayStep), in tiles of ENTROPY_TILE:
+    between two merges, and over the word phase, each tile takes all its
+    steps before the next starts. A word depends only on its own orbit, and
+    the merges see every orbit, so the tiles change neither the words nor
+    the work. Over the word phase each orbit keeps its side bits in one
+    uint64, so n + ENTROPY_WINDOWS - 1 may not exceed 64, and each window
+    marks its word in a table of 2^n flags.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
@@ -770,33 +778,41 @@ def entropy_estimate(
     if rng is None:
         rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, samples)
-    step = ArrayStep(spec, samples)
-    for k in range(ENTROPY_BURN_IN):
-        if k and k % ENTROPY_MERGE_STEPS == 0:
+    step = ArrayStep(spec, min(samples, ENTROPY_TILE))
+    for k in range(0, ENTROPY_BURN_IN, ENTROPY_MERGE_STEPS):
+        if k:
             x = _merge_equal_orbits(x)
-        x = step(x)
+        for tile in _tiles(x):
+            y = tile
+            for _ in range(min(ENTROPY_MERGE_STEPS, ENTROPY_BURN_IN - k)):
+                y = step(y)
+            tile[:] = y
     # no merging from here on: orbits that meet later had different words
     x = _merge_equal_orbits(x)
-    # one side bit per word-phase step, the first step highest; NaN (an
-    # orbit that met c) propagates to the end
-    hist = np.zeros(x.size, dtype=np.uint64)
-    side = np.empty(x.size, dtype=bool)
-    for _ in range(n + windows - 1):
-        hist <<= np.uint64(1)
-        hist |= np.greater_equal(x, spec.c, out=side)
-        x = step(x)
-    alive = ~np.isnan(step(x))
-    if not alive.any():
-        return 0.0
-    hist = hist[alive]
-    # window w is the n bits that end windows - 1 - w bits above the lowest
     seen = np.zeros(1 << n, dtype=bool)
-    word = np.empty_like(hist)
-    for w in range(windows):
-        np.right_shift(hist, np.uint64(windows - 1 - w), out=word)
-        word &= np.uint64((1 << n) - 1)
-        seen[word] = True
-    return math.log(np.count_nonzero(seen)) / n
+    for y in _tiles(x):
+        # one side bit per word-phase step, the first step highest; NaN (an
+        # orbit that met c) propagates to the end
+        hist = np.zeros(y.size, dtype=np.uint64)
+        side = np.empty(y.size, dtype=bool)
+        for _ in range(n + windows - 1):
+            hist <<= np.uint64(1)
+            hist |= np.greater_equal(y, spec.c, out=side)
+            y = step(y)
+        hist = hist[~np.isnan(step(y))]
+        # window w is the n bits that end windows - 1 - w bits above the lowest
+        word = np.empty_like(hist)
+        for w in range(windows):
+            np.right_shift(hist, np.uint64(windows - 1 - w), out=word)
+            word &= np.uint64((1 << n) - 1)
+            seen[word] = True
+    count = np.count_nonzero(seen)
+    return math.log(count) / n if count else 0.0
+
+
+def _tiles(x: np.ndarray) -> list[np.ndarray]:
+    """Views of x, ENTROPY_TILE elements each but the last."""
+    return [x[k : k + ENTROPY_TILE] for k in range(0, x.size, ENTROPY_TILE)]
 
 
 def _first_of_runs(codes: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """`spectral.entropy_estimate`, which merges bit-equal float orbits during
-the burn-in, steps in place and marks its words in a table, against the
-loop that stepped every sample through `eval_array` and kept every word,
-kept here as the reference."""
+the burn-in, steps its orbits in place one tile at a time and marks its
+words in a table, against the loop that stepped every sample through
+`eval_array` and kept every word, kept here as the reference."""
 
 import math
 import tracemalloc
@@ -98,8 +98,53 @@ def test_entropy_matches_reference_on_other_maps(name):
     same(MAPS[name], seed=5, samples=10_000)
 
 
+TILE = spectral.ENTROPY_TILE
+
+
+@pytest.mark.parametrize("samples", [10_000, TILE, TILE + 1, 3 * TILE - 1])
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "power(2.7,1.9)"])
+def test_entropy_matches_reference_across_tile_edges(name, samples):
+    spec = MAPS[name] if name in MAPS else builtin_map(name)
+    assert entropy_estimate(spec, samples).hex() == reference_entropy_estimate(spec, samples=samples).hex()
+
+
+def test_entropy_matches_reference_on_a_power_map_at_full_size():
+    same(MAPS["power(2.7,1.9)"])
+
+
 def test_entropy_zero_when_every_orbit_dies():
     assert same(quadratic_pair(3.4, 4.0, tolerance=0.49), samples=10_000) == 0.0
+
+
+def test_entropy_zero_when_every_orbit_of_every_tile_dies():
+    assert same(quadratic_pair(3.4, 4.0, tolerance=0.49), samples=3 * TILE - 1) == 0.0
+
+
+class Fixed:
+    """An rng whose uniform draw is a given array."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def uniform(self, low, high, size):
+        assert size == self.x.size
+        return self.x.copy()
+
+
+def test_entropy_with_a_tile_whose_orbits_all_die(monkeypatch):
+    # without burn-in the word phase starts on the merge's sorted points:
+    # the first tile is the points within tol of c, which all die at the
+    # first step, and the rest live in (c + 2 tol, 1)
+    monkeypatch.setattr(spectral, "ENTROPY_BURN_IN", 0)
+    spec = MAPS["dying"]
+    c, tol = spec.c, spec.tolerance
+    near = np.linspace(c - 0.9 * tol, c + 0.9 * tol, TILE)
+    far = np.random.default_rng(1).uniform(c + 2 * tol, 1.0, 2 * TILE)
+    x = np.random.default_rng(2).permutation(np.concatenate([near, far]))
+    assert np.isnan(eval_array(spec, np.sort(x)[:TILE])).all()
+    got = entropy_estimate(spec, x.size, rng=Fixed(x))
+    want = reference_entropy_estimate(spec, 20, x.size, Fixed(x), 0, 32)
+    assert got == want > 0
 
 
 @pytest.mark.parametrize("name", ["paper-example", "logistic3.4-embed", "dying"])
@@ -141,6 +186,25 @@ def test_orbit_merge_cuts_the_work(monkeypatch):
     assert h == reference_entropy_estimate(spec)
 
 
+def test_tiles_step_what_the_whole_array_stepped(monkeypatch):
+    # merges see all orbits, so the tiles step the elements that one array
+    # of all orbits stepped (7,663,504 on paper-example), in arrays of at
+    # most ENTROPY_TILE elements
+    sizes = []
+    elements = counted_steps(monkeypatch)
+    Counting = spectral.ArrayStep
+
+    class Sized(Counting):
+        def __init__(self, spec, size):
+            sizes.append(size)
+            super().__init__(spec, size)
+
+    monkeypatch.setattr(spectral, "ArrayStep", Sized)
+    entropy_estimate(builtin_map("paper-example"))
+    assert sum(elements) == 7_663_504
+    assert sizes == [TILE] and max(elements) == TILE
+
+
 def test_unmerged_orbits_step_every_sample(monkeypatch):
     # on logistic4-embed no two of the 100,000 float orbits meet: each
     # steps through the burn-in, the n + windows - 1 word-phase steps and
@@ -150,18 +214,27 @@ def test_unmerged_orbits_step_every_sample(monkeypatch):
     assert sum(elements) == 100_000 * (512 + 52) == 56_400_000
 
 
-def test_entropy_estimate_peak_memory():
-    # no samples x windows word array: the steps' work arrays and a 2^20
-    # table of seen words (a word array alone would be 25.6 MB)
-    spec = builtin_map("logistic4-embed")
+def traced_peak(spec, samples):
     entropy_estimate(spec, 10_000)  # kernels and imports, outside the count
     tracemalloc.start()
     try:
-        entropy_estimate(spec, 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        entropy_estimate(spec, samples)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_entropy_estimate_peak_memory():
+    # no samples x windows word array (25.6 MB) and work arrays of one tile,
+    # not of all orbits: the orbits, the merge's sort and a 2^20 table of
+    # seen words (7.0 MB with work arrays of all orbits)
+    assert traced_peak(builtin_map("logistic4-embed"), 100_000) < 6e6
+
+
+def test_entropy_estimate_peak_memory_at_the_samples_cap():
+    # 10^6 orbits (the samples budget's cap) on paper-example: 51.3 MB with
+    # work arrays and a side history of all orbits
+    assert traced_peak(builtin_map("paper-example"), 10**6) < 30e6
 
 
 def test_entropy_refuses_a_side_history_wider_than_64_bits(monkeypatch):

@@ -2,9 +2,14 @@
 scans it replaced: the old renorm._candidate_pairs, the critical-orbit
 precheck loop of find_renormalizations and the old detect_degenerate, kept
 here verbatim as references, save that the old detect_degenerate reads the
-first `horizon` points of each critical orbit, as the shared walk does."""
+first `horizon` points of each critical orbit, as the shared walk does.
+Also kept: the table search that indexed every pair passing the catalog
+mask before the critical-orbit test, against which the search that decides
+that test on the mask is pinned."""
 
 import functools
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +206,44 @@ def ref_candidates(spec, catalog):
     return ref_precheck(spec, catalog, ref_candidate_pairs(spec, catalog))
 
 
+def index_then_filter_pairs(
+    spec: LorenzMapSpec, catalog: list[PeriodicOrbitRecord]
+) -> list[tuple[float, float, int, int]]:
+    """The table search that indexed every pair passing the catalog mask,
+    deduped their (a, b) keys and then applied the critical-orbit test."""
+    tol = spec.tolerance
+    t = renorm._orbit_table(spec, catalog)
+    # rows: the orbit of a; columns: the orbit of b
+    a, b = t.a[:, None], t.b[None, :]
+    ok = (
+        ~np.isnan(a)
+        & ~np.isnan(b)
+        & ~((a <= tol) & (b >= 1.0 - tol))
+        # orbit of a must not enter (a, b): its least point above c is >= b
+        & ~(t.b[:, None] < b - tol)
+        # orbit of b must not enter (a, b): its greatest point below c is <= a
+        & ~(t.a[None, :] > a + tol)
+        # unless a is fixed, f((a,c)) = (f(a), v1) must clear (a, b) at once
+        & ~((t.period[:, None] > 1) & (t.fa[:, None] < b - tol))
+        & ~((t.period[None, :] > 1) & (t.fb[None, :] > a + tol))
+    )
+    i, j = np.nonzero(ok)
+    # the first pair of each (a, b) key in row-major order, as a dict keeps it
+    ka, kb = (np.unique(x, return_inverse=True)[1] for x in (t.a, t.b))
+    first = np.zeros(len(i), dtype=bool)
+    first[np.unique(ka[i] * len(kb) + kb[j], return_index=True)[1]] = True
+    i, j = i[first], j[first]
+    a, b = t.a[i], t.b[j]
+    # one-sided critical orbits: f^period(a)([a,c)) = (a, f^(period(a)-1)(v1))
+    # when the side certifies, so the critical orbit must re-enter [a,b] at
+    # exactly that time (NaN: no test)
+    w1, w0 = t.w1[i], t.w0[j]
+    ok = ~((w1 < a - tol) | (w1 > b + tol)) & ~((w0 < a - tol) | (w0 > b + tol))
+    order = np.argsort(a[ok] - b[ok], kind="stable")  # widest first
+    i, j = i[ok][order], j[ok][order]
+    return list(zip(t.a[i].tolist(), t.b[j].tolist(), t.period[i].tolist(), t.period[j].tolist()))
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 
@@ -270,6 +313,68 @@ def test_constructed_catalogs_match_reference(ex1, cat1):
 def test_random_quadratic_pairs_match_reference(a_left, a_right):
     spec = quadratic_pair(a_left, a_right)
     check(spec, find_periodic_points(spec, 6, 2048), 6)
+
+
+def same_as_index_then_filter(spec, catalog):
+    got = renorm._candidate_pairs(spec, catalog)
+    assert pickle.dumps(got) == pickle.dumps(index_then_filter_pairs(spec, catalog))
+    return got
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_mask_search_matches_index_then_filter_on_builtins(name, cat1, cat2, cat3):
+    cat = {"paper-example": cat1, "logistic4-embed": cat2, "logistic3.4-embed": cat3}[name]
+    same_as_index_then_filter(builtin_map(name), cat)
+
+
+@pytest.mark.parametrize("pair", [tuple(p) for p in np.random.default_rng(3).uniform(3, 4, (12, 2)).tolist()])
+def test_mask_search_matches_index_then_filter_on_quadratic_pairs(pair):
+    spec = quadratic_pair(*pair)
+    same_as_index_then_filter(spec, find_periodic_points(spec, 12))
+
+
+def test_key_whose_first_pair_fails_the_critical_orbit_is_dropped(ex3):
+    # on logistic3.4-embed f^(p-1)(v1) is 0.165 at p = 3 and 0.4685 at p = 4,
+    # f^(p-1)(v0) is 0.835 at p = 3 and 0.5315 at p = 4: of orbits with
+    # a = 0.3 (rows) or b = 0.6 (columns) the period-3 ones fail the test on
+    # [0.3, 0.6] and the period-4 ones pass it. Fixed points have no test.
+    a, b = 0.3, 0.6
+    rows = {p: record([a, 0.9, 0.95, 0.97][:p]) for p in (3, 4)}
+    cols = {p: record([b, 0.1, 0.05, 0.02][:p]) for p in (3, 4)}
+    t = renorm._orbit_table(ex3, [rows[3], rows[4], cols[3], cols[4]])
+    assert not (a <= t.w1[0] <= b) and a <= t.w1[1] <= b
+    assert not (a <= t.w0[2] <= b) and a <= t.w0[3] <= b
+
+    def keys(cat):
+        return {(x, y): (p, q) for x, y, p, q in same_as_index_then_filter(ex3, cat)}
+
+    # a shared, then b shared, then both: the row-major first pair of the
+    # key fails, a later one passes, and the key is dropped
+    for cat in (
+        [rows[3], rows[4], record([b])],
+        [record([a]), cols[3], cols[4]],
+        [rows[4], rows[3], cols[3], cols[4]],
+    ):
+        assert (a, b) not in keys(cat)
+        assert keys(cat) == {k: v for k, v in keys(cat[::-1]).items() if k != (a, b)}
+    # the passing pair first, or alone, keeps its key
+    assert keys([rows[4], rows[3], record([b])])[a, b] == (4, 1)
+    assert keys([record([a]), cols[4], cols[3]])[a, b] == (1, 4)
+    assert keys([rows[4], cols[4]])[a, b] == (4, 4)
+    assert keys([rows[4], rows[3], cols[4], cols[3]])[a, b] == (4, 4)
+
+
+def test_mask_search_peak_memory(ex2, cat2):
+    # the 198,099 pairs of logistic4-embed that pass the catalog mask are not
+    # indexed: that took 13.8 MB and the critical-orbit test then dropped all
+    renorm._candidate_pairs(ex2, cat2)  # imports and caches, outside the count
+    tracemalloc.start()
+    try:
+        assert renorm._candidate_pairs(ex2, cat2) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cat2) == 747 and peak < 5e6
 
 
 def test_map_set_reaches_every_outcome():
