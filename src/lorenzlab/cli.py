@@ -14,7 +14,11 @@ import io
 import json
 import math
 import os
+import signal
+import struct
 import sys
+import threading
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -156,49 +160,121 @@ def _validated(spec: LorenzMapSpec) -> dict:
     return head
 
 
+def _can_fork() -> bool:
+    """May the entropy run in a forked child? Only with a second CPU to run
+    it on, and only in a process with one thread: a fork copies just the
+    calling thread, so a lock another thread holds stays held in the child."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        hasattr(os, "fork")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+@contextmanager
+def _entropy_beside(spec: LorenzMapSpec, samples: int, seed: int):
+    """Yields a function that returns entropy_estimate(spec, samples,
+    rng=default_rng(seed)). Where _can_fork() holds, a forked child computes
+    it while the with-block runs and sends the 8 bytes of the float through
+    a pipe; a child that fails or sends less is answered by the inline call,
+    so the caller gets the serial value or the serial exception, and so is
+    a fork that fails. The child is reaped on every exit, and killed first
+    if the block is left before its float is read."""
+
+    def inline() -> float:
+        return entropy_estimate(spec, samples, rng=np.random.default_rng(seed))
+
+    if not _can_fork():
+        yield inline
+        return
+    r, w = os.pipe()
+    reader = open(r, "rb")
+    pid = None
+
+    def result() -> float:
+        nonlocal pid
+        data = reader.read()
+        status = os.waitpid(pid, 0)[1] if pid else 1
+        pid = None
+        return struct.unpack("<d", data)[0] if status == 0 and len(data) == 8 else inline()
+
+    try:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # the child runs no atexit handler and flushes no inherited buffer
+                code = 1
+                try:
+                    os.write(w, struct.pack("<d", inline()))
+                    code = 0
+                finally:
+                    os._exit(code)
+        except OSError:  # no process to spare: result() runs the entropy inline
+            pass
+        finally:
+            os.close(w)
+        yield result
+    finally:
+        reader.close()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
     """Full analysis pipeline: validate, periodic catalog, renormalization
-    sequence, decomposition, Lyapunov samples and entropy."""
+    sequence, decomposition, Lyapunov samples and entropy.
+
+    The entropy needs none of the other stages' objects, so where the
+    process has one thread and may run on two CPUs it is computed in a
+    forked child while this process builds the rest (_entropy_beside). A
+    thread would not pay: the stages here are pure Python and the entropy's
+    numpy calls are short, so both halves would wait on the GIL. The child's
+    float is the serial call's, which depends only on the map, the sample
+    count and the seed, so the report's bytes are the same either way."""
     report = _validated(spec)
     if "error" in report:
         return report
-    a = Analysis(spec, budgets)
-    report["periodic_catalog"] = [r.to_dict() for r in a.catalog]
-    report["renorm"] = a.seq.to_dict()
-    report["decomposition"] = decompose(a).to_dict()
+    sample_count = max(budgets.samples, 10_000)
+    with _entropy_beside(spec, sample_count, budgets.seed) as entropy:
+        a = Analysis(spec, budgets)
+        report["periodic_catalog"] = [r.to_dict() for r in a.catalog]
+        report["renorm"] = a.seq.to_dict()
+        report["decomposition"] = decompose(a).to_dict()
 
-    rng = np.random.default_rng(budgets.seed)
-    n = max(budgets.horizon, 1000)
-    v, x = critical_values(spec), float(rng.uniform(0.05, 0.95))
-    samples = []
-    # the critical walks are the decomposition's, extended; the random one is never kept
-    for label, x0, orbit in (
-        ("critical_plus", v[0], critical_orbit(spec, 0, n)),
-        ("critical_minus", v[1], critical_orbit(spec, 1, n)),
-        ("random", x, chain.from_iterable(pts for pts, _ in orbit_chunks(spec, x, n))),
-    ):
-        est = lyapunov(spec, orbit, n)
-        samples.append(
-            {
-                "label": label,
-                "x0": x0,
-                "value": est.value,
-                "steps": est.steps,
-                "hit_critical": est.hit_critical,
-            }
-        )
-    report["lyapunov_samples"] = samples
+        rng = np.random.default_rng(budgets.seed)
+        n = max(budgets.horizon, 1000)
+        v, x = critical_values(spec), float(rng.uniform(0.05, 0.95))
+        samples = []
+        # the critical walks are the decomposition's, extended; the random one is never kept
+        for label, x0, orbit in (
+            ("critical_plus", v[0], critical_orbit(spec, 0, n)),
+            ("critical_minus", v[1], critical_orbit(spec, 1, n)),
+            ("random", x, chain.from_iterable(pts for pts, _ in orbit_chunks(spec, x, n))),
+        ):
+            est = lyapunov(spec, orbit, n)
+            samples.append(
+                {
+                    "label": label,
+                    "x0": x0,
+                    "value": est.value,
+                    "steps": est.steps,
+                    "hit_critical": est.hit_critical,
+                }
+            )
+        report["lyapunov_samples"] = samples
 
-    h = entropy_estimate(spec, max(budgets.samples, 10_000), rng=np.random.default_rng(budgets.seed))
-    report["entropy"] = {
-        "word_length": ENTROPY_WORD_LENGTH,
-        "samples": max(budgets.samples, 10_000),
-        "estimate": h,
-        "upper_bound": math.log(2.0) + 2.0 / ENTROPY_WORD_LENGTH,
-        "solenoid_bound": solenoid_entropy_bound(a.seq.chain()),
-    }
-    report["provenance"] = {"budgets": budgets.to_dict(), "seed": budgets.seed}
-    return report
+        report["entropy"] = {
+            "word_length": ENTROPY_WORD_LENGTH,
+            "samples": sample_count,
+            "estimate": entropy(),
+            "upper_bound": math.log(2.0) + 2.0 / ENTROPY_WORD_LENGTH,
+            "solenoid_bound": solenoid_entropy_bound(a.seq.chain()),
+        }
+        report["provenance"] = {"budgets": budgets.to_dict(), "seed": budgets.seed}
+        return report
 
 
 def _finite_only(obj, path: str, non_finite: list[str]):

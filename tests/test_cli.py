@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -20,7 +21,7 @@ from lorenzlab.cli import (
     build_report,
     main,
 )
-from lorenzlab.map_core import BUILTIN_NAMES, MapValidationError, load_map
+from lorenzlab.map_core import BUILTIN_NAMES, BranchSpec, LorenzMapSpec, MapValidationError, load_map
 from lorenzlab.return_maps import MAX_HORIZON, MAX_RESOLUTION
 
 FAST_BUDGETS = json.dumps(
@@ -56,10 +57,14 @@ def test_analyze_validates_against_schema(tmp_path):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_report_peak_memory(name):
+def test_report_peak_memory(monkeypatch, name):
     # the whole analyze report at default budgets: logistic4-embed peaked at
     # 14.8 MB while the candidate search indexed all 198,099 pairs that
-    # pass the catalog mask and the entropy's work arrays held every orbit
+    # pass the catalog mask and the entropy's work arrays held every orbit;
+    # the entropy runs inline, so the bound covers its arrays too
+    from lorenzlab import cli
+
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
     tracemalloc.start()
     try:
         build_report(builtin_map(name), Budgets())
@@ -74,6 +79,183 @@ def test_determinism(tmp_path):
     for out in (a, b):
         main(["analyze", "--map", "paper-example", "--budgets", FAST_BUDGETS, "--seed", "5", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _forks(monkeypatch) -> list[int]:
+    """The pids os.fork returns from here on (0 in the child); the test is
+    skipped where the entropy may not fork."""
+    from lorenzlab import cli
+
+    if not cli._can_fork():
+        pytest.skip("the entropy runs inline on this host")
+    real, pids = os.fork, []
+
+    def counted():
+        pids.append(real())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+POWER_MAP = LorenzMapSpec(
+    c=0.45,
+    left=BranchSpec(kind="power_form", domain_side="left", a=0.97, alpha=2.7),
+    right=BranchSpec(kind="power_form", domain_side="right", a=0.9, alpha=1.9),
+    name="power",
+)
+
+
+@pytest.mark.parametrize(
+    "spec, budgets",
+    [(builtin_map(name), Budgets()) for name in BUILTIN_NAMES]
+    + [(POWER_MAP, Budgets(**json.loads(FAST_BUDGETS)))],
+    ids=[*BUILTIN_NAMES, "power_form"],
+)
+def test_forked_entropy_gives_the_inline_bytes(monkeypatch, spec, budgets):
+    from lorenzlab import cli
+
+    real, here = cli.entropy_estimate, []
+
+    def counted(*args, **kwargs):
+        # a call in the child appends to the child's copy of the list
+        here.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "entropy_estimate", counted)
+    pids = _forks(monkeypatch)
+    forked = build_report(spec, budgets)
+    assert len(pids) == 1 and here == []
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
+    inline = build_report(spec, budgets)
+    assert len(pids) == 1
+    assert float.hex(forked["entropy"]["estimate"]) == float.hex(inline["entropy"]["estimate"])
+    assert _dump_json(forked) == _dump_json(inline)
+    _no_child_left()
+
+
+def test_forked_entropy_raises_the_inline_exception(monkeypatch):
+    from lorenzlab import cli
+
+    def broken(spec, samples, rng):
+        raise ValueError(f"no words on {spec.name} from {samples} samples")
+
+    monkeypatch.setattr(cli, "entropy_estimate", broken)
+    budgets = Budgets(**json.loads(FAST_BUDGETS))
+    pids = _forks(monkeypatch)
+    with pytest.raises(ValueError) as forked:
+        build_report(builtin_map("paper-example"), budgets)
+    assert len(pids) == 1
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
+    with pytest.raises(ValueError) as inline:
+        build_report(builtin_map("paper-example"), budgets)
+    assert (forked.type, str(forked.value)) == (inline.type, str(inline.value))
+    _no_child_left()
+
+
+def test_failed_child_is_answered_inline(monkeypatch):
+    # a child that dies without its 8 bytes: the parent computes the value
+    from lorenzlab import cli
+
+    budgets = Budgets(**json.loads(FAST_BUDGETS))
+    serial = _dump_json(build_report(builtin_map("paper-example"), budgets))
+    parent, real = os.getpid(), cli.entropy_estimate
+
+    def fails_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "entropy_estimate", fails_in_child)
+    pids = _forks(monkeypatch)
+    assert _dump_json(build_report(builtin_map("paper-example"), budgets)) == serial
+    assert len(pids) == 1
+    _no_child_left()
+
+    # a child that sends 8 bytes of a wrong float but exits non-zero
+    def wrong_in_child(*args, **kwargs):
+        return -1.0 if os.getpid() != parent else real(*args, **kwargs)
+
+    real_exit = os._exit
+    monkeypatch.setattr(cli, "entropy_estimate", wrong_in_child)
+    monkeypatch.setattr(os, "_exit", lambda code: real_exit(1))
+    assert _dump_json(build_report(builtin_map("paper-example"), budgets)) == serial
+    assert len(pids) == 2
+    _no_child_left()
+
+
+def test_forked_entropy_leaves_no_child(monkeypatch):
+    from lorenzlab import cli
+
+    budgets = Budgets(**json.loads(FAST_BUDGETS))
+    pids = _forks(monkeypatch)
+    build_report(builtin_map("paper-example"), budgets)
+    _no_child_left()
+
+    # a stage that raises while the child runs: the child is killed and reaped
+    monkeypatch.setattr(cli, "decompose", _fails)
+    with pytest.raises(ValueError, match="stage failed"):
+        build_report(builtin_map("logistic4-embed"), budgets)
+    assert len(pids) == 2
+    _no_child_left()
+
+    def interrupted(a):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "decompose", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build_report(builtin_map("logistic4-embed"), budgets)
+    assert len(pids) == 3
+    _no_child_left()
+
+
+def test_failed_fork_runs_the_entropy_inline(monkeypatch):
+    from lorenzlab import cli
+
+    if not cli._can_fork():
+        pytest.skip("the entropy runs inline on this host")
+    budgets = Budgets(**json.loads(FAST_BUDGETS))
+    serial = _dump_json(build_report(builtin_map("paper-example"), budgets))
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    assert _dump_json(build_report(builtin_map("paper-example"), budgets)) == serial
+    # the pipe is closed
+    assert fds is None or len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+def test_entropy_runs_inline_on_one_cpu_or_with_threads(monkeypatch):
+    import threading
+
+    def no_fork():
+        pytest.fail("os.fork was called")
+
+    budgets = Budgets(**json.loads(FAST_BUDGETS))
+    serial = _dump_json(build_report(builtin_map("paper-example"), budgets))
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert _dump_json(build_report(builtin_map("paper-example"), budgets)) == serial
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            assert _dump_json(build_report(builtin_map("paper-example"), budgets)) == serial
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_bad_config_exit_code(tmp_path):
