@@ -3,7 +3,8 @@ scan, plotdata, embed-unimodal.
 
 Reports are JSON (schema in schemas/map_report.schema.json, versioned);
 orbit/return-map/scan outputs are CSV. Runs are deterministic for a fixed
-config and seed. The sweep command runs its cells in input order.
+config and seed. The sweep command writes its rows in input order; where a
+second CPU is free, a forked child computes every other cell.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import io
 import json
 import math
 import os
+import pickle
 import signal
-import struct
 import sys
 import threading
 from contextlib import contextmanager
@@ -161,9 +162,9 @@ def _validated(spec: LorenzMapSpec) -> dict:
 
 
 def _can_fork() -> bool:
-    """May the entropy run in a forked child? Only with a second CPU to run
-    it on, and only in a process with one thread: a fork copies just the
-    calling thread, so a lock another thread holds stays held in the child."""
+    """May work run in a forked child? Only with a second CPU to run it on,
+    and only in a process with one thread: a fork copies just the calling
+    thread, so a lock another thread holds stays held in the child."""
     affinity = getattr(os, "sched_getaffinity", None)
     return (
         hasattr(os, "fork")
@@ -174,50 +175,59 @@ def _can_fork() -> bool:
 
 
 @contextmanager
-def _entropy_beside(spec: LorenzMapSpec, samples: int, seed: int):
-    """Yields a function that returns entropy_estimate(spec, samples,
-    rng=default_rng(seed)). Where _can_fork() holds, a forked child computes
-    it while the with-block runs and sends the 8 bytes of the float through
-    a pipe; a child that fails or sends less is answered by the inline call,
-    so the caller gets the serial value or the serial exception, and so is
-    a fork that fails. The child is reaped on every exit, and killed first
-    if the block is left before its float is read."""
-
-    def inline() -> float:
-        return entropy_estimate(spec, samples, rng=np.random.default_rng(seed))
-
+def _beside(fn):
+    """Yields a function that returns fn(). Where _can_fork() holds, a forked
+    child calls fn while the with-block runs and sends the value back
+    pickled through a pipe; a child that fails or sends a short payload is
+    answered by the inline call, so the caller gets the serial value or the
+    serial exception, and so is a pipe or a fork that fails. The child is
+    reaped on every exit, and killed first if the block is left before its
+    value is read. fn must depend only on state the fork copies, and its
+    value must pickle."""
     if not _can_fork():
-        yield inline
+        yield fn
         return
-    r, w = os.pipe()
-    reader = open(r, "rb")
-    pid = None
+    pid = reader = None
 
-    def result() -> float:
+    def result():
         nonlocal pid
+        if not pid:
+            return fn()
+        # to EOF before the reap: a payload larger than the pipe buffer
+        # holds the child until it is read
         data = reader.read()
-        status = os.waitpid(pid, 0)[1] if pid else 1
+        status = os.waitpid(pid, 0)[1]
         pid = None
-        return struct.unpack("<d", data)[0] if status == 0 and len(data) == 8 else inline()
+        if status == 0:
+            try:
+                return pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError):  # a short payload
+                pass
+        return fn()
 
     try:
         try:
-            pid = os.fork()
-            if pid == 0:
-                # the child runs no atexit handler and flushes no inherited buffer
-                code = 1
-                try:
-                    os.write(w, struct.pack("<d", inline()))
-                    code = 0
-                finally:
-                    os._exit(code)
-        except OSError:  # no process to spare: result() runs the entropy inline
+            r, w = os.pipe()
+            reader = open(r, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # the child runs no atexit handler and flushes no inherited buffer
+                    code = 1
+                    try:
+                        with open(w, "wb") as fh:
+                            fh.write(pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL))
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)
+        except OSError:  # no pipe or no process to spare: result() calls fn inline
             pass
-        finally:
-            os.close(w)
         yield result
     finally:
-        reader.close()
+        if reader:
+            reader.close()
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -229,7 +239,7 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
 
     The entropy needs none of the other stages' objects, so where the
     process has one thread and may run on two CPUs it is computed in a
-    forked child while this process builds the rest (_entropy_beside). A
+    forked child while this process builds the rest (_beside). A
     thread would not pay: the stages here are pure Python and the entropy's
     numpy calls are short, so both halves would wait on the GIL. The child's
     float is the serial call's, which depends only on the map, the sample
@@ -238,7 +248,7 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
     if "error" in report:
         return report
     sample_count = max(budgets.samples, 10_000)
-    with _entropy_beside(spec, sample_count, budgets.seed) as entropy:
+    with _beside(lambda: entropy_estimate(spec, sample_count, rng=np.random.default_rng(budgets.seed))) as entropy:
         a = Analysis(spec, budgets)
         report["periodic_catalog"] = [r.to_dict() for r in a.catalog]
         report["renorm"] = a.seq.to_dict()
@@ -417,6 +427,14 @@ def _scan_block(cells: list[tuple[float, float]], budgets: Budgets) -> list[dict
     return [_scan_cell(al, ar, Analysis(family.specs[k], budgets, family)) for k, (al, ar) in enumerate(cells)]
 
 
+def _scan_rows(cells: list[tuple[float, float]], budgets: Budgets) -> list[dict]:
+    """The rows of cells in their order, in blocks of SCAN_BLOCK: a block's
+    cells step their own catalog grids, then one lockstep bisection and one
+    tangential search serve all of them, so the fixed cost of each vector
+    step is paid once per block instead of once per cell."""
+    return [row for k in range(0, len(cells), SCAN_BLOCK) for row in _scan_block(cells[k : k + SCAN_BLOCK], budgets)]
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     lo_l, hi_l = _floats(args.a_left, ":", "--a-left")
     lo_r, hi_r = _floats(args.a_right, ":", "--a-right")
@@ -427,12 +445,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     lefts = np.linspace(lo_l, hi_l, args.steps)
     rights = np.linspace(lo_r, hi_r, args.steps)
     cells = [(float(al), float(ar)) for al in lefts for ar in rights]
-    # the cells run in input order, in this thread (a thread pool made the
-    # GIL-bound sweep slower), in blocks of SCAN_BLOCK: a block's cells step
-    # their own catalog grids, then one lockstep bisection and one tangential
-    # search serve all of them, so the fixed cost of each vector step is paid
-    # once per block instead of once per cell
-    rows = [row for k in range(0, len(cells), SCAN_BLOCK) for row in _scan_block(cells[k : k + SCAN_BLOCK], budgets)]
+    # where a second CPU is free, a forked child computes the odd cells
+    # while this process computes the even ones (_beside; a thread pool made
+    # the GIL-bound sweep slower). The split is strided because a cell's
+    # cost varies smoothly over the grid, so the halves stay balanced where
+    # contiguous ones would not. A row does not depend on its block-mates
+    # (each bracket steps by its own map), so the rows are the serial ones.
+    if len(cells) > 1 and _can_fork():
+        rows: list = [None] * len(cells)
+        with _beside(lambda: _scan_rows(cells[1::2], budgets)) as odd_rows:
+            rows[0::2] = _scan_rows(cells[0::2], budgets)
+            rows[1::2] = odd_rows()
+    else:
+        rows = _scan_rows(cells, budgets)
     buf = io.StringIO()
     out = csv.writer(buf, lineterminator="\n")
     out.writerow(SCAN_COLUMNS)

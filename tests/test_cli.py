@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import tracemalloc
 import warnings
 
@@ -230,6 +231,30 @@ def test_failed_fork_runs_the_entropy_inline(monkeypatch):
     assert _dump_json(build_report(builtin_map("paper-example"), budgets)) == serial
     # the pipe is closed
     assert fds is None or len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+def test_beside_sends_a_value_larger_than_the_pipe(monkeypatch):
+    # 1 MiB is 16 pipe buffers: the child writes it all, and the parent
+    # reads to EOF before it reaps the child
+    from lorenzlab import cli
+
+    pids = _forks(monkeypatch)
+    payload = bytes(range(256)) * 4096
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the parent waits on a child blocked on a full pipe")
+
+    handler = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        with cli._beside(lambda: (os.getpid(), payload)) as value:
+            sender, data = value()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert len(pids) == 1 and sender == pids[0] != os.getpid()
+    assert data == payload
+    _no_child_left()
 
 
 def test_entropy_runs_inline_on_one_cpu_or_with_threads(monkeypatch):
@@ -670,9 +695,11 @@ PHOBIC = ["plotdata", "--map", "paper-example", "--kind", "phobic", "--interval"
 
 def test_scan_runs_no_stratum_probe(tmp_path, monkeypatch):
     # a row prints the class and n_f: one catalog per cell, all four from
-    # one root stage, and no decomposition, block or transitivity probe
+    # one root stage, and no decomposition, block or transitivity probe;
+    # the calls are counted in this process, so the cells run inline
     from lorenzlab import cli, periodic, spectral
 
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
     calls = dict.fromkeys(["decompose", "stratum_blocks", "_coverage_probe", "_grid_roots", "_catalog"], 0)
 
     def counting(name, original):
@@ -690,6 +717,127 @@ def test_scan_runs_no_stratum_probe(tmp_path, monkeypatch):
     argv = [*SCAN, "--steps", "2", "--budgets", FAST_BUDGETS, "--out", str(tmp_path / "scan.csv")]
     assert main(argv) == EXIT_OK
     assert calls == {"decompose": 0, "stratum_blocks": 0, "_coverage_probe": 0, "_grid_roots": 1, "_catalog": 4}
+
+
+def _inline_bytes(monkeypatch, argv, out) -> bytes:
+    """The output of argv with _can_fork forced false."""
+    from lorenzlab import cli
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_can_fork", lambda: False)
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+def test_forked_scan_rows_in_input_order(tmp_path, monkeypatch):
+    # 36 cells: each half of the strided split runs two blocks, and the
+    # rows come back interleaved in input order
+    argv = [*SCAN, "--steps", "6", "--budgets", FAST_BUDGETS]
+    serial = _inline_bytes(monkeypatch, argv, tmp_path / "serial.csv")
+    pids = _forks(monkeypatch)
+    out = tmp_path / "scan.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert len(pids) == 1
+    _no_child_left()
+    assert out.read_bytes() == serial
+    grid = [repr(float(v)) for v in np.linspace(3.5, 4.0, 6)]
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [[l, r] for l in grid for r in grid]
+
+
+@pytest.mark.parametrize("failure", ["exit-1", "short-payload"])
+def test_failed_scan_child_is_answered_inline(tmp_path, monkeypatch, failure):
+    # the child computes wrong rows, then exits 1 or sends all but the last
+    # byte of their pickle: the parent computes the odd cells itself
+    import pickle
+
+    from lorenzlab import cli
+
+    argv = [*SCAN, "--steps", "2", "--budgets", FAST_BUDGETS]
+    serial = _inline_bytes(monkeypatch, argv, tmp_path / "serial.csv")
+    parent, rows, dumps, real_exit = os.getpid(), cli._scan_rows, pickle.dumps, os._exit
+
+    def wrong_in_child(cells, budgets):
+        return [dict(r, status="wrong") for r in rows(cells, budgets)] if os.getpid() != parent else rows(cells, budgets)
+
+    monkeypatch.setattr(cli, "_scan_rows", wrong_in_child)
+    if failure == "exit-1":
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(1))
+    else:
+        monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-1])
+    pids = _forks(monkeypatch)
+    out = tmp_path / "scan.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert len(pids) == 1
+    _no_child_left()
+    assert out.read_bytes() == serial
+
+
+@pytest.mark.parametrize(
+    "command, failure", [("scan", "pipe"), ("analyze", "pipe"), ("scan", "fork")], ids=lambda v: v
+)
+def test_failed_pipe_or_fork_runs_inline(tmp_path, monkeypatch, command, failure):
+    # no pipe (EMFILE) or no process (EAGAIN) to spare is no config error:
+    # the child's work runs in this process and the output is the serial one
+    from lorenzlab import cli
+
+    argv = [*SCAN, "--steps", "2"] if command == "scan" else ["analyze", "--map", "paper-example"]
+    argv += ["--budgets", FAST_BUDGETS]
+    serial = _inline_bytes(monkeypatch, argv, tmp_path / "serial")
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+
+    def no_pipe():
+        raise OSError(24, "Too many open files")
+
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_can_fork", lambda: True)
+    if failure == "pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(os, "fork", no_process, raising=False)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == serial
+    # the pipe is closed
+    assert fds is None or len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_forked_scan_leaves_no_child(tmp_path, monkeypatch, error):
+    # a cell of this process's half raises while the child runs: the child
+    # is killed and reaped
+    from lorenzlab import cli
+
+    parent, real = os.getpid(), cli._scan_cell
+
+    def fails_in_parent(*args):
+        if os.getpid() == parent:
+            raise error("cell failed")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_scan_cell", fails_in_parent)
+    pids = _forks(monkeypatch)
+    argv = [*SCAN, "--steps", "3", "--budgets", FAST_BUDGETS, "--out", str(tmp_path / "scan.csv")]
+    if error is ValueError:
+        assert main(argv) == EXIT_INTERNAL
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    assert len(pids) == 1
+    _no_child_left()
+
+
+def test_one_cell_scan_never_forks(tmp_path, monkeypatch):
+    from lorenzlab import cli
+
+    def no_fork():
+        pytest.fail("os.fork was called")
+
+    monkeypatch.setattr(cli, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--a-left", "3.5:3.5", "--a-right", "3.5:3.5", "--steps", "1", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[1].endswith(",ok")
 
 
 @pytest.mark.parametrize(

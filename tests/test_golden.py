@@ -10,7 +10,8 @@ from lorenzlab.cli import _dump_json, build_report; from lorenzlab.spectral impo
 [print(m, hashlib.sha256(_dump_json(build_report(builtin_map(m), Budgets(seed=0))).encode()).hexdigest()) \
 for m in ('paper-example', 'logistic4-embed', 'logistic3.4-embed')]"
 
-The scan CSV is guarded the same way: SHA-256 of the output of
+The scan CSV is guarded the same way, on the forked path where the host
+has a second CPU and with the scan forced inline: SHA-256 of the output of
 
     PYTHONPATH=src python -m lorenzlab.cli scan --a-left 3.75:4 --a-right 3:4 \
         --steps 2 --budgets '{"max_period": 8}'
@@ -69,9 +70,12 @@ SIMD path, and catalog points and multipliers then move in their last bits.
 import hashlib
 import importlib.resources
 import json
+import os
 
 import pytest
+from test_cli import _forks, _no_child_left
 
+from lorenzlab import cli
 from lorenzlab.cli import EXIT_OK, main
 from lorenzlab.map_core import BUILTIN_NAMES
 
@@ -93,13 +97,29 @@ def test_golden_report_bytes(tmp_path, name):
 
 
 GOLDEN_SCAN_SHA256 = "8aa4e97114eb2289aa7f49c86ff9c16f9e0b4723764edb00f58143f41d469e6f"
+GOLDEN_SCAN_ARGV = ["--a-left", "3.75:4", "--a-right", "3:4", "--steps", "2"]
 
 
-def test_golden_scan_bytes(tmp_path):
+def _scan_sha256(tmp_path, argv) -> str:
     out = tmp_path / "scan.csv"
-    argv = ["scan", "--a-left", "3.75:4", "--a-right", "3:4", "--steps", "2"]
-    assert main(argv + ["--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_SHA256
+    assert main(["scan", *argv, "--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _forked_scan_sha256(tmp_path, monkeypatch, argv) -> str:
+    """_scan_sha256 on the path the host gives: where the scan may fork,
+    one child computes the odd cells and is reaped."""
+    if not cli._can_fork():
+        return _scan_sha256(tmp_path, argv)
+    pids = _forks(monkeypatch)
+    digest = _scan_sha256(tmp_path, argv)
+    assert len(pids) == 1
+    _no_child_left()
+    return digest
+
+
+def test_golden_scan_bytes(tmp_path, monkeypatch):
+    assert _forked_scan_sha256(tmp_path, monkeypatch, GOLDEN_SCAN_ARGV) == GOLDEN_SCAN_SHA256
 
 
 GOLDEN_SCAN_CORNER_SHA256 = {
@@ -112,12 +132,30 @@ GOLDEN_SCAN_CORNER_SHA256 = {
 }
 
 
+def _corner_argv(lo_left: float, lo_right: float) -> list[str]:
+    return ["--a-left", f"{lo_left!r}:4.0", "--a-right", f"{lo_right!r}:4.0", "--steps", "3"]
+
+
 @pytest.mark.parametrize("lo_left, lo_right", sorted(GOLDEN_SCAN_CORNER_SHA256))
-def test_golden_scan_corner_bytes(tmp_path, lo_left, lo_right):
-    out = tmp_path / "scan.csv"
-    argv = ["scan", "--a-left", f"{lo_left!r}:4.0", "--a-right", f"{lo_right!r}:4.0", "--steps", "3"]
-    assert main(argv + ["--budgets", '{"max_period": 8}', "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SCAN_CORNER_SHA256[(lo_left, lo_right)]
+def test_golden_scan_corner_bytes(tmp_path, monkeypatch, lo_left, lo_right):
+    digest = _forked_scan_sha256(tmp_path, monkeypatch, _corner_argv(lo_left, lo_right))
+    assert digest == GOLDEN_SCAN_CORNER_SHA256[(lo_left, lo_right)]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [(GOLDEN_SCAN_ARGV, GOLDEN_SCAN_SHA256)]
+    + [(_corner_argv(*corner), GOLDEN_SCAN_CORNER_SHA256[corner]) for corner in sorted(GOLDEN_SCAN_CORNER_SHA256)],
+    ids=["golden", *(f"{l}-{r}" for l, r in sorted(GOLDEN_SCAN_CORNER_SHA256))],
+)
+def test_golden_scan_bytes_inline(tmp_path, monkeypatch, argv, digest):
+    # the same digests with every cell in this process, in input order
+    def no_fork():
+        pytest.fail("os.fork was called")
+
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    assert _scan_sha256(tmp_path, argv) == digest
 
 
 GOLDEN_RETURNMAP_SHA256 = {
