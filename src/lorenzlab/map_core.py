@@ -48,6 +48,9 @@ EMBED_CHECK_GRID = 1024
 EMBED_CHECK_TOLERANCE = 1e-9
 # validate_map samples each branch on this many grid points
 VALIDATION_GRID = 512
+# a Stepper selects the side of c by np.where below this many elements and
+# by a bit blend at or above it, the faster of the two on each side
+BLEND_SIZE = 8192
 
 
 def _real(name: str, v) -> float:
@@ -159,10 +162,12 @@ class LorenzMapSpec:
             raise MapValidationError(f"map name must be a string, got {self.name!r}")
 
     def __getstate__(self) -> dict:
-        # the kernel cache (see _kernels) holds closures, which do not pickle,
-        # and the critical-orbit walks (orbits.critical_orbit) are remade on use
+        # the kernel cache (see _kernels) and eval_array's Stepper hold
+        # closures, which do not pickle, and the critical-orbit walks
+        # (orbits.critical_orbit) are remade on use
         state = self.__dict__.copy()
         state.pop("_kernels", None)
+        state.pop("_step", None)
         state.pop("_critical_orbits", None)
         return state
 
@@ -374,127 +379,121 @@ def evaluate(spec: LorenzMapSpec, p: DirectedPoint) -> DirectedPoint:
 
 
 def eval_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:
-    """Vectorized map step. Entries within tolerance of c become NaN
-    (undirected critical evaluation); NaN propagates."""
-    ker = _kernels(spec)
+    """Vectorized map step, into a fresh array. Entries within tolerance of
+    c become NaN (undirected critical evaluation); NaN propagates. The map's
+    Stepper is kept on the spec, as the kernel cache is (see _kernels)."""
+    step = spec.__dict__.get("_step")
+    if step is None:
+        step = spec.__dict__["_step"] = Stepper([spec])
     x = np.asarray(x, dtype=float)
-    return _join_branches(x, spec.c, spec.tolerance, ker["left"][1][0](x), ker["right"][1][0](x))
+    # a Stepper steps arrays of one or more dimensions
+    return step(x) if x.ndim else step(x.reshape(1)).reshape(())
 
 
-def _join_branches(x: np.ndarray, c: float, tol: float, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The step of eval_array from both branches' values at x: the branch
-    on x's side of c, clamped to [0, 1], and NaN within tol of c."""
-    y = np.where(x < c, left, right)
-    del left, right  # freed here, their memory serves the steps below
-    np.maximum(y, 0.0, out=y)
-    np.minimum(y, 1.0, out=y)
-    dead = np.abs(x - c) <= tol
-    if np.count_nonzero(dead):
-        y[dead] = np.nan
-    return y
+class Stepper:
+    """The vector step of a family of maps, each entry of an array by its
+    own map: the branch on the entry's side of c, clamped to [0, 1], and NaN
+    within tolerance of c.
 
+    A family of one is one map, stepped by the operations of its own array
+    kernels (power_form branches included), and `columns(who)` is empty. A
+    family of several shares c and tolerance, and its branches on each side are
+    polynomials with one coefficient count (every `quadratic_pair` map):
+    `columns(who)` gives one array per Horner coefficient (left branch, then
+    right, highest first) holding the coefficient of map who[k] at entry k,
+    and `step(x, *columns)` runs the Horner operations of each entry's map.
+    Either way every entry gets the bits of its own map's scalar step.
 
-class PolynomialFamily:
-    """Maps stepped together, each entry of an array by its own map. The
-    maps share c and tolerance, and their branches on each side are
-    polynomials with one coefficient count (every `quadratic_pair` map).
+    Given a `size`, the step owns its work arrays of that many elements: two
+    output arrays that alternate, a scratch array for the right branch and
+    one for x - c, an int64 mask and a bool array. Polynomial branches then
+    run Horner in place, and `step(x)` takes x with at most `size` elements,
+    which may be the previous result, and may return a view of the output
+    array x does not live in, valid until the step after next. Without a
+    size every step returns a fresh array.
 
-    `columns(who)` gives one array per Horner coefficient (left branch,
-    then right, highest first) holding the coefficient of map who[k] at
-    entry k; `eval_array(x, *columns)` runs the Horner operations of each
-    map's array kernel and then eval_array's select, clamp and dead-at-c
-    test, so every entry gets its own map's eval_array bits."""
+    Below BLEND_SIZE elements the side of c is chosen by np.where. At or
+    above it, by a bit blend: with m = (x - c).view(int64) >> 63, all ones
+    exactly where x < c (in IEEE arithmetic x - c < 0 exactly when x < c),
+    y = R ^ ((L ^ R) & m) on the uint64 views. Both give the same bits (a
+    NaN x with its sign bit set goes left by the blend, but either branch
+    carries it through).
+    np.where mispredicts on the random side mask of a chaotic orbit, and
+    the blend has no branch but makes more numpy calls, so np.where wins on
+    small arrays (the return maps' steps) and the blend on large ones with
+    random sides (entropy_estimate's tiles of 2^14 points)."""
 
-    def __init__(self, specs):
+    def __init__(self, specs, size: int | None = None):
         first = specs[0]
-        revs, shapes = [], set()
-        for spec in specs:
-            coefs = [br.poly_coefficients() for br in (spec.left, spec.right)]
-            if None in coefs or (spec.c, spec.tolerance) != (first.c, first.tolerance):
-                raise ValueError(f"{spec.name} cannot step with {first.name}: a family shares c, "
-                                 "tolerance and polynomial branches")
-            rev = [list(reversed(np.asarray(cs, dtype=float).tolist())) for cs in coefs]
-            shapes.add(tuple(map(len, rev)))
-            revs.append(rev[0] + rev[1])
-        if len(shapes) > 1:
-            raise ValueError(f"a family shares coefficient counts per side, got {sorted(shapes)}")
         self.c, self.tolerance = first.c, first.tolerance
-        self.left = shapes.pop()[0]
-        # one row per coefficient, one entry per map
-        self.table = np.array(revs, dtype=float).T.copy()
+        # each map's Horner coefficients per side, highest first (None: power_form)
+        revs = [
+            [None if cs is None else tuple(reversed(np.asarray(cs, dtype=float).tolist()))
+             for cs in (spec.left.poly_coefficients(), spec.right.poly_coefficients())]
+            for spec in specs
+        ]
+        if len(specs) == 1:
+            # each branch as (function, argument), called with x and out:
+            # Horner on the map's coefficients, or its power_form kernel
+            ker = _kernels(first)
+            self._branches = [(_horner, r) if r else (_allocating, ker[side][1][0])
+                              for side, r in zip(("left", "right"), revs[0])]
+            self.table = ()
+        else:
+            for spec, rev in zip(specs, revs):
+                if None in rev or (spec.c, spec.tolerance) != (first.c, first.tolerance):
+                    raise ValueError(f"{spec.name} cannot step with {first.name}: a family shares c, "
+                                     "tolerance and polynomial branches")
+            shapes = {tuple(map(len, rev)) for rev in revs}
+            if len(shapes) > 1:
+                raise ValueError(f"a family shares coefficient counts per side, got {sorted(shapes)}")
+            self._branches = [(_horner, None)] * 2
+            self._split = len(revs[0][0])
+            # one row per coefficient, one entry per map
+            self.table = np.array([left + right for left, right in revs], dtype=float).T.copy()
+        self._out = None
+        if size is not None:
+            self._out = (np.empty(size), np.empty(size))
+            # the right branch, x - c, the side mask and the dead mask
+            self._work = (np.empty(size), np.empty(size), np.empty(size, dtype=np.int64), np.empty(size, dtype=bool))
 
     def columns(self, who: np.ndarray) -> list[np.ndarray]:
         return [row[who] for row in self.table]
 
-    def eval_array(self, x: np.ndarray, *columns: np.ndarray) -> np.ndarray:
-        left, right = _horner(x, columns[: self.left]), _horner(x, columns[self.left :])
-        return _join_branches(x, self.c, self.tolerance, left, right)
-
-
-class ArrayStep:
-    """eval_array(spec, x), bit for bit, for arrays of up to `size` points
-    stepped many times. The step owns its work arrays: two output arrays
-    that alternate, two scratch arrays, an int64 mask and a bool array, each
-    of `size` elements. A step writes only into them: polynomial branches
-    run Horner in place, and power_form branches call their array kernels
-    and are joined in place.
-
-    Many points step fastest in tiles, each through many steps before the
-    next: entropy_estimate's tiles of 2^14 points keep the six work arrays
-    at about 0.8 MB, inside a core's L2 cache. On logistic4-embed they took
-    5.5-7.4 ns per element-step against 6.8-8.5 ns for 100,000 points at
-    once (2 cores, CPython 3.11.7, numpy 2.4.6, busy host).
-
-    The side of c is chosen by a bit blend instead of np.where: with
-    m = (x - c).view(int64) >> 63, all ones exactly where x < c (in IEEE
-    arithmetic x - c < 0 exactly when x < c), y = R ^ ((L ^ R) & m) on the
-    uint64 views. np.where mispredicts on the random side mask of a chaotic
-    orbit (on 100,000 points it takes about five times as long as on the
-    same points sorted), and the blend has no branch. The blend makes more
-    numpy calls, and on arrays of 1 to 1,024 elements, where the return
-    maps and the scans step, this step is 20-40 % slower than eval_array;
-    so eval_array and PolynomialFamily keep np.where. The clamp and the
-    dead-at-c rule are eval_array's; |x - c| is taken in the scratch array
-    that already holds x - c.
-
-    `step(x)` takes x with at most `size` elements, which may be the
-    previous result. It returns a view of the output array x does not live
-    in, valid until the step after next."""
-
-    def __init__(self, spec: LorenzMapSpec, size: int):
-        ker = _kernels(spec)
-        self.c, self.tolerance = spec.c, spec.tolerance
-        # (array kernel, whether it writes into an out array)
-        self._branches = [
-            (ker[name][1][0], br.poly_coefficients() is not None)
-            for name, br in (("left", spec.left), ("right", spec.right))
-        ]
-        self._out = (np.empty(size), np.empty(size))
-        self._right = np.empty(size)
-        self._gap = np.empty(size)
-        self._mask = np.empty(size, dtype=np.int64)
-        self._dead = np.empty(size, dtype=bool)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, *columns: np.ndarray) -> np.ndarray:
         k = x.size
-        y = self._out[1 if x.base is self._out[0] else 0][:k]
-        gap, mask, dead = self._gap[:k], self._mask[:k], self._dead[:k]
-        (fl, left_in_place), (fr, right_in_place) = self._branches
-        left = fl(x, out=y) if left_in_place else fl(x)
-        right = fr(x, out=self._right[:k]) if right_in_place else fr(x)
-        np.subtract(x, self.c, out=gap)
-        np.right_shift(gap.view(np.int64), 63, out=mask)
-        bits, rbits = y.view(np.uint64), right.view(np.uint64)
-        np.bitwise_xor(left.view(np.uint64), rbits, out=bits)
-        np.bitwise_and(bits, mask.view(np.uint64), out=bits)
-        np.bitwise_xor(bits, rbits, out=bits)
+        if self._out is None:
+            y = right = gap = mask = dead = None
+        else:
+            y = self._out[1 if x.base is self._out[0] else 0][:k]
+            right, gap, mask, dead = (a[:k] for a in self._work)
+        (fl, al), (fr, ar) = self._branches
+        if columns:
+            al, ar = columns[: self._split], columns[self._split :]
+        left, right = fl(x, al, y), fr(x, ar, right)
+        gap = np.subtract(x, self.c, out=gap)
+        if k < BLEND_SIZE:
+            y = np.where(gap < 0.0, left, right)
+        else:
+            # a fresh output comes last: the temporaries freed below it serve
+            # the next step, where freed on top they go back to the system
+            mask = np.right_shift(gap.view(np.int64), 63, out=mask)
+            rbits = right.view(np.uint64)
+            bits = np.bitwise_xor(left.view(np.uint64), rbits, out=None if y is None else y.view(np.uint64))
+            bits &= mask.view(np.uint64)
+            bits ^= rbits
+            y = bits.view(np.float64)
         np.maximum(y, 0.0, out=y)
         np.minimum(y, 1.0, out=y)
-        np.abs(gap, out=gap)
-        np.less_equal(gap, self.tolerance, out=dead)
+        dead = np.less_equal(np.abs(gap, out=gap), self.tolerance, out=dead)
         if np.count_nonzero(dead):
             y[dead] = np.nan
         return y
+
+
+def _allocating(x: np.ndarray, kernel, out) -> np.ndarray:
+    """An array kernel that allocates its result, called as _horner is."""
+    return kernel(x)
 
 
 def deriv_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:

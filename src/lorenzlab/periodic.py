@@ -29,8 +29,8 @@ import numpy as np
 
 from .map_core import (
     LorenzMapSpec,
-    PolynomialFamily,
     Side,
+    Stepper,
     bisect_array,
     branch_inverse_array,
     derivative,
@@ -221,9 +221,7 @@ class _GridRoots:
         todo = [k for k, p in enumerate(self.on_hit) if p is not None and not held(p)]
         if todo:
             periods = np.full(len(todo), self.n)
-            x, closes = _tangential_roots(
-                partial(eval_array, spec), spec.tolerance, self.a[todo], self.b[todo], periods
-            )
+            x, closes = _tangential_roots(Stepper([spec]), spec.tolerance, self.a[todo], self.b[todo], periods)
             for k, v, ok in zip(todo, x.tolist(), closes.tolist()):
                 self.roots[k] = v if ok else None
         return [x for x in self.roots if x is not None]
@@ -277,15 +275,11 @@ def _grid_roots(specs: list[LorenzMapSpec], max_period: int, resolution: int) ->
     share its arrays."""
     if max_period < 1:
         return [[] for _ in specs]
-    # how the brackets step: one map by its eval_array, several by the
-    # PolynomialFamily kernel with the coefficient columns of each
-    # bracket's map (columns(who), who the map of each bracket); either way
+    # the brackets step with the coefficient columns of each bracket's map
+    # (columns(who), who the map of each bracket; none for one map), so
     # every bracket gets its own map's eval_array bits
-    if len(specs) == 1:
-        step, columns = partial(eval_array, specs[0]), lambda who: []
-    else:
-        family = PolynomialFamily(specs)
-        step, columns = family.eval_array, family.columns
+    step = Stepper(specs)
+    columns = step.columns
     tol = specs[0].tolerance
     out, signs = zip(*(_grid_brackets(spec, max_period, resolution) for spec in specs))
     # longest period first, then map by map, each in grid order
@@ -374,7 +368,7 @@ def find_periodic_points(
 
 class PeriodicFamily:
     """The periodic catalogs of a family of maps at one max_period and
-    resolution (see `PolynomialFamily` for the maps that can share one).
+    resolution (see `map_core.Stepper` for the maps that can share one).
 
     The root stage (`_grid_roots`) runs once for the whole family, when the
     first catalog is read. Each map's registration runs when its catalog

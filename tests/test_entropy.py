@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lorenzlab import builtin_map, quadratic_pair, spectral
-from lorenzlab.map_core import BUILTIN_NAMES, ArrayStep, BranchSpec, LorenzMapSpec, eval_array
+from lorenzlab.map_core import BUILTIN_NAMES, BranchSpec, LorenzMapSpec, Stepper, eval_array
 from lorenzlab.spectral import entropy_estimate
 
 
@@ -164,12 +164,12 @@ def counted_steps(monkeypatch) -> list[int]:
     """The sizes of the arrays entropy_estimate steps, one entry a step."""
     elements = []
 
-    class Counting(ArrayStep):
-        def __call__(self, x):
+    class Counting(Stepper):
+        def __call__(self, x, *columns):
             elements.append(np.size(x))
-            return super().__call__(x)
+            return super().__call__(x, *columns)
 
-    monkeypatch.setattr(spectral, "ArrayStep", Counting)
+    monkeypatch.setattr(spectral, "Stepper", Counting)
     return elements
 
 
@@ -192,14 +192,14 @@ def test_tiles_step_what_the_whole_array_stepped(monkeypatch):
     # most ENTROPY_TILE elements
     sizes = []
     elements = counted_steps(monkeypatch)
-    Counting = spectral.ArrayStep
+    Counting = spectral.Stepper
 
     class Sized(Counting):
-        def __init__(self, spec, size):
+        def __init__(self, specs, size=None):
             sizes.append(size)
-            super().__init__(spec, size)
+            super().__init__(specs, size)
 
-    monkeypatch.setattr(spectral, "ArrayStep", Sized)
+    monkeypatch.setattr(spectral, "Stepper", Sized)
     entropy_estimate(builtin_map("paper-example"))
     assert sum(elements) == 7_663_504
     assert sizes == [TILE] and max(elements) == TILE

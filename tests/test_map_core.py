@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -314,6 +315,8 @@ def test_eval_array_matches_apply_raw(ex1, ex2, ex3, rng):
             else:
                 assert _same_bits(mc.apply_raw(spec, x), y), x
         assert np.isnan(mc.eval_array(spec, np.full(3, np.nan))).all()
+        # a scalar steps to a 0-d array
+        assert mc.eval_array(spec, xs[0]).shape == () and _same_bits(mc.eval_array(spec, xs[0]), ys[0])
 
 
 def test_power_form_array_kernels_quiet():
@@ -397,19 +400,6 @@ def test_clamp_matches_min_max():
         assert _same_bits(orbit_list(spec, 0.75, 3), [0.75, 0.25, want]), y
 
 
-def test_polynomial_family_steps_each_entry_by_its_map(rng):
-    # quadratic pairs and logistic embeds in one family: every entry gets
-    # the bits of its own map's eval_array, NaN and signed zeros included
-    specs = [mc.quadratic_pair(a, b) for a, b in rng.uniform(2.5, 4.0, (5, 2))]
-    specs += [embed_unimodal(logistic(a)) for a in (3.2, 4.0)] + [mc.quadratic_pair(0.0, 3.0)]
-    family = mc.PolynomialFamily(specs)
-    x = np.concatenate([rng.uniform(0, 1, 400), [0.0, -0.0, 1.0, 0.5, 0.5 - 5e-11, 0.5 + 1e-10, 0.5 - 2e-10, np.nan]])
-    who = rng.integers(0, len(specs), x.size)
-    got = family.eval_array(x, *family.columns(who))
-    want = np.array([mc.eval_array(specs[k], np.array([v]))[0] for k, v in zip(who.tolist(), x.tolist())])
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
 @pytest.mark.parametrize(
     "other",
     [
@@ -429,7 +419,17 @@ def test_polynomial_family_steps_each_entry_by_its_map(rng):
 )
 def test_polynomial_family_refuses_maps_that_cannot_share_a_step(other):
     with pytest.raises(ValueError, match="family shares"):
-        mc.PolynomialFamily([mc.quadratic_pair(3.5, 3.5), other])
+        mc.Stepper([mc.quadratic_pair(3.5, 3.5), other])
+
+
+def test_a_family_of_one_power_form_map_steps_by_its_kernels():
+    # the family rules bind several maps only: one power_form map is a
+    # family, and steps with the bits of its eval_array
+    spec = _power_pair()
+    x = np.concatenate([np.linspace(0.0, 1.0, 101), [spec.c, np.nan]])
+    assert mc.Stepper([spec]).columns(np.zeros(x.size, dtype=int)) == []
+    assert _bits(mc.Stepper([spec])(x)) == _bits(mc.eval_array(spec, x))
+    assert _bits(mc.Stepper([spec], x.size)(x)) == _bits(reference_step([spec], np.zeros(x.size, dtype=int), x))
 
 
 def _bits(a) -> list[int]:
@@ -448,17 +448,92 @@ def test_horner_into_out_matches_horner(rng):
             assert _bits(out) == _bits(mc._horner(x, coefficients))
 
 
+def reference_step(specs, who, x, tol=None):
+    """Entry k stepped by map specs[who[k]] as eval_array stepped one map:
+    np.where on both branch kernels, the clamp to [0, 1], and NaN where
+    |x - c| <= tol (the map's tolerance by default)."""
+    y = np.empty_like(x)
+    for i, spec in enumerate(specs):
+        ker, on = mc._kernels(spec), who == i
+        xs = x[on]
+        with np.errstate(invalid="ignore"):
+            v = np.where(xs < spec.c, ker["left"][1][0](xs), ker["right"][1][0](xs))
+        v = np.minimum(np.maximum(v, 0.0), 1.0)
+        v[np.abs(xs - spec.c) <= (spec.tolerance if tol is None else tol)] = np.nan
+        y[on] = v
+    return y
+
+
+def _polynomial_family(pairs, tolerance):
+    # random quadratic pairs (beyond 4 a branch leaves [0, 1], so the clamp
+    # shows), the logistic embeds of 3.2 and 4, and a pair whose left
+    # coefficients are 0.0 and -0.0, at one tolerance
+    specs = [mc.quadratic_pair(a, b) for a, b in pairs]
+    specs += [embed_unimodal(logistic(a)) for a in (3.2, 4.0)] + [mc.quadratic_pair(0.0, 3.0)]
+    return [dataclasses.replace(s, tolerance=tolerance) for s in specs]
+
+
 TOLERANCES = st.sampled_from([1e-10, 1e-3])
 STEP_SPECS = st.one_of(
     st.builds(quadratic_pair, st.floats(2.5, 4.0), st.floats(2.5, 4.0), tolerance=TOLERANCES),
     st.builds(
         _power_pair,
         st.floats(0.3, 0.7),
-        st.tuples(st.floats(0.6, 1.0), st.floats(0.6, 1.0)),
+        # a beyond 1 takes the branches out of [0, 1], so the clamp shows
+        st.tuples(st.floats(0.6, 1.2), st.floats(0.6, 1.2)),
         st.tuples(st.floats(1.2, 4.0), st.floats(1.2, 4.0)),
         TOLERANCES,
     ),
 )
+FAMILIES = st.one_of(
+    STEP_SPECS.map(lambda spec: [spec]),
+    st.builds(
+        _polynomial_family, st.lists(st.tuples(st.floats(2.5, 4.5), st.floats(2.5, 4.5)), min_size=1, max_size=5),
+        TOLERANCES,
+    ),
+)
+
+
+@pytest.mark.parametrize("blend_size", [0, 1 << 20], ids=["bit-blend", "np.where"])
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    specs=FAMILIES,
+    xs=st.lists(st.floats(0.0, 1.0), max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    owned=st.booleans(),
+    dead_rule=st.booleans(),
+    cuts=st.lists(st.tuples(st.integers(0, 60), st.booleans()), min_size=1, max_size=6),
+)
+def test_stepper_matches_the_np_where_step_bit_for_bit(blend_size, specs, xs, seed, owned, dead_rule, cuts):
+    # each entry by its own map, through several consecutive steps: the
+    # previous result fed back (so owned output arrays alternate), with the
+    # array cut to fewer points between steps, a view of the last result or
+    # a fresh copy, as after a merge. The edges of the dead ball, their
+    # float neighbours, signed zeros and NaN of either sign are inputs;
+    # without the dead rule the select shows at c itself too (x - c is
+    # +0.0 there, so the right branch)
+    c, tol = specs[0].c, specs[0].tolerance
+    edges = [c, c - tol, c + tol]
+    points = xs + edges + [math.nextafter(e, t) for e in edges for t in (-math.inf, math.inf)]
+    x = np.array(points + [c - tol / 2, c - 2 * tol, c + 2 * tol, 0.0, -0.0, 1.0, np.nan, -np.nan])
+    who = np.random.default_rng(seed).integers(0, len(specs), x.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "BLEND_SIZE", blend_size)
+        step = mc.Stepper(specs, x.size if owned else None)
+        if not dead_rule:
+            step.tolerance = -math.inf
+        if len(specs) == 1 and dead_rule:
+            assert _bits(mc.eval_array(specs[0], x)) == _bits(reference_step(specs, who, x))
+        for size, fresh in cuts:
+            held = _bits(x)
+            y = step(x, *step.columns(who))
+            # the input, the previous result, is left as it was
+            assert _bits(x) == held
+            assert _bits(y) == _bits(reference_step(specs, who, x, None if dead_rule else -math.inf))
+            n = max(1, min(size, y.size))
+            x, who = y[:n], who[:n]
+            if fresh:
+                x = x.copy()
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -468,23 +543,28 @@ STEP_SPECS = st.one_of(
     cuts=st.lists(st.tuples(st.integers(0, 60), st.booleans()), min_size=1, max_size=6),
 )
 def test_array_step_matches_eval_array_bit_for_bit(spec, xs, cuts):
-    # several consecutive steps, the previous result fed back (so the two
-    # output arrays alternate), with the array cut to fewer points between
-    # steps: a view of the last result or a fresh copy, as after a merge
+    # one map on owned work arrays through the bit blend, against the fresh
+    # np.where step of eval_array: several consecutive steps, the previous
+    # result fed back (so the two output arrays alternate), cut to fewer
+    # points between steps, a view of the last result or a fresh copy
     c, tol = spec.c, spec.tolerance
     edges = [c, c - tol, c + tol]
     points = xs + edges + [math.nextafter(e, t) for e in edges for t in (-math.inf, math.inf)]
     x = np.array(points + [0.0, -0.0, 1.0, np.nan, -np.nan])
-    step = mc.ArrayStep(spec, x.size)
-    for size, fresh in cuts:
-        held = _bits(x)
-        y = step(x)
-        # the input, the previous result, is left as it was
-        assert _bits(x) == held
-        assert _bits(y) == _bits(mc.eval_array(spec, x))
-        x = y[: max(1, min(size, y.size))]
-        if fresh:
-            x = x.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        step = mc.Stepper([spec], x.size)
+        mp.setattr(mc, "BLEND_SIZE", 0)
+        for size, fresh in cuts:
+            held = _bits(x)
+            y = step(x)
+            # the input, the previous result, is left as it was
+            assert _bits(x) == held
+            mp.setattr(mc, "BLEND_SIZE", 1 << 20)
+            assert _bits(y) == _bits(mc.eval_array(spec, x))
+            mp.setattr(mc, "BLEND_SIZE", 0)
+            x = y[: max(1, min(size, y.size))]
+            if fresh:
+                x = x.copy()
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -494,9 +574,9 @@ def test_array_step_selects_as_np_where_without_the_dead_rule(spec, xs):
     # c itself too: x - c is +0.0 there, so the right branch
     c = spec.c
     x = np.array(xs + [c, math.nextafter(c, 0.0), math.nextafter(c, 1.0), 0.0, -0.0, 1.0, np.nan])
-    step = mc.ArrayStep(spec, x.size)
-    step.tolerance = -math.inf
-    ker = mc._kernels(spec)
-    with np.errstate(invalid="ignore"):
-        want = mc._join_branches(x, c, -math.inf, ker["left"][1][0](x), ker["right"][1][0](x))
-    assert _bits(step(x)) == _bits(want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "BLEND_SIZE", 0)
+        step = mc.Stepper([spec], x.size)
+        step.tolerance = -math.inf
+        got = step(x)
+    assert _bits(got) == _bits(reference_step([spec], np.zeros(x.size, dtype=int), x, -math.inf))

@@ -283,6 +283,15 @@ def test_catalog_work_counts(ex2, monkeypatch):
     # tangential candidates refined, one per bracket of each batched call
     counted("_tangential_roots", "tangential", size_arg=1)
     counted("eval_array", "eval_array")
+
+    # the brackets step through a Stepper: its steps count as eval_array's
+    class Counting(periodic.Stepper):
+        def __call__(self, x, *columns):
+            counts["eval_array"] += 1
+            counts["elements"] += int(np.size(x))
+            return super().__call__(x, *columns)
+
+    monkeypatch.setattr(periodic, "Stepper", Counting)
     runs = []
     for _ in range(2):
         counts.update(dict.fromkeys(counts, 0))
