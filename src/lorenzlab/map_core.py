@@ -250,11 +250,10 @@ def _horner(x: np.ndarray, rev, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _poly_funcs(coefs: tuple[float, ...]):
-    """Scalar + array evaluators for value and first three derivatives."""
+    """Scalar + array evaluators for value and first three derivatives, and
+    the Horner tuple of the value (its coefficients highest first) that both
+    value evaluators are built from."""
     cs = np.asarray(coefs, dtype=float)
-    d1 = np.polynomial.polynomial.polyder(cs, 1)
-    d2 = np.polynomial.polynomial.polyder(cs, 2)
-    d3 = np.polynomial.polynomial.polyder(cs, 3)
 
     def make(c):
         rev = tuple(reversed(c.tolist())) if len(c) else (0.0,)
@@ -267,13 +266,10 @@ def _poly_funcs(coefs: tuple[float, ...]):
         for name in names[1:]:
             body = f"({body}) * x + {name}"
         f = eval(f"lambda {', '.join(names)}: lambda x: {body}")(*terms)
-        return f, functools.partial(_horner, rev=rev)
+        return f, functools.partial(_horner, rev=rev), rev
 
-    (f0, f0a) = make(cs)
-    (f1, f1a) = make(d1)
-    (f2, f2a) = make(d2)
-    (f3, f3a) = make(d3)
-    return (f0, f1, f2, f3), (f0a, f1a, f2a, f3a)
+    scalars, arrays, revs = zip(*(make(np.polynomial.polynomial.polyder(cs, k)) for k in range(4)))
+    return scalars, arrays, revs[0]
 
 
 def _power_funcs(a: float, alpha: float, c: float, side: str):
@@ -327,7 +323,11 @@ def _power_funcs(a: float, alpha: float, c: float, side: str):
 
 
 def _kernels(spec: LorenzMapSpec):
-    """Per-spec callables: (left, right) x (f, f', f'', f''') scalar and array.
+    """Per-spec kernels of the left and the right branch: the scalar
+    (f, f', f'', f'''), the array (f, f', f'', f''') and the Horner tuple of
+    f, highest first, that the polynomial kernels of f are built from (None
+    for power_form). Every Horner step of a branch, scalar or vector, reads
+    that one tuple.
 
     Built once per spec instance and kept in its __dict__, so a call costs a
     dict lookup instead of hashing the frozen dataclass. The entry is not a
@@ -341,7 +341,7 @@ def _kernels(spec: LorenzMapSpec):
             if coefs is not None:
                 out[name] = _poly_funcs(coefs)
             else:
-                out[name] = _power_funcs(br.a, br.alpha, spec.c, name)
+                out[name] = (*_power_funcs(br.a, br.alpha, spec.c, name), None)
         spec.__dict__["_kernels"] = out
     return out
 
@@ -395,13 +395,15 @@ class Stepper:
     own map: the branch on the entry's side of c, clamped to [0, 1], and NaN
     within tolerance of c.
 
-    A family of one is one map, stepped by the operations of its own array
-    kernels (power_form branches included), and `columns(who)` is empty. A
+    A branch's coefficients are the Horner tuple of its map's kernel table
+    (see _kernels), the one its scalar kernel is built from. A family of
+    one is one map: a polynomial branch runs Horner on its tuple, a
+    power_form branch is its array kernel, and `columns(who)` is empty. A
     family of several shares c and tolerance, and its branches on each side are
     polynomials with one coefficient count (every `quadratic_pair` map):
-    `columns(who)` gives one array per Horner coefficient (left branch, then
-    right, highest first) holding the coefficient of map who[k] at entry k,
-    and `step(x, *columns)` runs the Horner operations of each entry's map.
+    `columns(who)` gives one array per Horner coefficient (the left tuple,
+    then the right) holding the coefficient of map who[k] at entry k, and
+    `step(x, *columns)` runs the Horner operations of each entry's map.
     Either way every entry gets the bits of its own map's scalar step.
 
     Given a `size`, the step owns its work arrays of that many elements: two
@@ -426,18 +428,12 @@ class Stepper:
     def __init__(self, specs, size: int | None = None):
         first = specs[0]
         self.c, self.tolerance = first.c, first.tolerance
-        # each map's Horner coefficients per side, highest first (None: power_form)
-        revs = [
-            [None if cs is None else tuple(reversed(np.asarray(cs, dtype=float).tolist()))
-             for cs in (spec.left.poly_coefficients(), spec.right.poly_coefficients())]
-            for spec in specs
-        ]
+        # each map's (left, right) branch kernels, and their Horner tuples
+        kers = [(ker["left"], ker["right"]) for ker in map(_kernels, specs)]
+        revs = [(left[2], right[2]) for left, right in kers]
         if len(specs) == 1:
-            # each branch as (function, argument), called with x and out:
-            # Horner on the map's coefficients, or its power_form kernel
-            ker = _kernels(first)
-            self._branches = [(_horner, r) if r else (_allocating, ker[side][1][0])
-                              for side, r in zip(("left", "right"), revs[0])]
+            # each branch as its Horner tuple, or else (power_form) its array kernel
+            self._branches = [ker[2] or ker[1][0] for ker in kers[0]]
             self.table = ()
         else:
             for spec, rev in zip(specs, revs):
@@ -447,7 +443,7 @@ class Stepper:
             shapes = {tuple(map(len, rev)) for rev in revs}
             if len(shapes) > 1:
                 raise ValueError(f"a family shares coefficient counts per side, got {sorted(shapes)}")
-            self._branches = [(_horner, None)] * 2
+            self._branches = (None, None)
             self._split = len(revs[0][0])
             # one row per coefficient, one entry per map
             self.table = np.array([left + right for left, right in revs], dtype=float).T.copy()
@@ -467,10 +463,11 @@ class Stepper:
         else:
             y = self._out[1 if x.base is self._out[0] else 0][:k]
             right, gap, mask, dead = (a[:k] for a in self._work)
-        (fl, al), (fr, ar) = self._branches
+        al, ar = self._branches
         if columns:
             al, ar = columns[: self._split], columns[self._split :]
-        left, right = fl(x, al, y), fr(x, ar, right)
+        left = al(x) if callable(al) else _horner(x, al, y)
+        right = ar(x) if callable(ar) else _horner(x, ar, right)
         gap = np.subtract(x, self.c, out=gap)
         if k < BLEND_SIZE:
             y = np.where(gap < 0.0, left, right)
@@ -489,11 +486,6 @@ class Stepper:
         if np.count_nonzero(dead):
             y[dead] = np.nan
         return y
-
-
-def _allocating(x: np.ndarray, kernel, out) -> np.ndarray:
-    """An array kernel that allocates its result, called as _horner is."""
-    return kernel(x)
 
 
 def deriv_array(spec: LorenzMapSpec, x: np.ndarray) -> np.ndarray:

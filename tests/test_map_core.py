@@ -21,6 +21,7 @@ from lorenzlab import (
     schwarzian,
     validate_map,
 )
+from lorenzlab.orbits import orbit_list
 
 
 def quad_schwarzian(a, x, flip=False):
@@ -367,10 +368,13 @@ def test_scalar_kernels_match_horner_loop(rng):
                 cs[-1] = -abs(cs[-1]) - 1.0
             elif lead == "minus-zero":
                 cs[-1] = -0.0
-            scalars, arrays = mc._poly_funcs(tuple(cs))
+            scalars, arrays, horner = mc._poly_funcs(tuple(cs))
             for order, (f, fa) in enumerate(zip(scalars, arrays)):
                 d = np.polynomial.polynomial.polyder(cs, order)
                 rev = tuple(reversed(d.tolist())) if len(d) else (0.0,)
+                if order == 0:
+                    # the tuple the Stepper runs Horner on
+                    assert _bits(horner) == _bits(rev), (degree, lead)
                 assert _same_bits([f(x) for x in xs], fa(np.array(xs))), (degree, lead, order)
                 if lead == "minus-zero" and len(rev) > 1:
                     continue
@@ -382,8 +386,6 @@ def test_clamp_matches_min_max():
     # the left branch -0.0 * x + y is y bit for bit at x > 0; the right one
     # sends 0.75 to 0.25, so the walk 0.75, 0.25, ... takes its own step at
     # 0.25 and apply_raw steps from 0.25 alike
-    from lorenzlab.orbits import orbit_list
-
     for y in (math.nan, 0.0, -0.0, math.inf, -math.inf, -1e-300, math.nextafter(1.0, 2.0), 0.25, 1.0):
         want = min(max(y, 0.0), 1.0)
         spec = mc.LorenzMapSpec(
@@ -580,3 +582,62 @@ def test_array_step_selects_as_np_where_without_the_dead_rule(spec, xs):
         step.tolerance = -math.inf
         got = step(x)
     assert _bits(got) == _bits(reference_step([spec], np.zeros(x.size, dtype=int), x, -math.inf))
+
+
+def _quartic_embed(a):
+    # u(x) = a (1 - (1 - 2x)^4) is symmetric and unimodal: an embedding with
+    # two quartic branches (beyond a = 1 they leave [0, 1], so the clamp shows)
+    return embed_unimodal(mc.UnimodalSpec((0.0, 8 * a, -24 * a, 32 * a, -16 * a), name=f"quartic{a:g}"))
+
+
+def _one_tolerance(specs, tolerance):
+    return [dataclasses.replace(s, tolerance=tolerance) for s in specs]
+
+
+QUADRATIC_MAPS = st.one_of(
+    st.builds(quadratic_pair, st.floats(2.5, 4.5), st.floats(2.5, 4.5)),
+    st.builds(lambda a: embed_unimodal(logistic(a)), st.floats(2.5, 4.5)),
+)
+# families of one to five polynomial maps with one coefficient count per side
+WALK_FAMILIES = st.builds(
+    _one_tolerance,
+    st.one_of(
+        st.lists(QUADRATIC_MAPS, min_size=1, max_size=5),
+        st.lists(st.builds(_quartic_embed, st.floats(0.6, 1.1)), min_size=1, max_size=5),
+    ),
+    TOLERANCES,
+)
+
+
+@pytest.mark.parametrize("blend_size", [0, 1 << 20], ids=["bit-blend", "np.where"])
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    specs=WALK_FAMILIES,
+    xs=st.lists(st.floats(0.0, 1.0), max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 60),
+    owned=st.booleans(),
+)
+def test_stepper_steps_the_walkers_bits(blend_size, specs, xs, seed, k, owned):
+    # a row of starts, each stepped k times by its own map through the
+    # Stepper, the result fed back each step: entry by entry the points of
+    # the scalar walker (orbit_list) bit for bit while its walk lasts, and
+    # NaN from the step after it lands within tolerance of c. The start c
+    # lands at once, c - tol too, and the float after c + tol does not
+    c, tol = specs[0].c, specs[0].tolerance
+    x = np.array(xs + [c, c - tol, math.nextafter(c + tol, 1.0)])
+    who = np.random.default_rng(seed).integers(0, len(specs), x.size)
+    walks = [orbit_list(specs[i], x0, k + 1) for i, x0 in zip(who, x.tolist())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "BLEND_SIZE", blend_size)
+        step = mc.Stepper(specs, x.size if owned else None)
+        columns = step.columns(who)
+        y, rows = x, [x]
+        for _ in range(k):
+            y = step(y, *columns)
+            rows.append(y.copy())
+    got = np.array(rows)
+    for e, walk in enumerate(walks):
+        name = specs[who[e]].name
+        assert _bits(got[: len(walk), e]) == _bits(walk), (e, name)
+        assert np.isnan(got[len(walk) :, e]).all(), (e, name)
