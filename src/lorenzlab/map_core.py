@@ -521,9 +521,7 @@ def schwarzian(spec: LorenzMapSpec, x: float) -> float:
 
 def critical_values(spec: LorenzMapSpec) -> tuple[float, float]:
     """(v0, v1) = one-sided images (f(c+), f(c-))."""
-    v1 = branch_value(spec, "left", spec.c)
-    v0 = branch_value(spec, "right", spec.c)
-    return (min(max(v0, 0.0), 1.0), min(max(v1, 0.0), 1.0))
+    return apply_raw(spec, spec.c, Side.PLUS), apply_raw(spec, spec.c, Side.MINUS)
 
 
 def validate_map(spec: LorenzMapSpec) -> ValidationReport:

@@ -274,42 +274,42 @@ def estimate_omega_limit(
 
 def estimate_alpha_limit(spec: LorenzMapSpec, x: float) -> AlphaLimitEstimate:
     """Breadth-first preimage tree of x, ALPHA_LIMIT_DEPTH levels deep and at
-    most ALPHA_LIMIT_CAP nodes.
+    most ALPHA_LIMIT_CAP nodes, one array per depth; each level is one
+    branch_inverse_array call per branch.
 
     Cells of nodes in the deeper half approximate the alpha-limit set; the
     connected uncovered region around c (from all nodes) estimates the
     critical gap of the backward dynamics.
     """
     tol = spec.tolerance
-    level = np.array([x])
-    all_nodes: list[tuple[int, float]] = [(0, x)]
+    levels = [np.array([x])]
+    count = 1
     complete = True
-    for d in range(1, ALPHA_LIMIT_DEPTH + 1):
-        pre_l = branch_inverse_array(spec, "left", level)
-        pre_r = branch_inverse_array(spec, "right", level)
-        nxt = np.concatenate([pre_l, pre_r])
+    for _ in range(ALPHA_LIMIT_DEPTH):
+        nxt = np.concatenate([branch_inverse_array(spec, side, levels[-1]) for side in ("left", "right")])
         nxt = nxt[~np.isnan(nxt)]
         nxt = np.unique(np.round(nxt, 13))
-        if len(all_nodes) + nxt.size > ALPHA_LIMIT_CAP:
+        if count + nxt.size > ALPHA_LIMIT_CAP:
             complete = False
             break
-        all_nodes.extend((d, float(v)) for v in nxt)
-        level = nxt
-        if level.size == 0:
+        count += nxt.size
+        levels.append(nxt)
+        if nxt.size == 0:
             break
-    deep = [v for (d, v) in all_nodes if d >= ALPHA_LIMIT_DEPTH / 2]
-    cells = tuple(sorted({min(int(v * ALPHA_LIMIT_RESOLUTION), ALPHA_LIMIT_RESOLUTION - 1) for v in deep}))
-    below = [v for (_, v) in all_nodes if v <= spec.c - tol]
-    above = [v for (_, v) in all_nodes if v >= spec.c + tol]
-    lo = max(below) if below else 0.0
-    hi = min(above) if above else 1.0
+    nodes = np.concatenate(levels)
+    deep = nodes[sum(level.size for level in levels[: math.ceil(ALPHA_LIMIT_DEPTH / 2)]) :]
+    cells = np.minimum((deep * ALPHA_LIMIT_RESOLUTION).astype(int), ALPHA_LIMIT_RESOLUTION - 1)
+    below = nodes[nodes <= spec.c - tol]
+    above = nodes[nodes >= spec.c + tol]
+    lo = below.max().item() if below.size else 0.0
+    hi = above.min().item() if above.size else 1.0
     j_x: tuple[float, float] | None = (lo, hi)
     if hi - lo <= 2.0 / ALPHA_LIMIT_RESOLUTION:
         j_x = None
     return AlphaLimitEstimate(
-        cells=cells,
+        cells=tuple(np.unique(cells).tolist()),
         resolution=ALPHA_LIMIT_RESOLUTION,
-        node_count=len(all_nodes),
+        node_count=count,
         j_x_est=j_x,
         complete=complete,
     )

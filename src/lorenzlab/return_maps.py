@@ -19,10 +19,10 @@ from .map_core import (
     Side,
     apply_raw,
     bisect_array,
+    branch_inverse_array,
     branch_value,
     deriv_array,
     eval_array,
-    pull_back,
 )
 from .orbits import orbit_chunks
 from .periodic import PeriodicOrbitRecord
@@ -368,7 +368,9 @@ def gaps(
 
     J itself has order 0; each further gap is a one-branch preimage of a
     known gap that stays clear of J until it lands on it. Gaps are verified
-    to map onto J at their order.
+    to map onto J at their order. Each level inverts the ends of its whole
+    frontier with one branch_inverse_array call per branch; the candidates
+    are then taken gap by gap, left branch first.
     """
     lo, hi = J
     tol = spec.tolerance
@@ -379,27 +381,25 @@ def gaps(
     while frontier and depth < max_order:
         depth += 1
         nxt: list[tuple[float, float]] = []
-        for (u, v) in frontier:
-            for side in ("left", "right"):
-                pre = pull_back(spec, (u, v), [side])
-                if pre is None or pre[1] - pre[0] <= 2 * tol:
-                    continue
-                uu, vv = pre
-                if uu < hi and vv > lo:
-                    continue  # meets J: those points belong to the gap J itself
-                key = (round(uu, 12), round(vv, 12))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(out) >= budget:
-                    return out
-                img = push_interval(spec, (uu, vv), depth)
-                ok = img is not None and abs(img[0] - lo) <= FULL_TOLERANCE and abs(img[1] - hi) <= FULL_TOLERANCE
-                shares = min(abs(uu - lo), abs(uu - hi), abs(vv - lo), abs(vv - hi)) <= 10 * tol
-                out.append(
-                    GapRecord(gap=(uu, vv), order=depth, image_is_J=bool(ok), touches_boundary=shares)
-                )
-                nxt.append((uu, vv))
+        ends = np.array(frontier, dtype=float)
+        pre = np.stack([branch_inverse_array(spec, side, ends) for side in ("left", "right")], axis=1)
+        for uu, vv in pre.reshape(-1, 2).tolist():
+            # "not wider" so that a NaN end (outside the branch range) is dropped too
+            if not vv - uu > 2 * tol:
+                continue
+            if uu < hi and vv > lo:
+                continue  # meets J: those points belong to the gap J itself
+            key = (round(uu, 12), round(vv, 12))
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(out) >= budget:
+                return out
+            img = push_interval(spec, (uu, vv), depth)
+            ok = img is not None and abs(img[0] - lo) <= FULL_TOLERANCE and abs(img[1] - hi) <= FULL_TOLERANCE
+            shares = min(abs(uu - lo), abs(uu - hi), abs(vv - lo), abs(vv - hi)) <= 10 * tol
+            out.append(GapRecord(gap=(uu, vv), order=depth, image_is_J=bool(ok), touches_boundary=shares))
+            nxt.append((uu, vv))
         frontier = nxt
     return out
 

@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorenzlab import (
     Side,
+    builtin_map,
     estimate_alpha_limit,
     estimate_omega_limit,
     evaluate,
@@ -12,7 +16,8 @@ from lorenzlab import (
     lyapunov,
     rotation_number,
 )
-from lorenzlab.orbits import orbit_list
+from lorenzlab.map_core import branch_inverse_array, quadratic_pair
+from lorenzlab.orbits import ALPHA_LIMIT_CAP, ALPHA_LIMIT_DEPTH, ALPHA_LIMIT_RESOLUTION, AlphaLimitEstimate, orbit_list
 from known_points import A3, B3, P_CYCLE, Q_CYCLE
 
 
@@ -141,6 +146,61 @@ def test_alpha_limit_renormalization_gap(ex3, seq3):
     J = seq3.intervals[0].J
     assert lo == pytest.approx(J[0], abs=1e-6)
     assert hi == pytest.approx(J[1], abs=1e-6)
+
+
+def ref_alpha_limit(spec, x):
+    """estimate_alpha_limit as it was written with one list of (depth,
+    value) tuples for the whole tree."""
+    tol = spec.tolerance
+    level = np.array([x])
+    all_nodes = [(0, x)]
+    complete = True
+    for d in range(1, ALPHA_LIMIT_DEPTH + 1):
+        pre_l = branch_inverse_array(spec, "left", level)
+        pre_r = branch_inverse_array(spec, "right", level)
+        nxt = np.concatenate([pre_l, pre_r])
+        nxt = nxt[~np.isnan(nxt)]
+        nxt = np.unique(np.round(nxt, 13))
+        if len(all_nodes) + nxt.size > ALPHA_LIMIT_CAP:
+            complete = False
+            break
+        all_nodes.extend((d, float(v)) for v in nxt)
+        level = nxt
+        if level.size == 0:
+            break
+    deep = [v for (d, v) in all_nodes if d >= ALPHA_LIMIT_DEPTH / 2]
+    cells = tuple(sorted({min(int(v * ALPHA_LIMIT_RESOLUTION), ALPHA_LIMIT_RESOLUTION - 1) for v in deep}))
+    below = [v for (_, v) in all_nodes if v <= spec.c - tol]
+    above = [v for (_, v) in all_nodes if v >= spec.c + tol]
+    lo = max(below) if below else 0.0
+    hi = min(above) if above else 1.0
+    j_x = (lo, hi)
+    if hi - lo <= 2.0 / ALPHA_LIMIT_RESOLUTION:
+        j_x = None
+    return AlphaLimitEstimate(cells, ALPHA_LIMIT_RESOLUTION, len(all_nodes), j_x, complete)
+
+
+ALPHA_CASES = [
+    ("paper-example", 0.95),
+    ("logistic3.4-embed", 0.3),
+    ("logistic3.4-embed", 0.5),
+    ("logistic3.4-embed", B3),
+    # a full-branch map: the tree doubles each level and stops at the node cap
+    ("logistic4-embed", 0.3),
+]
+
+
+@pytest.mark.parametrize("name, x", ALPHA_CASES)
+def test_alpha_limit_matches_reference(name, x):
+    spec = builtin_map(name)
+    assert estimate_alpha_limit(spec, x) == ref_alpha_limit(spec, x)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(st.floats(2.9, 4.0), st.floats(2.9, 4.0), st.floats(0.0, 1.0))
+def test_alpha_limit_matches_reference_on_pairs(a_left, a_right, x):
+    spec = quadratic_pair(a_left, a_right)
+    assert estimate_alpha_limit(spec, x) == ref_alpha_limit(spec, x)
 
 
 def test_rotation_number_two_cycle(ex1):

@@ -1,5 +1,6 @@
-"""map_core.pull_back against the three interval pullbacks it replaced in
-renorm.trapping_region, spectral.stratum_blocks and return_maps.gaps, kept
+"""map_core.pull_back against the interval pullbacks it replaced in
+renorm.trapping_region and spectral.stratum_blocks, and return_maps.gaps
+(which inverts a whole level at once) against its per-endpoint loop, kept
 here verbatim as references together with the branch inverse they ran on."""
 
 import functools
@@ -7,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lorenzlab import builtin_map, embed_unimodal, logistic, map_core, quadratic_pair, renorm
+from lorenzlab import builtin_map, embed_unimodal, logistic, map_core, quadratic_pair, renorm, return_maps
 from lorenzlab.map_core import (
     BranchSpec,
     LorenzMapSpec,
@@ -260,11 +263,26 @@ def test_stratum_blocks_match_reference(spec):
 
 
 def test_gaps_match_reference(spec):
-    Js = [r.J for r in records(spec)]
+    # the last J is narrow enough that some of its preimages are not wider
+    # than 2 * tolerance
+    Js = [r.J for r in records(spec)] + [(spec.c - 3e-10, spec.c + 3e-10)]
     if 0.4 < spec.c < 0.6:
         Js.append((0.4, 0.6))
     for J in Js:
         assert gaps(spec, J, 5) == ref_gaps(spec, J, 5)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    spec=st.one_of(st.builds(quadratic_pair, st.floats(2.9, 4.0), st.floats(2.9, 4.0)), st.just(POWER[1])),
+    h=st.tuples(st.floats(0.001, 0.2), st.floats(0.001, 0.2)),
+    max_order=st.integers(1, 8),
+)
+def test_gaps_match_reference_on_random_maps(spec, h, max_order):
+    """Random quadratic pairs and the power_form map with c = 0.4,
+    a = (0.85, 0.8), alpha = (3.0, 2.2), around random J."""
+    J = (spec.c - h[0], spec.c + h[1])
+    assert gaps(spec, J, max_order) == ref_gaps(spec, J, max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +375,24 @@ def test_trapping_region_work_on_doubling_chain(monkeypatch):
     for rec in recs:
         trapping_region(spec, rec)
     assert calls[0] == 22
+
+
+def test_gaps_two_inversions_per_level(spec, monkeypatch):
+    """gaps inverts the ends of its whole frontier with one call per branch:
+    two calls per level it expands, and no pull_back."""
+    wrapper, calls = counted()
+    monkeypatch.setattr(return_maps, "branch_inverse_array", wrapper)
+    assert not hasattr(return_maps, "pull_back")
+    c = spec.c
+    for J in [r.J for r in records(spec)] + [(c - 0.1, c + 0.1)]:
+        for max_order in (0, 1, 4, 7):
+            calls[0] = 0
+            full = gaps(spec, J, max_order)
+            top = max(g.order for g in full)
+            assert calls[0] == 2 * min(max_order, top + 1)
+            # a budget cut ends the level of the first record it refuses
+            for budget in (1, 3, 10):
+                if len(full) > budget:
+                    calls[0] = 0
+                    assert gaps(spec, J, max_order, budget) == full[:budget]
+                    assert calls[0] == 2 * full[budget].order

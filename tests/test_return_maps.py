@@ -17,7 +17,7 @@ from lorenzlab import (
 from lorenzlab import builtin_map
 from lorenzlab.map_core import BranchSpec, LorenzMapSpec, Side, apply_raw, quadratic_pair, validate_map
 from lorenzlab.periodic import find_periodic_points
-from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times
+from lorenzlab.return_maps import RootIntervalResult, _first_return_time, _return_times, push_interval
 from known_points import A3, B3, P_CYCLE
 
 # alpha = 2 on both sides: numpy's power and libm's pow then both round x*x
@@ -161,6 +161,28 @@ def test_gaps_structure(ex2):
         assert b1 <= a2 + 1e-9
     total = sum(b - a for (a, b) in ivs)
     assert total >= 0.98
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.floats(2.9, 4.0),
+    st.floats(2.9, 4.0),
+    st.floats(0.001, 0.2),
+    st.floats(0.001, 0.2),
+    st.integers(0, 8),
+)
+def test_gaps_map_onto_J(a_left, a_right, h_left, h_right, max_order):
+    """Every gap of a random quadratic pair, around a random J, maps
+    monotonically onto J at its order."""
+    spec = quadratic_pair(a_left, a_right)
+    J = (spec.c - h_left, spec.c + h_right)
+    out = gaps(spec, J, max_order)
+    assert out[0].gap == J
+    for g in out:
+        assert g.image_is_J
+        assert g.order <= max_order
+        if g.order:
+            assert push_interval(spec, g.gap, g.order) == pytest.approx(J, abs=1e-6)
 
 
 def test_gaps_trivial(ex1):
