@@ -19,7 +19,6 @@ import pickle
 import signal
 import sys
 import threading
-from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -174,38 +173,17 @@ def _can_fork() -> bool:
     )
 
 
-@contextmanager
-def _beside(fn):
-    """Yields a function that returns fn(). Where _can_fork() holds, a forked
-    child calls fn while the with-block runs and sends the value back
-    pickled through a pipe; a child that fails or sends a short payload is
-    answered by the inline call, so the caller gets the serial value or the
-    serial exception, and so is a pipe or a fork that fails. The child is
-    reaped on every exit, and killed first if the block is left before its
-    value is read. fn must depend only on state the fork copies, and its
-    value must pickle."""
-    if not _can_fork():
-        yield fn
-        return
+def _beside(child, parent):
+    """Returns (child(), parent()). Where _can_fork() holds, a forked child
+    calls child while this process calls parent, and sends its value back
+    pickled through a pipe; a pipe or a fork that fails, a child that exits
+    non-zero and a short payload are answered by calling child here after
+    parent, so the caller gets the serial value or the serial exception.
+    Inline, parent runs first, then child. If parent raises, the child is
+    killed; it is reaped on every exit. child must depend only on state the
+    fork copies, and its value must pickle."""
     pid = reader = None
-
-    def result():
-        nonlocal pid
-        if not pid:
-            return fn()
-        # to EOF before the reap: a payload larger than the pipe buffer
-        # holds the child until it is read
-        data = reader.read()
-        status = os.waitpid(pid, 0)[1]
-        pid = None
-        if status == 0:
-            try:
-                return pickle.loads(data)
-            except (pickle.UnpicklingError, EOFError):  # a short payload
-                pass
-        return fn()
-
-    try:
+    if _can_fork():
         try:
             r, w = os.pipe()
             reader = open(r, "rb")
@@ -216,15 +194,28 @@ def _beside(fn):
                     code = 1
                     try:
                         with open(w, "wb") as fh:
-                            fh.write(pickle.dumps(fn(), pickle.HIGHEST_PROTOCOL))
+                            fh.write(pickle.dumps(child(), pickle.HIGHEST_PROTOCOL))
                         code = 0
                     finally:
                         os._exit(code)
             finally:
                 os.close(w)
-        except OSError:  # no pipe or no process to spare: result() calls fn inline
+        except OSError:  # no pipe or no process to spare: child runs inline
             pass
-        yield result
+    try:
+        mine = parent()
+        if pid:
+            # to EOF before the reap: a payload larger than the pipe buffer
+            # holds the child until it is read
+            data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            if status == 0:
+                try:
+                    return pickle.loads(data), mine
+                except (pickle.UnpicklingError, EOFError):  # a short payload
+                    pass
+        return child(), mine
     finally:
         if reader:
             reader.close()
@@ -248,7 +239,10 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
     if "error" in report:
         return report
     sample_count = max(budgets.samples, 10_000)
-    with _beside(lambda: entropy_estimate(spec, sample_count, rng=np.random.default_rng(budgets.seed))) as entropy:
+
+    def stages():
+        """The other stages, in the report's key order; returns the
+        renormalization chain, which the solenoid bound reads."""
         a = Analysis(spec, budgets)
         report["periodic_catalog"] = [r.to_dict() for r in a.catalog]
         report["renorm"] = a.seq.to_dict()
@@ -275,16 +269,20 @@ def build_report(spec: LorenzMapSpec, budgets: Budgets) -> dict:
                 }
             )
         report["lyapunov_samples"] = samples
+        return a.seq.chain()
 
-        report["entropy"] = {
-            "word_length": ENTROPY_WORD_LENGTH,
-            "samples": sample_count,
-            "estimate": entropy(),
-            "upper_bound": math.log(2.0) + 2.0 / ENTROPY_WORD_LENGTH,
-            "solenoid_bound": solenoid_entropy_bound(a.seq.chain()),
-        }
-        report["provenance"] = {"budgets": budgets.to_dict(), "seed": budgets.seed}
-        return report
+    entropy, renorm_chain = _beside(
+        lambda: entropy_estimate(spec, sample_count, rng=np.random.default_rng(budgets.seed)), stages
+    )
+    report["entropy"] = {
+        "word_length": ENTROPY_WORD_LENGTH,
+        "samples": sample_count,
+        "estimate": entropy,
+        "upper_bound": math.log(2.0) + 2.0 / ENTROPY_WORD_LENGTH,
+        "solenoid_bound": solenoid_entropy_bound(renorm_chain),
+    }
+    report["provenance"] = {"budgets": budgets.to_dict(), "seed": budgets.seed}
+    return report
 
 
 def _finite_only(obj, path: str, non_finite: list[str]):
@@ -453,9 +451,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # (each bracket steps by its own map), so the rows are the serial ones.
     if len(cells) > 1 and _can_fork():
         rows: list = [None] * len(cells)
-        with _beside(lambda: _scan_rows(cells[1::2], budgets)) as odd_rows:
-            rows[0::2] = _scan_rows(cells[0::2], budgets)
-            rows[1::2] = odd_rows()
+        rows[1::2], rows[0::2] = _beside(
+            lambda: _scan_rows(cells[1::2], budgets), lambda: _scan_rows(cells[0::2], budgets)
+        )
     else:
         rows = _scan_rows(cells, budgets)
     buf = io.StringIO()

@@ -189,21 +189,21 @@ def critical_orbit(spec: LorenzMapSpec, i: int, n: int) -> array:
 def lyapunov(spec: LorenzMapSpec, orbit: Iterable[float], n: int) -> LyapunovEstimate:
     """Lower Lyapunov exponent estimate over orbit, read once in order: the
     first n points of an orbit, or fewer when it landed at c. The estimate is
-    the minimum of the last LYAPUNOV_TAIL_WINDOWS running averages of log|Df|
-    at the checkpoints of n (the liminf is approximated by a min over
-    windows). A point within tolerance of c ends the sum with hit_critical."""
+    the minimum of the running averages of log|Df| at the checkpoints
+    n - j * (n // 100), 0 <= j < LYAPUNOV_TAIL_WINDOWS, that the orbit reaches
+    (the liminf is approximated by a min over windows). A point within
+    tolerance of c ends the sum with hit_critical."""
     if n < 1000:
         raise ValueError("n must be at least 1000")
     c, tol = spec.c, spec.tolerance
     ker = _kernels(spec)
     d_left, d_right = ker["left"][0][1], ker["right"][0][1]
-    stride = max(1, n // 100)
-    checkpoints = sorted({n - j * stride for j in range(LYAPUNOV_TAIL_WINDOWS)} | {n})
+    stride = n // 100
+    checkpoints = {n - j * stride for j in range(LYAPUNOV_TAIL_WINDOWS)}
     averages: list[float] = []
     total = 0.0
     k = 0
     hit = False
-    nxt = 0
     for x in orbit:
         d = 0.0 if abs(x - c) <= tol else abs(d_left(x) if x < c else d_right(x))
         if d <= 0:
@@ -211,9 +211,8 @@ def lyapunov(spec: LorenzMapSpec, orbit: Iterable[float], n: int) -> LyapunovEst
             break
         total += math.log(d)
         k += 1
-        if nxt < len(checkpoints) and k == checkpoints[nxt]:
+        if k in checkpoints:
             averages.append(total / k)
-            nxt += 1
     if not averages:
         averages = [total / max(k, 1)]
     return LyapunovEstimate(

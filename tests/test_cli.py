@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorenzlab import Budgets, builtin_map
+from lorenzlab import Budgets, builtin_map, quadratic_pair
 from lorenzlab.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INTERNAL,
@@ -247,14 +247,63 @@ def test_beside_sends_a_value_larger_than_the_pipe(monkeypatch):
     handler = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(60)
     try:
-        with cli._beside(lambda: (os.getpid(), payload)) as value:
-            sender, data = value()
+        (sender, data), _ = cli._beside(lambda: (os.getpid(), payload), lambda: None)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
     assert len(pids) == 1 and sender == pids[0] != os.getpid()
     assert data == payload
     _no_child_left()
+
+
+def test_beside_returns_the_pair_forked_and_inline(monkeypatch):
+    # inline, parent runs first; forked, child runs in the child alone
+    from lorenzlab import cli
+
+    order = []
+
+    def child():
+        order.append("child")
+        return "child", sum(range(1000))
+
+    def parent():
+        order.append("parent")
+        return "parent", 7
+
+    forked = cli._beside(child, parent)
+    assert order == (["parent"] if cli._can_fork() else ["parent", "child"])
+    _no_child_left()
+    order.clear()
+    monkeypatch.setattr(cli, "_can_fork", lambda: False)
+    inline = cli._beside(child, parent)
+    assert order == ["parent", "child"]
+    assert forked == inline == (("child", 499500), ("parent", 7))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(3.0, 4.0), st.floats(3.0, 4.0))
+def test_reruns_are_deterministic(a_left, a_right):
+    # two reports on the forked path where the host allows it, the second
+    # on the spec the first walked, and one inline on a fresh spec
+    from lorenzlab import cli
+
+    budgets = Budgets(**json.loads(FAST_BUDGETS))
+    spec = quadratic_pair(a_left, a_right)
+    real, pids = os.fork, []
+
+    def counted():
+        pids.append(real())
+        return pids[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "fork", counted)
+        forked = [_dump_json(build_report(spec, budgets)) for _ in range(2)]
+    assert len(pids) == (2 if cli._can_fork() else 0)
+    _no_child_left()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_can_fork", lambda: False)
+        inline = _dump_json(build_report(quadratic_pair(a_left, a_right), budgets))
+    assert forked == [inline, inline]
 
 
 def test_entropy_runs_inline_on_one_cpu_or_with_threads(monkeypatch):

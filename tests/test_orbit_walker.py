@@ -25,14 +25,13 @@ from lorenzlab.periodic import find_periodic_points
 
 def ref_lyapunov(spec, x0, n=10_000, tail_windows=10, side=Side.NONE):
     tol = spec.tolerance
-    stride = max(1, n // 100)
-    checkpoints = sorted({n - j * stride for j in range(tail_windows)} | {n})
+    stride = n // 100
+    checkpoints = {n - j * stride for j in range(tail_windows)}
     averages = []
     x, s = x0, side
     total = 0.0
     k = 0
     hit = False
-    nxt = 0
     while k < n:
         at_c = abs(x - spec.c) <= tol
         if at_c and s == Side.NONE:
@@ -47,9 +46,8 @@ def ref_lyapunov(spec, x0, n=10_000, tail_windows=10, side=Side.NONE):
         x = apply_raw(spec, x, s)
         s = Side.NONE
         k += 1
-        if nxt < len(checkpoints) and k == checkpoints[nxt]:
+        if k in checkpoints:
             averages.append(total / k)
-            nxt += 1
     if not averages:
         averages = [total / max(k, 1)]
     return (min(averages), averages, k, hit)
@@ -199,13 +197,19 @@ def test_lyapunov_matches_reference(monkeypatch):
                 for orbit in (orbit_list(spec, x0, n), chain.from_iterable(p for p, _ in orbit_chunks(spec, x0, n))):
                     est = lyapunov(spec, orbit, n)
                     assert (est.value, est.window_averages, est.steps, est.hit_critical) == want
-    # more tail windows than checkpoints above zero
+    # more tail windows than checkpoints above zero: the ones at or below
+    # zero are never met, and every one above zero still is
     monkeypatch.setattr(orbits, "LYAPUNOV_TAIL_WINDOWS", 150)
     for spec in MAPS:
         est = lyapunov(spec, orbit_list(spec, 0.3141592653589793, 1000), 1000)
         assert (est.value, est.window_averages, est.steps, est.hit_critical) == ref_lyapunov(
             spec, 0.3141592653589793, 1000, tail_windows=150
         )
+    spec = builtin_map("logistic4-embed")
+    est = lyapunov(spec, orbit_list(spec, 0.3141592653589793, 1000), 1000)
+    monkeypatch.setattr(orbits, "LYAPUNOV_TAIL_WINDOWS", 100)
+    assert lyapunov(spec, orbit_list(spec, 0.3141592653589793, 1000), 1000) == est
+    assert len(est.window_averages) == 100 and round(est.value, 4) == 0.5965
 
 
 @pytest.mark.parametrize("sample_len", [WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1])

@@ -19,6 +19,7 @@ from lorenzlab import (
 from lorenzlab.map_core import Side, apply_raw, critical_values
 from lorenzlab.spectral import _certified_core, stratum_blocks
 from lorenzlab.renorm import find_renormalizations
+from lorenzlab.return_maps import interval_side, push_interval
 from known_points import A3, B3, P_CYCLE, Q_CYCLE
 
 
@@ -83,6 +84,26 @@ def test_trap_chain_invariance(ex3, dec3, rng):
                 x = apply_raw(ex3, x, Side.NONE)
                 if not any(lo - 1e-9 <= x <= hi + 1e-9 for (lo, hi) in K):
                     raise AssertionError(f"left K_{s.n} at {x}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(3.0, 4.0), st.floats(3.0, 4.0))
+def test_trapping_regions_and_core_are_invariant(a_left, a_right):
+    """One step maps each component of a trapping level, split at c where
+    it straddles c, into one component of that level, and each half of the
+    certified core into the core."""
+    spec = quadratic_pair(a_left, a_right)
+    c = spec.c
+    for level in Analysis(spec, Budgets(max_period=8)).trapping[0]:
+        for iv in level:
+            for piece in [iv] if interval_side(spec, iv) else [(iv[0], c), (c, iv[1])]:
+                u, v = push_interval(spec, piece, 1)
+                assert any(lo - 1e-9 <= u and v <= hi + 1e-9 for lo, hi in level), (piece, (u, v), level)
+    core = _certified_core(spec)
+    if core is not None:
+        for piece in ((core[0], c), (c, core[1])):
+            u, v = push_interval(spec, piece, 1)
+            assert core[0] <= u and v <= core[1], (piece, (u, v), core)
 
 
 def test_stratum_blocks_outer(ex3, an3):
